@@ -57,14 +57,12 @@ class Diamond:
     col2: Vector
 
     def __post_init__(self):
-        c1, c2 = tuple(self.col1), tuple(self.col2)
+        c1, c2 = as_vector(self.col1), as_vector(self.col2)
         object.__setattr__(self, "col1", c1)
         object.__setattr__(self, "col2", c2)
         n = len(c1)
-        if n == 0 or len(c2) != n:
-            raise InputError("columns must be nonempty and of equal length")
-        if any(x < 1 for x in c1) or any(x < 1 for x in c2):
-            raise InputError("all diamond entries must be positive integers")
+        if len(c2) != n:
+            raise InputError("columns must be of equal length")
         for j in range(1, n + 1):
             a1j = c1[j - 1]
             a2j = c2[j - 1]

@@ -73,21 +73,25 @@ def all_paths(half_length: int):
     order with U < D."""
     if half_length < 0:
         raise InputError("half length must be >= 0")
-
-    def emit(prefix: list[str], ups: int, downs: int, height: int):
-        if ups == 0 and downs == 0:
-            yield DyckPath("".join(prefix))
+    word = ["U"] * half_length + ["D"] * half_length
+    while True:
+        yield DyckPath("".join(word))
+        # The successor turns the rightmost U entered at height >= 1 into a
+        # D, then completes with the smallest suffix: its Us, then its Ds.
+        height = 0
+        ups = downs = 0
+        for pos in range(len(word) - 1, -1, -1):
+            if word[pos] == "U":
+                height -= 1
+                ups += 1
+                if height >= 1:
+                    word[pos:] = ["D"] + ["U"] * ups + ["D"] * (downs - 1)
+                    break
+            else:
+                height += 1
+                downs += 1
+        else:
             return
-        if ups:
-            prefix.append("U")
-            yield from emit(prefix, ups - 1, downs, height + 1)
-            prefix.pop()
-        if downs and height > 0:
-            prefix.append("D")
-            yield from emit(prefix, ups, downs - 1, height - 1)
-            prefix.pop()
-
-    yield from emit([], half_length, half_length, 0)
 
 
 def catalan(n: int) -> int:
@@ -196,7 +200,8 @@ def reduce_coordinate(u, i: int) -> int:
     Repeatedly subtract the entry with the largest index l <= i that keeps
     the remainder positive; after t subtractions the result is remainder
     plus t.  With no qualifying index the coordinate itself is returned.
-    Remainders strictly decrease, so the loop terminates.
+    Once index l stops qualifying it never qualifies again, so each index
+    is taken as often as it fits in one division: at most i steps.
     """
     u = tuple(u)
     if not 1 <= i <= len(u):
@@ -205,16 +210,12 @@ def reduce_coordinate(u, i: int) -> int:
         raise InputError("all entries must be >= 1")
     r = u[i - 1]
     t = 0
-    while True:
-        pick = None
-        for l in range(i, 0, -1):
-            if r - u[l - 1] > 0:
-                pick = l
-                break
-        if pick is None:
-            return r + t
-        r -= u[pick - 1]
-        t += 1
+    for l in range(i, 0, -1):
+        if u[l - 1] < r:
+            k = (r - 1) // u[l - 1]
+            r -= k * u[l - 1]
+            t += k
+    return r + t
 
 
 def vector_to_path(v) -> DyckPath:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .diamond import Cycle, complete_diamond, minimal_cycle
 from .errors import (
@@ -137,10 +138,19 @@ def violations(fp: FriezePattern) -> list[str]:
 
     Checks the zero and one borders, band positivity, the unimodular rule
     on every quadruple of the fundamental domain, and invariance under
-    glide reflection.  Row periodicity is inherent to the storage.
+    glide reflection.  Row periodicity is inherent to the storage.  A
+    pattern holding a non-integer entry is reported by those entries
+    alone, since the arithmetic checks cannot run on it.
     """
     N = fp.order
     rows = fp.rows
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return [
+            f"entry at row {r}, column {c} is {x!r}, not an integer"
+            for r, row in enumerate(rows)
+            for c, x in enumerate(row)
+            if type(x) is not int
+        ]
     problems = []
     zeros = (0,) * N
     ones = (1,) * N

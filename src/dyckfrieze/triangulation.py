@@ -27,15 +27,6 @@ def _normalize_pair(pair) -> Diagonal:
     return (a, b) if a < b else (b, a)
 
 
-def _crosses(d1: Diagonal, d2: Diagonal) -> bool:
-    # strict interleaving on the circle; shared endpoints do not cross
-    if set(d1) & set(d2):
-        return False
-    a, b = d1
-    c, d = d2
-    return (a < c < b) != (a < d < b)
-
-
 @dataclass(frozen=True)
 class Triangulation:
     """N-3 non-crossing diagonals of the labeled N-gon."""
@@ -56,13 +47,17 @@ class Triangulation:
                 raise InputError(f"diagonal {i}-{j} outside vertex range")
             if (j - i) % N in (1, N - 1):
                 raise InputError(f"{i}-{j} is a polygon edge, not a diagonal")
-        diag_list = sorted(diags)
-        for x in range(len(diag_list)):
-            for y in range(x + 1, len(diag_list)):
-                if _crosses(diag_list[x], diag_list[y]):
-                    raise InputError(
-                        f"diagonals {diag_list[x]} and {diag_list[y]} cross"
-                    )
+        # Non-crossing chords form a laminar family of intervals (shared
+        # endpoints do not cross).  In (i, -j) order, once the open chords
+        # ending at or before i are closed, chord (i, j) must end no later
+        # than the innermost chord still open.
+        open_chords = []
+        for i, j in sorted(diags, key=lambda d: (d[0], -d[1])):
+            while open_chords and open_chords[-1][1] <= i:
+                open_chords.pop()
+            if open_chords and j > open_chords[-1][1]:
+                raise InputError(f"diagonals {open_chords[-1]} and {(i, j)} cross")
+            open_chords.append((i, j))
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``N=6; 1-5,2-4,2-5``."""

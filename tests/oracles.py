@@ -1,7 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's own code paths: counting by direct
-filtering, rule checks by literal arithmetic, quiddity by diagonal degree.
+filtering, rule checks by literal arithmetic, quiddity by diagonal degree,
+crossing by comparing every pair of chords, greedy reduction one
+subtraction at a time.
 """
 
 import itertools
@@ -66,21 +68,43 @@ def _crosses(d1, d2):
     return (a < c < b) != (a < d < b)
 
 
-def brute_triangulation_diagonal_sets(N):
-    """All triangulations of the N-gon as frozensets of diagonals, found by
-    filtering every (N-3)-subset of chords for pairwise non-crossing."""
-    chords = [
+def pairwise_non_crossing(diagonals):
+    """True iff no two of the normalized chords strictly interleave."""
+    return all(not _crosses(a, b) for a, b in itertools.combinations(diagonals, 2))
+
+
+def polygon_chords(N):
+    """Every diagonal (i, j), i < j, of the labeled N-gon."""
+    return [
         (i, j)
         for i in range(N)
         for j in range(i + 1, N)
         if (j - i) % N not in (1, N - 1)
     ]
-    out = []
-    for combo in itertools.combinations(chords, N - 3):
-        if all(
-            not _crosses(combo[x], combo[y])
-            for x in range(len(combo))
-            for y in range(x + 1, len(combo))
-        ):
-            out.append(frozenset(combo))
-    return out
+
+
+def brute_triangulation_diagonal_sets(N):
+    """All triangulations of the N-gon as frozensets of diagonals, found by
+    filtering every (N-3)-subset of chords for pairwise non-crossing."""
+    return [
+        frozenset(combo)
+        for combo in itertools.combinations(polygon_chords(N), N - 3)
+        if pairwise_non_crossing(combo)
+    ]
+
+
+def reduce_coordinate_stepwise(u, i):
+    """Greedy residue by literal one-at-a-time subtraction of the entry
+    with the largest index l <= i that keeps the remainder positive."""
+    r = u[i - 1]
+    t = 0
+    while True:
+        pick = None
+        for l in range(i, 0, -1):
+            if r - u[l - 1] > 0:
+                pick = l
+                break
+        if pick is None:
+            return r + t
+        r -= u[pick - 1]
+        t += 1

@@ -60,6 +60,12 @@ def test_direct_construction_checks_rule():
         Diamond((1, 2), (3,))
 
 
+@pytest.mark.parametrize("col1, col2", [((1.0,), (2.0,)), ((True,), (2,))])
+def test_direct_construction_rejects_non_integers(col1, col2):
+    with pytest.raises(InputError, match="not an integer"):
+        Diamond(col1, col2)
+
+
 def test_rule_holds_exactly_on_all_enumerated():
     for n in range(1, 6):
         for v in enumerate_all(n):

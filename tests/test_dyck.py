@@ -27,7 +27,7 @@ from dyckfrieze.errors import (
     PrefixViolation,
     TooShort,
 )
-from oracles import brute_paths, catalan_by_convolution
+from oracles import brute_paths, catalan_by_convolution, reduce_coordinate_stepwise
 
 PATH18 = "UUUUUDDDUDUUUDDDDD"
 PATH18_PROFILE = (5, 4, 3, 3, 5, 4, 3, 2)
@@ -95,6 +95,10 @@ def test_all_paths_matches_brute_force():
         # lexicographic with U before D
         key = lambda w: [0 if ch == "U" else 1 for ch in w]
         assert lib == sorted(lib, key=key)
+
+
+def test_all_paths_first_path_at_half_length_1000():
+    assert next(all_paths(1000)).word == "U" * 1000 + "D" * 1000
 
 
 def test_path_counts_up_to_ten():
@@ -186,6 +190,18 @@ def test_reduce_coordinate_flat_and_mixed():
     assert tuple(reduce_coordinate((1, 1, 1), i) for i in range(1, 4)) == (1, 1, 1)
     u = (2, 3, 4, 1, 1)
     assert tuple(reduce_coordinate(u, i) for i in range(1, 6)) == (2, 2, 2, 1, 1)
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=7), st.data())
+@settings(max_examples=300)
+def test_reduce_coordinate_matches_stepwise_oracle(u, data):
+    i = data.draw(st.integers(min_value=1, max_value=len(u)))
+    assert reduce_coordinate(u, i) == reduce_coordinate_stepwise(u, i)
+
+
+def test_reduce_coordinate_huge_entries_return_at_once():
+    assert reduce_coordinate((1, 10**12), 2) == 10**12
+    assert reduce_coordinate((7, 5, 10**12), 3) == 5 + (10**12 - 5) // 5
 
 
 def test_reduce_coordinate_errors():

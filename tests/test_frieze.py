@@ -128,6 +128,15 @@ def test_verify_detects_broken_border():
     assert any("zeros" in msg for msg in violations(bad))
 
 
+def test_violations_names_non_integer_entry():
+    fp = from_quiddity((2, 3, 1, 2, 3, 1))
+    rows = [list(row) for row in fp.rows]
+    rows[3][1] = "5"
+    bad = FriezePattern(fp.order, tuple(tuple(r) for r in rows))
+    assert violations(bad) == ["entry at row 3, column 1 is '5', not an integer"]
+    assert not verify(bad)
+
+
 def test_period_divides_order():
     for n in range(1, 6):
         for v in enumerate_all(n):

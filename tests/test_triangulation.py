@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dyckfrieze import (
@@ -18,7 +20,11 @@ from dyckfrieze import (
     vector_to_triangulation,
 )
 from dyckfrieze.errors import InputError, PositionOutOfRange, SizeMismatch
-from oracles import brute_triangulation_diagonal_sets, quiddity_by_degree
+from oracles import (
+    brute_triangulation_diagonal_sets,
+    polygon_chords,
+    quiddity_by_degree,
+)
 
 
 def tri(N, pairs):
@@ -64,10 +70,22 @@ def test_constructor_rejects_malformed():
         tri(6, {(2, 4)})  # wrong count
     with pytest.raises(InputError):
         tri(6, {(0, 1), (2, 4), (2, 5)})  # polygon edge
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"\(0, 2\) and \(1, 4\) cross"):
         tri(6, {(0, 2), (1, 3), (1, 4)})  # crossing pair
     with pytest.raises(InputError):
         tri(6, {(0, 7), (2, 4), (2, 5)})  # label out of range
+
+
+def test_constructor_accepts_exactly_the_non_crossing_sets():
+    # differential against the pairwise oracle over every (N-3)-subset
+    for N in range(3, 9):
+        valid = set(brute_triangulation_diagonal_sets(N))
+        for combo in itertools.combinations(polygon_chords(N), N - 3):
+            if frozenset(combo) in valid:
+                assert tri(N, combo).diagonals == frozenset(combo)
+            else:
+                with pytest.raises(InputError):
+                    tri(N, combo)
 
 
 def test_quiddity_square_fan():
