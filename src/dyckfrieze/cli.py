@@ -100,9 +100,7 @@ def cmd_dyck(args) -> int:
     if args.word is not None:
         path = parse_path(args.word)
     else:
-        v = _parse_vector(args.vector)
-        complete_diamond(v)  # reject vectors that are not diamond vectors
-        path = vector_to_path(v)
+        path = vector_to_path(_parse_vector(args.vector))
     if args.to == "path":
         print(path.word)
     elif args.to == "v":
@@ -116,9 +114,7 @@ def cmd_triangulate(args) -> int:
     if args.word is not None:
         t = path_to_triangulation(parse_path(args.word))
     else:
-        v = _parse_vector(args.vector)
-        complete_diamond(v)  # reject vectors that are not diamond vectors
-        t = vector_to_triangulation(v)
+        t = vector_to_triangulation(_parse_vector(args.vector))
     print(t.to_text())
     return 0
 

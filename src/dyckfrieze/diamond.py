@@ -12,6 +12,11 @@ construction, second column becoming the next first column, walks a cycle
 whose length always divides n + 3; those cycles are the diagonals of a
 closed integral frieze pattern.
 
+Every such diagonal solves one three-term recurrence on the quiddity
+``q`` of its frieze (Conway & Coxeter, 1973), computed by ``diagonal``
+without division.  Frieze completion, coupling cycles and the inverse
+path map are all built on it.
+
 All entries are plain Python integers, so arithmetic is exact and unbounded.
 Every value here is immutable and every function is pure.
 """
@@ -21,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    CycleOverrun,
     InputError,
     InvariantViolation,
     NonExactDivision,
@@ -174,23 +178,40 @@ class Cycle:
         return self.diamonds[0].n
 
 
-def minimal_cycle(d0: Diamond) -> Cycle:
-    """Iterate ``couple_next`` from ``d0`` until it recurs.
+def diagonal(q, c: int, length: int) -> Vector:
+    """Entries ``d_0..d_{length-1}`` of the frieze diagonal of quiddity ``q``
+    that starts at column ``c``.
 
-    Recurrence happens after at most n + 3 steps; running past that bound
-    raises ``CycleOverrun``.
+    ``d_0 = 0``, ``d_1 = 1`` and ``d_{k+1} = q_{c+k-1} * d_k - d_{k-1}``,
+    with indices into ``q`` taken modulo its length.  Pure integer
+    multiplication: nothing is divided, so any ``q`` is accepted.
     """
-    bound = d0.n + 3
-    members = [d0]
-    current = couple_next(d0)
-    while current != d0:
-        if len(members) >= bound:
-            raise CycleOverrun(
-                f"no recurrence within {bound} couplings from {d0.col1}"
-            )
-        members.append(current)
-        current = couple_next(current)
-    return Cycle(tuple(members))
+    N = len(q)
+    d = [0, 1]
+    for k in range(1, length - 1):
+        d.append(q[(c + k - 1) % N] * d[k] - d[k - 1])
+    return tuple(d[:length])
+
+
+def minimal_cycle(d0: Diamond) -> Cycle:
+    """The coupling cycle through ``d0``, read off the frieze it generates.
+
+    The quiddity ``q`` of order N = n + 3 comes from the two columns as a
+    Wronskian, without division.  ``m`` is the diagonal through ``col1``
+    and ``w`` the one through ``col2``, both framed by the frieze borders
+    and shifted to solve the same recurrence, so
+    ``q_k = m_k * w_{k+2} - m_{k+2} * w_k``.  The period of ``q`` is the
+    cycle length p, and member t pairs diagonals t and t + 1.
+    """
+    N = d0.n + 3
+    m = (0, 1, *d0.col1, 1, 0, -1)
+    w = (-1, 0, 1, *d0.col2, 1, 0)
+    q = tuple(m[k] * w[k + 2] - m[k + 2] * w[k] for k in range(N))
+    p = next(t for t in range(1, N + 1) if q[t:] + q[:t] == q)
+    cols = [diagonal(q, t, N - 1)[2:] for t in range(p + 1)]
+    if (cols[0], cols[1]) != (d0.col1, d0.col2):
+        raise InvariantViolation(f"frieze of {d0.col1} does not reproduce it")
+    return Cycle(tuple(Diamond(cols[t], cols[t + 1]) for t in range(p)))
 
 
 def cycle_heads(c: Cycle) -> Vector:

@@ -9,15 +9,16 @@ Two vector encodings are used.  The profile vector of a path of length 2k
 lists, for the first k-1 Ds, the number of Us seen before that D minus its
 position offset; the descent vector of a path of length 2(n+1) lists, for
 i = 1..n, how many Ds occur before the (n+2-i)-th U.  The former drives the
-bijection with diamond vectors, the latter drives polygon triangulations.
+bijection with diamond vectors, the latter drives polygon triangulations
+through ``lambda_diagonals``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
+from .diamond import complete_diamond, diagonal
 from .errors import (
     BadSymbol,
     IndexOutOfRange,
@@ -25,7 +26,7 @@ from .errors import (
     InvalidVG,
     InvariantViolation,
     NotBalanced,
-    NotInRange,
+    PositionOutOfRange,
     PrefixViolation,
     TooShort,
 )
@@ -218,14 +219,36 @@ def reduce_coordinate(u, i: int) -> int:
     return r + t
 
 
+def lambda_diagonals(lambda_vector) -> list[tuple[int, int]]:
+    """Diagonals of the (n+3)-gon drawn by a descent encoding of length n.
+
+    The active polygon is kept as an ordered list of original labels: step
+    i joins the vertices at current positions lambda_i and lambda_i + 2 and
+    removes the vertex between them.  Recording original labels avoids
+    off-by-one drift from relabeling arithmetic, and as the list stays
+    sorted each diagonal comes out as ``(low, high)``.
+    """
+    lam = tuple(lambda_vector)
+    active = list(range(len(lam) + 3))
+    diagonals = []
+    for step, li in enumerate(lam, start=1):
+        if not isinstance(li, int) or isinstance(li, bool) or li < 0:
+            raise InputError(f"step {step}: {li!r} is not a valid position")
+        if li + 2 > len(active) - 1:
+            raise PositionOutOfRange(step, li, len(active))
+        diagonals.append((active[li], active[li + 2]))
+        del active[li + 1]
+    return diagonals
+
+
 def vector_to_path(v) -> DyckPath:
     """Map a diamond vector of rank n to its Dyck path of length 2(n+1).
 
     The reduced coordinates are read as the profile encoding of the path.
-    Callers must pass a vector associated to a positive integral diamond;
-    other vectors may raise InvalidVG.
+    A vector not associated to a positive integral diamond is rejected by
+    ``complete_diamond`` with NonExactDivision or NonPositiveEntry.
     """
-    v = tuple(v)
+    v = complete_diamond(v).col1
     profile = tuple(reduce_coordinate(v, i) for i in range(1, len(v) + 1))
     return from_v_vector(profile)
 
@@ -233,28 +256,16 @@ def vector_to_path(v) -> DyckPath:
 def path_to_vector(p: DyckPath, n: int) -> tuple[int, ...]:
     """Unique diamond vector of rank n mapped to ``p`` by ``vector_to_path``.
 
-    Implemented by inverting the forward map over the full rank-n
-    enumeration; there is no closed-form inverse.
+    The path's triangulation has quiddity q, each vertex counting one more
+    than its number of diagonals, and the vector is entries 2..n+1 of the
+    frieze diagonal of q at column 0.
     """
     if p.half_length != n + 1:
         raise InputError(
             f"path of length {2 * p.half_length} does not match rank {n}"
         )
-    try:
-        return _inverse_table(n)[p.word]
-    except KeyError:
-        raise NotInRange(f"no rank-{n} preimage for {p.word}") from None
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(n: int) -> dict[str, tuple[int, ...]]:
-    # deferred import: enumeration depends on this module
-    from .enumeration import enumerate_all
-
-    table = {}
-    for v in enumerate_all(n):
-        word = vector_to_path(v).word
-        if word in table:
-            raise InvariantViolation(f"path map not injective at {v}")
-        table[word] = v
-    return table
+    q = [1] * (n + 3)
+    for i, j in lambda_diagonals(to_lambda(p)):
+        q[i] += 1
+        q[j] += 1
+    return diagonal(q, 0, n + 2)[2:]

@@ -35,10 +35,6 @@ class NonPositiveEntry(InputError):
         super().__init__(f"{where}: computed value {value} is not positive")
 
 
-class CycleOverrun(InvariantViolation):
-    """Coupling iteration failed to return to its start in time."""
-
-
 class NotBalanced(InputError):
     """Word has unequal numbers of U and D steps."""
 
@@ -71,10 +67,6 @@ class InvalidVG(InputError):
     """Integer vector is not the profile encoding of any Dyck path."""
 
 
-class NotInRange(InvariantViolation):
-    """A Dyck path had no preimage in the diamond-vector table."""
-
-
 class PositionOutOfRange(InputError):
     """A descent count points past the active polygon boundary."""
 
@@ -87,15 +79,6 @@ class PositionOutOfRange(InputError):
 
 class SizeMismatch(InputError):
     """Operation requires triangulations of equal polygon size."""
-
-
-class NonIntegralEntry(InputError):
-    """Frieze completion produced a non-integer entry."""
-
-    def __init__(self, row, col):
-        self.row = row
-        self.col = col
-        super().__init__(f"row {row}, column {col}: entry is not an integer")
 
 
 class FailsToClose(InputError):

@@ -17,25 +17,24 @@ quadruple, column indices wrapping modulo N.  Under this convention a
 column read down rows 1..N-1 is one diagonal of the pattern: the bordered
 first column of one diamond in the generating cycle.
 
-A consequence of the rule worth knowing when reading ``from_quiddity``:
-while entries are positive the division in the completion step is always
-exact (each new row also satisfies a linear three-term recurrence), so
-failures surface as nonpositive entries or as a band that misses the
-closing row of ones.  The non-integrality check stays as a guard.
+Each column c is the diagonal ``diamond.diagonal(q, c, N)`` of the
+quiddity q, a three-term recurrence (Conway & Coxeter, 1973), and the rule
+is the determinant identity of those diagonals.  ``from_quiddity`` builds
+the columns by that recurrence, with no division, so every entry is an
+integer and a sequence that is not a quiddity shows up as a nonpositive
+entry or as a band that misses the closing row of ones.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 
-from .diamond import Cycle, complete_diamond, minimal_cycle
+from .diamond import Cycle, complete_diamond, diagonal, minimal_cycle
 from .errors import (
     FailsToClose,
     InputError,
     InvariantViolation,
-    NonIntegralEntry,
     NonPositiveEntry,
     RangeError,
 )
@@ -72,7 +71,8 @@ def from_quiddity(q) -> FriezePattern:
     """Complete a frieze pattern downward from its quiddity row.
 
     Succeeds exactly when ``q`` is the quiddity of a polygon triangulation;
-    otherwise raises NonPositiveEntry, NonIntegralEntry or FailsToClose.
+    otherwise raises NonPositiveEntry or FailsToClose, reporting rows from
+    the top down.
     """
     q = tuple(q)
     N = len(q)
@@ -85,27 +85,16 @@ def from_quiddity(q) -> FriezePattern:
             raise NonPositiveEntry(c, x, row=2)
 
     ones = (1,) * N
-    rows = [None, ones, q]
+    rows = list(zip(*(diagonal(q, c, N) for c in range(N))))
     for r in range(3, N):
         if rows[r - 1] == ones:
             raise FailsToClose(f"row of ones appeared early, at row {r - 1}")
-        prev, above = rows[r - 1], rows[r - 2]
-        new = []
-        for c in range(N):
-            numerator = prev[c] * prev[(c + 1) % N] - 1
-            quotient, remainder = divmod(numerator, above[(c + 1) % N])
-            if remainder:
-                raise NonIntegralEntry(r, c)
-            if quotient < 1:
-                raise NonPositiveEntry(c, quotient, row=r)
-            new.append(quotient)
-        rows.append(tuple(new))
+        for c, x in enumerate(rows[r]):
+            if x < 1:
+                raise NonPositiveEntry(c, x, row=r)
     if rows[N - 1] != ones:
         raise FailsToClose(f"row {N - 1} is {rows[N - 1]}, not all ones")
-
-    zeros = (0,) * N
-    rows[0] = zeros
-    rows.append(zeros)
+    rows.append((0,) * N)
     return FriezePattern(N, tuple(rows))
 
 
@@ -228,10 +217,6 @@ def to_json_dict(fp: FriezePattern) -> dict:
         "quiddity": list(fp.quiddity),
         "rows": [list(row) for row in fp.rows],
     }
-
-
-def to_json(fp: FriezePattern) -> str:
-    return json.dumps(to_json_dict(fp))
 
 
 def frieze_of_vector(v) -> FriezePattern:

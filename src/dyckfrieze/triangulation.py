@@ -4,20 +4,17 @@ Vertices of an N-gon are labeled 0..N-1 in circular order.  A triangulation
 is the set of its N-3 pairwise non-crossing diagonals; with that count,
 non-crossing already forces every face to be a triangle.
 
-The realization algorithm turns the descent encoding of a Dyck path of
-length 2(n+1) into a triangulation of the (n+3)-gon.  It keeps the active
-polygon as an ordered list of original labels: step i connects the vertices
-at current positions lambda_i and lambda_i + 2 and removes the vertex
-between them.  Recorded diagonals always use original labels, which avoids
-off-by-one drift from relabeling arithmetic.
+Realization turns the descent encoding of a Dyck path of length 2(n+1)
+into a triangulation of the (n+3)-gon, with the diagonals that
+``dyck.lambda_diagonals`` draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyck import DyckPath, to_lambda, vector_to_path
-from .errors import InputError, InvariantViolation, PositionOutOfRange, SizeMismatch
+from .dyck import DyckPath, lambda_diagonals, to_lambda, vector_to_path
+from .errors import InputError, InvariantViolation, SizeMismatch
 
 Diagonal = tuple[int, int]
 
@@ -68,17 +65,7 @@ class Triangulation:
 def realize(lambda_vector) -> Triangulation:
     """Triangulation realized by the descent encoding of a Dyck path."""
     lam = tuple(lambda_vector)
-    n = len(lam)
-    active = list(range(n + 3))
-    diagonals = []
-    for step, li in enumerate(lam, start=1):
-        if not isinstance(li, int) or isinstance(li, bool) or li < 0:
-            raise InputError(f"step {step}: {li!r} is not a valid position")
-        if li + 2 > len(active) - 1:
-            raise PositionOutOfRange(step, li, len(active))
-        diagonals.append(_normalize_pair((active[li], active[li + 2])))
-        del active[li + 1]
-    return Triangulation(n + 3, frozenset(diagonals))
+    return Triangulation(len(lam) + 3, frozenset(lambda_diagonals(lam)))
 
 
 def triangles(t: Triangulation) -> list[tuple[int, int, int]]:

@@ -3,10 +3,23 @@
 These deliberately avoid the library's own code paths: counting by direct
 filtering, rule checks by literal arithmetic, quiddity by diagonal degree,
 crossing by comparing every pair of chords, greedy reduction one
-subtraction at a time.
+subtraction at a time.  Three are the library's earlier implementations,
+kept as differential references for the frieze-diagonal recurrence: frieze
+completion by row division, coupling cycles by iterated completion, and
+the path inverse by a table over the whole enumeration.
 """
 
+import functools
 import itertools
+
+from dyckfrieze import couple_next, enumerate_all, vector_to_path
+from dyckfrieze.diamond import Cycle
+from dyckfrieze.errors import (
+    FailsToClose,
+    InputError,
+    NonPositiveEntry,
+    RangeError,
+)
 
 
 def unimodular_holds(col1, col2):
@@ -108,3 +121,77 @@ def reduce_coordinate_stepwise(u, i):
             return r + t
         r -= u[pick - 1]
         t += 1
+
+
+def random_triangulation_diagonals(N, rng):
+    """Diagonals of a random triangulation of the N-gon: the side (lo, hi)
+    of each remaining polygon takes a random apex, splitting it in two."""
+    diagonals = set()
+    stack = [(0, N - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        apex = rng.randint(lo + 1, hi - 1)
+        for a, b in ((lo, apex), (apex, hi)):
+            if b - a >= 2:
+                diagonals.add((a, b))
+                stack.append((a, b))
+    return frozenset(diagonals)
+
+
+def frieze_rows_by_division(q):
+    """Frieze rows completed downward one row at a time by exact division,
+    ``(left * right - 1) / top``; raises the library's errors for a
+    sequence that is not a quiddity."""
+    q = tuple(q)
+    N = len(q)
+    if N < 3:
+        raise RangeError("quiddity must have length >= 3")
+    for c, x in enumerate(q):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise InputError(f"quiddity entry {c}: {x!r} is not an integer")
+        if x < 1:
+            raise NonPositiveEntry(c, x, row=2)
+    ones = (1,) * N
+    rows = [(0,) * N, ones, q]
+    for r in range(3, N):
+        if rows[r - 1] == ones:
+            raise FailsToClose(f"row of ones appeared early, at row {r - 1}")
+        prev, above = rows[r - 1], rows[r - 2]
+        new = []
+        for c in range(N):
+            quotient, remainder = divmod(
+                prev[c] * prev[(c + 1) % N] - 1, above[(c + 1) % N]
+            )
+            assert not remainder, f"row {r}, column {c}: inexact division"
+            if quotient < 1:
+                raise NonPositiveEntry(c, quotient, row=r)
+            new.append(quotient)
+        rows.append(tuple(new))
+    if rows[N - 1] != ones:
+        raise FailsToClose(f"row {N - 1} is {rows[N - 1]}, not all ones")
+    rows.append((0,) * N)
+    return tuple(rows)
+
+
+def minimal_cycle_by_coupling(d0):
+    """Iterate ``couple_next`` from ``d0`` until it recurs, within the
+    n + 3 couplings the period theorem allows."""
+    members = [d0]
+    current = couple_next(d0)
+    while current != d0:
+        assert len(members) < d0.n + 3, f"no recurrence from {d0.col1}"
+        members.append(current)
+        current = couple_next(current)
+    return Cycle(tuple(members))
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_table(n):
+    return {vector_to_path(v).word: v for v in enumerate_all(n)}
+
+
+def path_to_vector_by_table(p, n):
+    """Preimage of ``p`` found by mapping every rank-n diamond vector."""
+    return _inverse_table(n)[p.word]

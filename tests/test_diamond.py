@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckfrieze import (
     Cycle,
     Diamond,
+    Triangulation,
     check_head_form,
     complete_diamond,
     couple_next,
@@ -10,14 +13,20 @@ from dyckfrieze import (
     enumerate_all,
     minimal_cycle,
 )
-from dyckfrieze.diamond import _head_form_ok
+from dyckfrieze.diamond import _head_form_ok, diagonal
 from dyckfrieze.errors import (
     InputError,
     NonExactDivision,
     NonPositiveEntry,
     RangeError,
 )
-from oracles import unimodular_holds
+from oracles import (
+    frieze_rows_by_division,
+    minimal_cycle_by_coupling,
+    quiddity_by_degree,
+    random_triangulation_diagonals,
+    unimodular_holds,
+)
 
 
 def test_complete_smallest_rank():
@@ -164,6 +173,31 @@ def test_cycle_start_is_immaterial():
                 again = minimal_cycle(member)
                 assert set(again.diamonds) == set(c.diamonds)
                 assert again.p == c.p
+
+
+def test_diagonal_known_values():
+    # the frieze of the square, and the column 0 diagonal of (1, 3, 2, 1, 3, 2)
+    assert diagonal((1, 2, 1, 2), 0, 5) == (0, 1, 1, 1, 0)
+    assert diagonal((1, 3, 2, 1, 3, 2), 0, 7) == (0, 1, 1, 2, 3, 1, 0)
+    assert diagonal((1, 3, 2, 1, 3, 2), 1, 4) == (0, 1, 3, 5)
+    assert diagonal((5,), 0, 2) == (0, 1)
+
+
+def test_minimal_cycle_matches_coupling_oracle_exhaustive():
+    for n in range(1, 7):
+        for v in enumerate_all(n):
+            d = complete_diamond(v)
+            assert minimal_cycle(d) == minimal_cycle_by_coupling(d)
+
+
+@given(st.integers(4, 60), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_minimal_cycle_matches_coupling_oracle_past_enumeration_cap(N, rng):
+    # a diamond vector of rank N - 3 is a frieze column between its borders
+    q = quiddity_by_degree(Triangulation(N, random_triangulation_diagonals(N, rng)))
+    rows = frieze_rows_by_division(q)
+    d = complete_diamond(tuple(rows[r][0] for r in range(2, N - 1)))
+    assert minimal_cycle(d) == minimal_cycle_by_coupling(d)
 
 
 def test_cycle_constructor_rejects_uncoupled_members():

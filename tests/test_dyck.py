@@ -9,6 +9,7 @@ from dyckfrieze import (
     enumerate_all,
     from_v_vector,
     parse_path,
+    path_to_triangulation,
     path_to_vector,
     peaks,
     reduce_coordinate,
@@ -17,6 +18,7 @@ from dyckfrieze import (
     to_v_vector,
     unitary_shift,
     vector_to_path,
+    vector_to_triangulation,
 )
 from dyckfrieze.errors import (
     BadSymbol,
@@ -27,7 +29,14 @@ from dyckfrieze.errors import (
     PrefixViolation,
     TooShort,
 )
-from oracles import brute_paths, catalan_by_convolution, reduce_coordinate_stepwise
+from oracles import (
+    brute_paths,
+    catalan_by_convolution,
+    frieze_rows_by_division,
+    path_to_vector_by_table,
+    quiddity_by_degree,
+    reduce_coordinate_stepwise,
+)
 
 PATH18 = "UUUUUDDDUDUUUDDDDD"
 PATH18_PROFILE = (5, 4, 3, 3, 5, 4, 3, 2)
@@ -230,6 +239,37 @@ def test_path_map_roundtrip_exhaustive():
     for n in range(1, 7):
         for v in enumerate_all(n):
             assert path_to_vector(vector_to_path(v), n) == v
+
+
+def test_vector_maps_reject_non_diamond_vectors():
+    for bad in [(2, 2), (1, 0, 1)]:
+        with pytest.raises(InputError):
+            vector_to_path(bad)
+        with pytest.raises(InputError):
+            vector_to_triangulation(bad)
+
+
+@given(dyck_words())
+@settings(max_examples=200)
+def test_path_to_vector_matches_table_oracle(p):
+    n = p.half_length - 1
+    if n < 1:
+        return
+    assert path_to_vector(p, n) == path_to_vector_by_table(p, n)
+
+
+@given(dyck_words(max_half=58))
+@settings(max_examples=100)
+def test_path_to_vector_past_enumeration_cap(p):
+    # the preimage maps back to p, and it is column 0 of the frieze of the
+    # path's triangulation, completed by division
+    n = p.half_length - 1
+    if n < 1:
+        return
+    v = path_to_vector(p, n)
+    assert vector_to_path(v) == p
+    rows = frieze_rows_by_division(quiddity_by_degree(path_to_triangulation(p)))
+    assert v == tuple(rows[r][0] for r in range(2, n + 2))
 
 
 @given(dyck_words())

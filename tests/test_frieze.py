@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckfrieze import (
     FriezePattern,
+    Triangulation,
     complete_diamond,
     cycle_heads,
     enumerate_all,
@@ -21,6 +24,18 @@ from dyckfrieze.errors import (
     NonPositiveEntry,
     RangeError,
 )
+from oracles import (
+    frieze_rows_by_division,
+    quiddity_by_degree,
+    random_triangulation_diagonals,
+)
+
+
+def _outcome(build, q):
+    try:
+        return build(q)
+    except InputError as exc:
+        return type(exc), str(exc)
 
 
 def test_from_quiddity_reproduces_known_band():
@@ -66,6 +81,22 @@ def test_from_quiddity_rejects_non_quiddities():
         from_quiddity((1, 2))
     with pytest.raises(InputError):
         from_quiddity((1, 2, "x", 2))
+
+
+@given(st.lists(st.integers(1, 6), min_size=3, max_size=9))
+@settings(max_examples=500)
+def test_from_quiddity_matches_division_oracle(q):
+    # the same rows, or the same error with the same message
+    assert _outcome(lambda q: from_quiddity(q).rows, q) == _outcome(
+        frieze_rows_by_division, q
+    )
+
+
+@given(st.integers(4, 60), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_from_quiddity_matches_division_oracle_past_enumeration_cap(N, rng):
+    q = quiddity_by_degree(Triangulation(N, random_triangulation_diagonals(N, rng)))
+    assert from_quiddity(q).rows == frieze_rows_by_division(q)
 
 
 def test_from_cycle_rank_one():

@@ -1,0 +1,43 @@
+"""The package's modules form layers: imports run at module level only, and
+the import graph between the package's modules has no cycle, with
+``diamond`` at the bottom above ``errors``."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dyckfrieze"
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def _internal_imports(tree):
+    """Package modules named by the relative imports anywhere in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module)
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_no_import_inside_a_function():
+    for name, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                        f"{name}.{fn.name} imports at line {node.lineno}"
+                    )
+
+
+def test_import_graph_is_acyclic_with_diamond_above_errors():
+    graph = {name: _internal_imports(tree) for name, tree in _trees().items()}
+    assert graph["diamond"] == {"errors"}
+    assert graph["errors"] == set()
+    assert all(deps <= graph.keys() for deps in graph.values())
+    tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
