@@ -241,6 +241,15 @@ def lambda_diagonals(lambda_vector) -> list[tuple[int, int]]:
     return diagonals
 
 
+def degree_quiddity(N: int, diagonals) -> tuple[int, ...]:
+    """Quiddity of the N-gon cut by ``diagonals``: 1 + degree per vertex."""
+    q = [1] * N
+    for i, j in diagonals:
+        q[i] += 1
+        q[j] += 1
+    return tuple(q)
+
+
 def vector_to_path(v) -> DyckPath:
     """Map a diamond vector of rank n to its Dyck path of length 2(n+1).
 
@@ -256,16 +265,12 @@ def vector_to_path(v) -> DyckPath:
 def path_to_vector(p: DyckPath, n: int) -> tuple[int, ...]:
     """Unique diamond vector of rank n mapped to ``p`` by ``vector_to_path``.
 
-    The path's triangulation has quiddity q, each vertex counting one more
-    than its number of diagonals, and the vector is entries 2..n+1 of the
-    frieze diagonal of q at column 0.
+    The vector is entries 2..n+1 of the frieze diagonal at column 0 of the
+    quiddity of the path's triangulation.
     """
     if p.half_length != n + 1:
         raise InputError(
             f"path of length {2 * p.half_length} does not match rank {n}"
         )
-    q = [1] * (n + 3)
-    for i, j in lambda_diagonals(to_lambda(p)):
-        q[i] += 1
-        q[j] += 1
+    q = degree_quiddity(n + 3, lambda_diagonals(to_lambda(p)))
     return diagonal(q, 0, n + 2)[2:]

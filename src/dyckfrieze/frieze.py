@@ -109,10 +109,7 @@ def from_cycle(c: Cycle) -> FriezePattern:
     N = c.n + 3
     zeros = (0,) * N
     ones = (1,) * N
-    band = [
-        tuple(c.diamonds[col % c.p].col1[r - 2] for col in range(N))
-        for r in range(2, N - 1)
-    ]
+    band = zip(*(c.diamonds[col % c.p].col1 for col in range(N)))
     fp = FriezePattern(N, tuple([zeros, ones, *band, ones, zeros]))
     problems = violations(fp)
     if problems:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyck import DyckPath, lambda_diagonals, to_lambda, vector_to_path
+from .dyck import DyckPath, degree_quiddity, lambda_diagonals, to_lambda, vector_to_path
 from .errors import InputError, InvariantViolation, SizeMismatch
 
 Diagonal = tuple[int, int]
@@ -94,20 +94,14 @@ def triangles(t: Triangulation) -> list[tuple[int, int, int]]:
 
 
 def quiddity(t: Triangulation) -> tuple[int, ...]:
-    """Triangle-incidence counts per vertex; entries sum to 3(N-2)."""
-    counts = [0] * t.polygon_size
-    for face in triangles(t):
-        for v in face:
-            counts[v] += 1
-    return tuple(counts)
+    """Triangles at each vertex, 1 + its diagonals; entries sum to 3(N-2)."""
+    return degree_quiddity(t.polygon_size, t.diagonals)
 
 
 def rotate(t: Triangulation, k: int) -> Triangulation:
     """Shift every vertex label by k modulo the polygon size."""
     N = t.polygon_size
-    moved = frozenset(
-        _normalize_pair(((i + k) % N, (j + k) % N)) for i, j in t.diagonals
-    )
+    moved = frozenset(((i + k) % N, (j + k) % N) for i, j in t.diagonals)
     return Triangulation(N, moved)
 
 

@@ -1,18 +1,19 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's own code paths: counting by direct
-filtering, rule checks by literal arithmetic, quiddity by diagonal degree,
-crossing by comparing every pair of chords, greedy reduction one
-subtraction at a time.  Three are the library's earlier implementations,
-kept as differential references for the frieze-diagonal recurrence: frieze
-completion by row division, coupling cycles by iterated completion, and
-the path inverse by a table over the whole enumeration.
+filtering, rule checks by literal arithmetic, crossing by comparing every
+pair of chords, greedy reduction one subtraction at a time.  The rest are
+the library's earlier implementations, kept as differential references:
+the quiddity by counting ear-clipped faces (against the degree count),
+and, for the frieze-diagonal recurrence, frieze completion by row
+division, coupling cycles by iterated completion, and the path inverse by
+a table over the whole enumeration.
 """
 
 import functools
 import itertools
 
-from dyckfrieze import couple_next, enumerate_all, vector_to_path
+from dyckfrieze import couple_next, enumerate_all, triangles, vector_to_path
 from dyckfrieze.diamond import Cycle
 from dyckfrieze.errors import (
     FailsToClose,
@@ -64,12 +65,13 @@ def catalan_by_convolution(n):
     return cs[n]
 
 
-def quiddity_by_degree(t):
-    """Triangle counts per vertex equal diagonal degree plus one."""
-    counts = [1] * t.polygon_size
-    for i, j in t.diagonals:
-        counts[i] += 1
-        counts[j] += 1
+def quiddity_by_faces(t):
+    """Triangles at each vertex, counted over the faces that ear clipping
+    finds."""
+    counts = [0] * t.polygon_size
+    for face in triangles(t):
+        for v in face:
+            counts[v] += 1
     return tuple(counts)
 
 

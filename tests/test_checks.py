@@ -1,7 +1,8 @@
 """Fault injection for the rank-n invariant suite.
 
 ``run_checks`` builds each coupling cycle and its rotation orbit once, from
-the cycle's first enumerated member.  A fault planted on another member
+the cycle's first enumerated member, and each closing frieze once per
+quiddity rotated back to member 0.  A fault planted on another member
 must still fail its check.
 """
 
@@ -57,3 +58,20 @@ def test_orbit_missing_one_member_fails(monkeypatch):
 
     monkeypatch.setattr(checks, "rotation_orbit", short)
     assert _failed_checks() == ["cycle_orbit_consistent"]
+
+
+def test_closing_frieze_built_once_per_cycle(monkeypatch):
+    built = []
+    original = checks.from_quiddity
+
+    def counted(q):
+        built.append(q)
+        return original(q)
+
+    monkeypatch.setattr(checks, "from_quiddity", counted)
+    cycles = {
+        frozenset(minimal_cycle(complete_diamond(v)).diamonds)
+        for v in enumerate_all(RANK)
+    }
+    assert _failed_checks() == []
+    assert len(built) == len(set(built)) == len(cycles)

@@ -23,7 +23,7 @@ from dyckfrieze.errors import (
 from oracles import (
     frieze_rows_by_division,
     minimal_cycle_by_coupling,
-    quiddity_by_degree,
+    quiddity_by_faces,
     random_triangulation_diagonals,
     unimodular_holds,
 )
@@ -194,7 +194,7 @@ def test_minimal_cycle_matches_coupling_oracle_exhaustive():
 @settings(max_examples=60)
 def test_minimal_cycle_matches_coupling_oracle_past_enumeration_cap(N, rng):
     # a diamond vector of rank N - 3 is a frieze column between its borders
-    q = quiddity_by_degree(Triangulation(N, random_triangulation_diagonals(N, rng)))
+    q = quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
     rows = frieze_rows_by_division(q)
     d = complete_diamond(tuple(rows[r][0] for r in range(2, N - 1)))
     assert minimal_cycle(d) == minimal_cycle_by_coupling(d)

@@ -34,7 +34,7 @@ from oracles import (
     catalan_by_convolution,
     frieze_rows_by_division,
     path_to_vector_by_table,
-    quiddity_by_degree,
+    quiddity_by_faces,
     reduce_coordinate_stepwise,
 )
 
@@ -268,7 +268,7 @@ def test_path_to_vector_past_enumeration_cap(p):
         return
     v = path_to_vector(p, n)
     assert vector_to_path(v) == p
-    rows = frieze_rows_by_division(quiddity_by_degree(path_to_triangulation(p)))
+    rows = frieze_rows_by_division(quiddity_by_faces(path_to_triangulation(p)))
     assert v == tuple(rows[r][0] for r in range(2, n + 2))
 
 

@@ -26,7 +26,7 @@ from dyckfrieze.errors import (
 )
 from oracles import (
     frieze_rows_by_division,
-    quiddity_by_degree,
+    quiddity_by_faces,
     random_triangulation_diagonals,
 )
 
@@ -95,8 +95,39 @@ def test_from_quiddity_matches_division_oracle(q):
 @given(st.integers(4, 60), st.randoms(use_true_random=False))
 @settings(max_examples=60)
 def test_from_quiddity_matches_division_oracle_past_enumeration_cap(N, rng):
-    q = quiddity_by_degree(Triangulation(N, random_triangulation_diagonals(N, rng)))
+    q = quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
     assert from_quiddity(q).rows == frieze_rows_by_division(q)
+
+
+@st.composite
+def quiddity_candidates(draw):
+    """An arbitrary positive tuple, or the quiddity of a random
+    triangulation, of length 3..40."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.integers(1, 5), min_size=3, max_size=40)))
+    N = draw(st.integers(3, 40))
+    rng = draw(st.randoms(use_true_random=False))
+    return quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
+
+
+def _closure(q):
+    try:
+        fp = from_quiddity(q)
+    except InputError as exc:
+        return type(exc)
+    return fp.rows, verify(fp)
+
+
+@given(quiddity_candidates(), st.integers(0, 39))
+@settings(max_examples=300)
+def test_rotated_quiddity_gives_column_rotated_frieze(q, k):
+    # run_checks verifies one closing frieze per rotation class on this ground
+    k %= len(q)
+    expected = _closure(q)
+    if not isinstance(expected, type):
+        rows, verified = expected
+        expected = tuple(row[k:] + row[:k] for row in rows), verified
+    assert _closure(q[k:] + q[:k]) == expected
 
 
 def test_from_cycle_rank_one():

@@ -23,7 +23,7 @@ from dyckfrieze.errors import InputError, PositionOutOfRange, SizeMismatch
 from oracles import (
     brute_triangulation_diagonal_sets,
     polygon_chords,
-    quiddity_by_degree,
+    quiddity_by_faces,
 )
 
 
@@ -109,7 +109,7 @@ def test_quiddity_agrees_with_degree_oracle():
     for n in range(1, 7):
         for v in enumerate_all(n):
             t = vector_to_triangulation(v)
-            assert quiddity(t) == quiddity_by_degree(t)
+            assert quiddity(t) == quiddity_by_faces(t)
 
 
 def test_triangles_count_and_cover():
