@@ -4,6 +4,10 @@ Subcommands: complete, cycle, frieze, dyck, triangulate, enumerate, verify.
 JSON on stdout by default; ASCII rendering is opt-in for friezes.  Exit
 codes: 0 success, 1 invalid input, 2 a theorem-backed property failed.
 Output is deterministic for identical invocations.
+
+Every command bounds the work its input can demand: ``enumerate`` and
+``verify`` by the rank cap, commands that read a vector or quiddity by
+``MAX_VECTOR_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,11 @@ from .triangulation import path_to_triangulation, vector_to_triangulation
 
 DEFAULT_MAX_N = 10
 MAX_N_ENV = "DYCKFRIEZE_MAX_N"
+# Output and work grow with the cube of the length (N^2 entries of up to
+# N digits).  At 400 entries the slowest command, the ASCII frieze of the
+# zigzag triangulation's vector, takes 0.7-0.85 s from process start to
+# exit and prints 55 MB (2-vCPU Intel Xeon, Python 3.11.7).
+MAX_VECTOR_ENTRIES = 400
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,8 +41,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
+    parts = text.split(",")
+    if len(parts) > MAX_VECTOR_ENTRIES:
+        raise InputError(
+            f"{len(parts)} entries exceed the cap of {MAX_VECTOR_ENTRIES}"
+        )
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in parts)
     except ValueError as exc:
         raise InputError(f"not a comma-separated integer vector: {text!r}") from exc
 

@@ -19,6 +19,13 @@ path map are all built on it.
 
 All entries are plain Python integers, so arithmetic is exact and unbounded.
 Every value here is immutable and every function is pure.
+
+``Diamond(...)`` and ``Cycle(...)`` validate in full.  ``complete_diamond``
+alone builds its ``Diamond`` without re-checking it: ``as_vector`` has
+validated the first column, and each second-column entry is the exact,
+positive quotient ``(1 + a[2,j-1] * a[1,j+1]) / a[1,j]``, so the unimodular
+rule holds by arithmetic.  ``minimal_cycle`` keeps building validated
+members, because their positivity is the paper's claim, not a premise.
 """
 
 from __future__ import annotations
@@ -54,7 +61,8 @@ class Diamond:
     """A validated rank-n diamond; construction checks the unimodular rule.
 
     ``col1`` and ``col2`` hold ``a[1,1..n]`` and ``a[2,1..n]``; the boundary
-    ones are implicit and never stored.
+    ones are implicit and never stored.  ``complete_diamond`` skips the
+    check, since its exact division satisfies the rule by construction.
     """
 
     col1: Vector
@@ -77,6 +85,15 @@ class Diamond:
                     f"unimodular rule fails at position {j}: "
                     f"{a1j}*{a2j} - {left}*{right} != 1"
                 )
+
+    @classmethod
+    def _trusted(cls, col1: Vector, col2: Vector):
+        """Build without validation, for columns that satisfy the rule by
+        construction and are already tuples of positive ints."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "col1", col1)
+        object.__setattr__(d, "col2", col2)
+        return d
 
     @property
     def n(self) -> int:
@@ -105,7 +122,7 @@ def complete_diamond(vector) -> Diamond:
             raise NonPositiveEntry(j, quotient)
         col2.append(quotient)
         below = quotient
-    return Diamond(v, tuple(col2))
+    return Diamond._trusted(v, tuple(col2))
 
 
 def _head_form_ok(a11: int, a21: int, a12: int, n: int) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .diamond import complete_diamond, diagonal
+from .diamond import as_vector, complete_diamond, diagonal
 from .errors import (
     BadSymbol,
     IndexOutOfRange,
@@ -201,14 +201,17 @@ def reduce_coordinate(u, i: int) -> int:
     Repeatedly subtract the entry with the largest index l <= i that keeps
     the remainder positive; after t subtractions the result is remainder
     plus t.  With no qualifying index the coordinate itself is returned.
-    Once index l stops qualifying it never qualifies again, so each index
-    is taken as often as it fits in one division: at most i steps.
+    ``u`` must be a non-empty vector of positive ints.
     """
-    u = tuple(u)
-    if not 1 <= i <= len(u):
-        raise IndexOutOfRange(f"coordinate {i} not in 1..{len(u)}")
-    if any(x < 1 for x in u):
-        raise InputError("all entries must be >= 1")
+    u = as_vector(u)
+    if not (isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= len(u)):
+        raise IndexOutOfRange(f"coordinate {i!r} not in 1..{len(u)}")
+    return _reduce(u, i)
+
+
+def _reduce(u: tuple[int, ...], i: int) -> int:
+    # Once index l stops qualifying it never qualifies again, so each index
+    # is taken as often as it fits in one division: at most i steps.
     r = u[i - 1]
     t = 0
     for l in range(i, 0, -1):
@@ -258,7 +261,7 @@ def vector_to_path(v) -> DyckPath:
     ``complete_diamond`` with NonExactDivision or NonPositiveEntry.
     """
     v = complete_diamond(v).col1
-    profile = tuple(reduce_coordinate(v, i) for i in range(1, len(v) + 1))
+    profile = tuple(_reduce(v, i) for i in range(1, len(v) + 1))
     return from_v_vector(profile)
 
 

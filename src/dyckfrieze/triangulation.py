@@ -7,6 +7,12 @@ non-crossing already forces every face to be a triangle.
 Realization turns the descent encoding of a Dyck path of length 2(n+1)
 into a triangulation of the (n+3)-gon, with the diagonals that
 ``dyck.lambda_diagonals`` draws.
+
+The constructor validates in full.  Two constructions skip that check,
+because a theorem guarantees the result: ``rotate`` (a rotation of a
+triangulation is a triangulation, and it normalizes its own pairs) and
+``realize`` (each step clips one ear of the active polygon of at least
+four vertices, so the n chords are distinct, non-crossing diagonals).
 """
 
 from __future__ import annotations
@@ -19,8 +25,17 @@ from .errors import InputError, InvariantViolation, SizeMismatch
 Diagonal = tuple[int, int]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _normalize_pair(pair) -> Diagonal:
-    a, b = pair
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise InputError(f"{pair!r} is not a pair of vertex labels") from None
+    if not (_is_int(a) and _is_int(b)):
+        raise InputError(f"diagonal {pair!r} has a non-integer vertex label")
     return (a, b) if a < b else (b, a)
 
 
@@ -33,6 +48,8 @@ class Triangulation:
 
     def __post_init__(self):
         N = self.polygon_size
+        if not _is_int(N):
+            raise InputError(f"polygon size {N!r} is not an integer")
         if N < 3:
             raise InputError("polygon needs at least 3 vertices")
         diags = frozenset(_normalize_pair(p) for p in self.diagonals)
@@ -56,6 +73,15 @@ class Triangulation:
                 raise InputError(f"diagonals {open_chords[-1]} and {(i, j)} cross")
             open_chords.append((i, j))
 
+    @classmethod
+    def _trusted(cls, polygon_size: int, diagonals: frozenset[Diagonal]):
+        """Build without validation, for diagonals that a theorem makes a
+        triangulation, already normalized to ``(low, high)`` int pairs."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "polygon_size", polygon_size)
+        object.__setattr__(t, "diagonals", diagonals)
+        return t
+
     def to_text(self) -> str:
         """Canonical text form, e.g. ``N=6; 1-5,2-4,2-5``."""
         pairs = ",".join(f"{i}-{j}" for i, j in sorted(self.diagonals))
@@ -65,7 +91,7 @@ class Triangulation:
 def realize(lambda_vector) -> Triangulation:
     """Triangulation realized by the descent encoding of a Dyck path."""
     lam = tuple(lambda_vector)
-    return Triangulation(len(lam) + 3, frozenset(lambda_diagonals(lam)))
+    return Triangulation._trusted(len(lam) + 3, frozenset(lambda_diagonals(lam)))
 
 
 def triangles(t: Triangulation) -> list[tuple[int, int, int]]:
@@ -100,9 +126,14 @@ def quiddity(t: Triangulation) -> tuple[int, ...]:
 
 def rotate(t: Triangulation, k: int) -> Triangulation:
     """Shift every vertex label by k modulo the polygon size."""
+    if not _is_int(k):
+        raise InputError(f"shift {k!r} is not an integer")
     N = t.polygon_size
-    moved = frozenset(((i + k) % N, (j + k) % N) for i, j in t.diagonals)
-    return Triangulation(N, moved)
+    moved = []
+    for i, j in t.diagonals:
+        i, j = (i + k) % N, (j + k) % N
+        moved.append((i, j) if i < j else (j, i))
+    return Triangulation._trusted(N, frozenset(moved))
 
 
 def same_rotation_orbit(t1: Triangulation, t2: Triangulation) -> bool:

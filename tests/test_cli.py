@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import time
+from unittest import mock
 
-from dyckfrieze.cli import main
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dyckfrieze.cli import MAX_VECTOR_ENTRIES, main
 
 
 def run(capsys, *argv):
@@ -147,3 +155,88 @@ def test_output_is_deterministic(capsys):
 def test_unknown_command_is_input_error(capsys):
     code, _, err = run(capsys, "nonsense")
     assert code == 1
+
+
+def test_vector_entry_cap(capsys):
+    at_cap = ",".join(["1"] * MAX_VECTOR_ENTRIES)
+    over_cap = at_cap + ",1"
+    for command, flag in [
+        ("complete", "--vector"),
+        ("cycle", "--vector"),
+        ("frieze", "--vector"),
+        ("frieze", "--quiddity"),
+        ("dyck", "--vector"),
+        ("triangulate", "--vector"),
+    ]:
+        code, out, err = run(capsys, command, flag, over_cap)
+        assert (code, out) == (1, ""), command
+        assert f"cap of {MAX_VECTOR_ENTRIES}" in err
+    code, out, _ = run(capsys, "complete", "--vector", at_cap)
+    assert code == 0
+    assert json.loads(out)["col2"] == list(range(2, MAX_VECTOR_ENTRIES + 2))
+
+
+# Flags of each subcommand; argparse must reject the junk ones.
+FLAGS = {
+    "complete": ["--vector"],
+    "cycle": ["--vector"],
+    "frieze": ["--vector", "--quiddity", "--render"],
+    "dyck": ["--vector", "--word", "--to"],
+    "triangulate": ["--vector", "--word"],
+    "enumerate": ["--n", "--format", "--max-n"],
+    "verify": ["--n", "--max-n"],
+}
+JUNK = ["--bogus", "-x", "--", "", "-h"]
+CONTRACT_MAX_N = 5
+integer_lists = st.lists(st.integers(-2, 6), max_size=9).map(
+    lambda v: ",".join(map(str, v))
+)
+# Well-formed values per flag, so that some runs succeed.  --max-n lifts the
+# rank cap by design; it stays within the environment's cap here so that
+# every run is short.
+WELL_FORMED = {
+    "--vector": st.sampled_from(["1", "2", "1,1", "1,2,3", "2,3,4,1"]) | integer_lists,
+    "--quiddity": st.sampled_from(["1,1,1", "1,2,1,2", "2,3,1,2,3,1"]) | integer_lists,
+    "--word": st.sampled_from(["UD", "uudd", "UDUDUUDD"])
+    | st.text("UDud", max_size=16),
+    "--render": st.sampled_from(["json", "ascii"]),
+    "--to": st.sampled_from(["path", "v", "lambda"]),
+    "--format": st.sampled_from(["json", "text"]),
+    "--n": st.integers(-3, 12).map(str),
+    "--max-n": st.integers(-3, CONTRACT_MAX_N).map(str),
+}
+
+
+def _value(flag):
+    if flag == "--max-n":
+        return WELL_FORMED[flag]
+    return WELL_FORMED.get(flag, st.nothing()) | st.text(max_size=12)
+
+
+@st.composite
+def argument_lists(draw):
+    command = draw(st.sampled_from([*FLAGS, "nonsense", ""]))
+    flags = FLAGS.get(command, JUNK)
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
+        argv += [flag, draw(_value(flag))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    return argv
+
+
+@given(argument_lists())
+@settings(max_examples=300, deadline=None)
+def test_cli_contract_on_arbitrary_arguments(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with mock.patch.dict(os.environ, {"DYCKFRIEZE_MAX_N": str(CONTRACT_MAX_N)}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse --help
+                code = exc.code
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < 5, (argv, elapsed)

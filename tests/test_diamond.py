@@ -75,12 +75,36 @@ def test_direct_construction_rejects_non_integers(col1, col2):
         Diamond(col1, col2)
 
 
+def assert_same_as_validated(d):
+    # complete_diamond skips the constructor; redo its check here
+    checked = Diamond(d.col1, d.col2)
+    assert d == checked and hash(d) == hash(checked)
+    assert unimodular_holds(d.col1, d.col2)
+    assert all(type(x) is int and x >= 1 for x in d.col1 + d.col2)
+
+
 def test_rule_holds_exactly_on_all_enumerated():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for v in enumerate_all(n):
-            d = complete_diamond(v)
-            assert unimodular_holds(d.col1, d.col2)
-            assert all(x >= 1 for x in d.col2)
+            assert_same_as_validated(complete_diamond(v))
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+@settings(max_examples=500)
+def test_complete_diamond_output_valid_or_rejected(v):
+    try:
+        d = complete_diamond(v)
+    except (NonExactDivision, NonPositiveEntry):
+        return
+    assert d.col1 == tuple(v)
+    assert_same_as_validated(d)
+
+
+@given(st.integers(4, 60), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_complete_diamond_output_valid_past_enumeration_cap(N, rng):
+    q = quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
+    assert_same_as_validated(complete_diamond(diagonal(q, 0, N - 1)[2:]))
 
 
 def test_head_form_known_diamonds():

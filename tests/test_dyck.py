@@ -220,6 +220,22 @@ def test_reduce_coordinate_errors():
         reduce_coordinate((1, 0), 1)
 
 
+@pytest.mark.parametrize(
+    "u, i",
+    [
+        (("a", 1), 1),
+        ((1.5, 2), 2),
+        ((True, 2), 2),
+        ((), 1),
+        ((1, 2), 1.0),
+        ((1, 2), True),
+    ],
+)
+def test_reduce_coordinate_rejects_non_integers(u, i):
+    with pytest.raises(InputError):
+        reduce_coordinate(u, i)
+
+
 def test_vector_to_path_known():
     assert vector_to_path((2, 3, 4, 1)).word == "UUDUDUDDUD"
     assert vector_to_path((1,)).word == "UDUD"

@@ -1,6 +1,7 @@
 """The package's modules form layers: imports run at module level only, and
 the import graph between the package's modules has no cycle, with
-``diamond`` at the bottom above ``errors``."""
+``diamond`` at the bottom above ``errors``.  The unvalidated construction
+paths are called only where a theorem guarantees the result."""
 
 import ast
 import graphlib
@@ -41,3 +42,29 @@ def test_import_graph_is_acyclic_with_diamond_above_errors():
     assert graph["errors"] == set()
     assert all(deps <= graph.keys() for deps in graph.values())
     tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
+
+
+def _callers(name):
+    """(module, function) pairs whose bodies call ``name`` or ``x.name``."""
+    found = set()
+    for module, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        f = node.func
+                        if getattr(f, "attr", getattr(f, "id", None)) == name:
+                            found.add((module, fn.name))
+    return found
+
+
+def test_trusted_paths_are_called_only_where_a_theorem_holds():
+    assert _callers("_trusted") == {
+        ("triangulation", "realize"),
+        ("triangulation", "rotate"),
+        ("diamond", "complete_diamond"),
+    }
+    assert _callers("_reduce") == {
+        ("dyck", "reduce_coordinate"),
+        ("dyck", "vector_to_path"),
+    }

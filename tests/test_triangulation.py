@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckfrieze import (
     Triangulation,
@@ -22,13 +24,23 @@ from dyckfrieze import (
 from dyckfrieze.errors import InputError, PositionOutOfRange, SizeMismatch
 from oracles import (
     brute_triangulation_diagonal_sets,
+    pairwise_non_crossing,
     polygon_chords,
     quiddity_by_faces,
+    random_triangulation_diagonals,
 )
 
 
 def tri(N, pairs):
     return Triangulation(N, frozenset(pairs))
+
+
+def assert_same_as_validated(t):
+    # realize and rotate skip the constructor's checks; redo them here
+    checked = Triangulation(t.polygon_size, t.diagonals)
+    assert t == checked and hash(t) == hash(checked)
+    assert len(t.diagonals) == t.polygon_size - 3
+    assert pairwise_non_crossing(t.diagonals)
 
 
 def test_realize_hexagon_example():
@@ -57,12 +69,51 @@ def test_realize_rejects_bad_positions():
 
 
 def test_realize_output_always_valid():
-    # constructor re-checks count, non-edge and non-crossing on every output
+    # realize skips the constructor, so every output and, up to rank 7,
+    # every rotation of it is checked against it and the pairwise oracle
     for k in range(2, 10):
         for p in all_paths(k):
             t = realize(to_lambda(p))
             assert t.polygon_size == k + 2
-            assert len(t.diagonals) == k - 1
+            assert_same_as_validated(t)
+            if k <= 8:
+                for shift in range(t.polygon_size):
+                    assert_same_as_validated(rotate(t, shift))
+
+
+@given(st.integers(3, 60), st.integers(-200, 200), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_rotate_output_always_valid(N, k, rng):
+    t = Triangulation(N, random_triangulation_diagonals(N, rng))
+    moved = rotate(t, k)
+    assert_same_as_validated(moved)
+    assert moved.diagonals == frozenset(
+        tuple(sorted(((i + k) % N, (j + k) % N))) for i, j in t.diagonals
+    )
+
+
+@pytest.mark.parametrize("k", [2.0, "a", None, True, (1,)])
+def test_rotate_rejects_non_integer_shift(k):
+    with pytest.raises(InputError, match="not an integer"):
+        rotate(realize((0, 0, 0)), k)
+
+
+@pytest.mark.parametrize(
+    "N, pairs",
+    [
+        (6, {(2.0, 4.0), (2.0, 5.0), (0.0, 2.0)}),
+        (6, {(2, 4), (2, 5), (0, 2.0)}),
+        (6, {(True, 4), (2, 5), (0, 2)}),
+        (6, {("2", "4"), (2, 5), (0, 2)}),
+        (6.0, {(2, 4), (2, 5), (0, 2)}),
+        (True, set()),
+        (6, {(2, 4, 5), (2, 5), (0, 2)}),
+        (6, {3, (2, 5), (0, 2)}),
+    ],
+)
+def test_constructor_rejects_non_integer_labels(N, pairs):
+    with pytest.raises(InputError):
+        Triangulation(N, pairs)
 
 
 def test_constructor_rejects_malformed():
