@@ -23,6 +23,7 @@ from .dyck import (
     catalan,
     from_v_vector,
     parse_path,
+    path_rank,
     path_to_vector,
     peaks,
     reduce_coordinate,
@@ -91,6 +92,7 @@ __all__ = [
     "from_v_vector",
     "minimal_cycle",
     "parse_path",
+    "path_rank",
     "path_to_triangulation",
     "path_to_vector",
     "peaks",

@@ -95,6 +95,30 @@ def all_paths(half_length: int):
             return
 
 
+def path_rank(p) -> int:
+    """Position of a Dyck word in ``all_paths`` order, in ``[0, catalan(k))``.
+
+    Each D adds the number of words that share the prefix before it and
+    take a U there instead: the ballot number of paths from the raised
+    height back to 0 in the remaining steps (Knuth, TAOCP Vol. 4A,
+    7.2.1.6), a difference of two binomials by the reflection principle.
+    No table is kept, so memory stays O(length).  A word that is not a
+    ``DyckPath`` is validated as one.
+    """
+    word = p.word if isinstance(p, DyckPath) else DyckPath(str(p)).word
+    rank = height = 0
+    remaining = len(word)
+    for ch in word:
+        remaining -= 1
+        if ch == "U":
+            height += 1
+        else:
+            downs = (remaining + height + 1) // 2
+            rank += comb(remaining, downs) - comb(remaining, downs + 1)
+            height -= 1
+    return rank
+
+
 def catalan(n: int) -> int:
     """Exact n-th Catalan number."""
     if n < 0:

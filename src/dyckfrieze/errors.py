@@ -4,7 +4,26 @@ Two bases matter to callers: ``InputError`` means the caller handed us
 something malformed (a vector that does not complete, a word that is not a
 Dyck word, a sequence that is not a quiddity), while ``InvariantViolation``
 means a theorem-backed property failed internally and indicates a bug.
+
+Messages show a computed integer through ``format_int``, so that one too
+long to print (Python refuses ``str`` past 4,300 digits) reads as its
+digit count instead of raising from inside the error.
 """
+
+MAX_SHOWN_DIGITS = 100
+
+
+def format_int(x: int) -> str:
+    """``x`` as text when it has at most ``MAX_SHOWN_DIGITS`` digits,
+    otherwise its sign and digit count, e.g. ``<4001 digits>``."""
+    size = abs(x)
+    if size < 10**MAX_SHOWN_DIGITS:
+        return str(x)
+    # 30102 / 100000 < log10(2), so this starts at or below the digit count
+    digits = (size.bit_length() - 1) * 30102 // 100000 + 1
+    while size >= 10**digits:
+        digits += 1
+    return f"{'-' if x < 0 else ''}<{digits} digits>"
 
 
 class InputError(ValueError):
@@ -21,7 +40,8 @@ class NonExactDivision(InputError):
     def __init__(self, index, numerator, divisor):
         self.index = index
         super().__init__(
-            f"entry {index}: {divisor} does not divide {numerator} exactly"
+            f"entry {index}: {format_int(divisor)} does not divide "
+            f"{format_int(numerator)} exactly"
         )
 
 
@@ -32,7 +52,8 @@ class NonPositiveEntry(InputError):
         self.index = index
         self.row = row
         where = f"row {row}, column {index}" if row is not None else f"entry {index}"
-        super().__init__(f"{where}: computed value {value} is not positive")
+        shown = format_int(value)
+        super().__init__(f"{where}: computed value {shown} is not positive")
 
 
 class NotBalanced(InputError):
@@ -82,7 +103,11 @@ class SizeMismatch(InputError):
 
 
 class FailsToClose(InputError):
-    """Frieze rows do not terminate in a row of ones at the right depth."""
+    """Frieze rows do not terminate in a row of ones at the right depth.
+
+    Raised before any row is built when an entry exceeds N - 2 or the
+    entries do not sum to 3(N - 2): no triangulation has such a quiddity.
+    """
 
 
 class RangeError(InputError):

@@ -37,6 +37,7 @@ from .errors import (
     InvariantViolation,
     NonPositiveEntry,
     RangeError,
+    format_int,
 )
 
 Row = tuple[int, ...]
@@ -72,7 +73,9 @@ def from_quiddity(q) -> FriezePattern:
 
     Succeeds exactly when ``q`` is the quiddity of a polygon triangulation;
     otherwise raises NonPositiveEntry or FailsToClose, reporting rows from
-    the top down.
+    the top down.  A vertex of the N-gon meets at most N - 2 triangles and
+    the N - 2 triangles have 3(N - 2) corners, so a sequence outside those
+    bounds fails to close before any row is built.
     """
     q = tuple(q)
     N = len(q)
@@ -83,6 +86,10 @@ def from_quiddity(q) -> FriezePattern:
             raise InputError(f"quiddity entry {c}: {x!r} is not an integer")
         if x < 1:
             raise NonPositiveEntry(c, x, row=2)
+        if x > N - 2:
+            raise FailsToClose(f"quiddity entry {c} exceeds N - 2 = {N - 2}")
+    if sum(q) != 3 * (N - 2):
+        raise FailsToClose(f"entries do not sum to 3(N - 2) = {3 * (N - 2)}")
 
     ones = (1,) * N
     rows = list(zip(*(diagonal(q, c, N) for c in range(N))))
@@ -93,7 +100,8 @@ def from_quiddity(q) -> FriezePattern:
             if x < 1:
                 raise NonPositiveEntry(c, x, row=r)
     if rows[N - 1] != ones:
-        raise FailsToClose(f"row {N - 1} is {rows[N - 1]}, not all ones")
+        shown = ", ".join(map(format_int, rows[N - 1]))
+        raise FailsToClose(f"row {N - 1} is ({shown}), not all ones")
     rows.append((0,) * N)
     return FriezePattern(N, tuple(rows))
 

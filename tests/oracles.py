@@ -7,17 +7,39 @@ the library's earlier implementations, kept as differential references:
 the quiddity by counting ear-clipped faces (against the degree count),
 and, for the frieze-diagonal recurrence, frieze completion by row
 division, coupling cycles by iterated completion, and the path inverse by
-a table over the whole enumeration.
+a table over the whole enumeration; and the rank-n invariant suite as it
+was before it streamed one coupling cycle at a time, holding every path,
+word set and triangulation until the end.
 """
 
 import functools
 import itertools
 
-from dyckfrieze import couple_next, enumerate_all, triangles, vector_to_path
+from dyckfrieze import (
+    all_paths,
+    ballot_count,
+    catalan,
+    complete_diamond,
+    couple_next,
+    cycle_heads,
+    enumerate_all,
+    from_cycle,
+    from_quiddity,
+    minimal_cycle,
+    path_to_triangulation,
+    path_to_vector,
+    quiddity,
+    rotation_orbit,
+    triangles,
+    vector_to_path,
+    verify,
+)
+from dyckfrieze.checks import CheckResult
 from dyckfrieze.diamond import Cycle
 from dyckfrieze.errors import (
     FailsToClose,
     InputError,
+    InvariantViolation,
     NonPositiveEntry,
     RangeError,
 )
@@ -197,3 +219,113 @@ def _inverse_table(n):
 def path_to_vector_by_table(p, n):
     """Preimage of ``p`` found by mapping every rank-n diamond vector."""
     return _inverse_table(n)[p.word]
+
+
+def run_checks_with_global_tables(n):
+    """The rank-n invariant suite over whole-enumeration tables: the set of
+    all path words, every triangulation in a dict, and set equality of each
+    cycle's images with a rotation orbit."""
+    results = []
+    vectors = enumerate_all(n)
+    expected = catalan(n + 1)
+
+    results.append(
+        CheckResult(
+            "enumeration_count",
+            len(vectors) == expected,
+            f"count={len(vectors)} expected={expected}",
+        )
+    )
+
+    paths = [vector_to_path(v) for v in vectors]
+    words = [p.word for p in paths]
+    all_words = {p.word for p in all_paths(n + 1)}
+    results.append(
+        CheckResult(
+            "path_map_injective",
+            len(set(words)) == len(words),
+            f"distinct={len(set(words))} of {len(words)}",
+        )
+    )
+    results.append(
+        CheckResult(
+            "path_map_image_complete",
+            set(words) == all_words,
+            f"image={len(set(words))} paths={len(all_words)}",
+        )
+    )
+    results.append(
+        CheckResult(
+            "path_map_roundtrip",
+            all(path_to_vector(p, n) == v for v, p in zip(vectors, paths)),
+        )
+    )
+
+    cycles = []
+    position = {}  # member col1 -> (its cycle, its offset in that cycle)
+    for v in vectors:
+        if v not in position:
+            c = minimal_cycle(complete_diamond(v))
+            cycles.append(c)
+            for t, d in enumerate(c.diamonds):
+                position[d.col1] = (c, t)
+    members = sorted(d.col1 for c in cycles for d in c.diamonds)
+    results.append(
+        CheckResult(
+            "cycle_period_divides",
+            all((n + 3) % c.p == 0 for c in cycles) and members == sorted(vectors),
+            f"order={n + 3}",
+        )
+    )
+
+    friezes_ok = True
+    for c in cycles:
+        try:
+            from_cycle(c)
+        except InvariantViolation:
+            friezes_ok = False
+    results.append(CheckResult("frieze_from_cycle_valid", friezes_ok))
+
+    tris = {v: path_to_triangulation(p) for v, p in zip(vectors, paths)}
+    results.append(
+        CheckResult(
+            "triangulation_map_injective",
+            len(set(tris.values())) == expected,
+            f"distinct={len(set(tris.values()))} expected={expected}",
+        )
+    )
+
+    quiddity_ok = True
+    closes = {}  # quiddity rotated back by the member offset -> it closes
+    for v, t in tris.items():
+        c, offset = position[v]
+        heads = cycle_heads(c)
+        q = quiddity(t)
+        if (heads[offset:] + heads[:offset]) * ((n + 3) // c.p) != q:
+            quiddity_ok = False
+        key = q[-offset:] + q[:-offset]
+        if key not in closes:
+            try:
+                closes[key] = verify(from_quiddity(key))
+            except InputError:
+                closes[key] = False
+    orbit_ok = True
+    for c in cycles:
+        member_images = {tris.get(d.col1) for d in c.diamonds}
+        if (
+            member_images != rotation_orbit(tris[c.diamonds[0].col1])
+            or len(member_images) != c.p
+        ):
+            orbit_ok = False
+    results.append(CheckResult("quiddity_matches_heads", quiddity_ok))
+    results.append(CheckResult("cycle_orbit_consistent", orbit_ok))
+    results.append(CheckResult("quiddity_friezes_close", all(closes.values())))
+
+    results.append(
+        CheckResult(
+            "ballot_row_sum",
+            sum(ballot_count(n, z) for z in range(1, n + 2)) == expected,
+            f"expected={expected}",
+        )
+    )
+    return results

@@ -1,10 +1,15 @@
-"""Fault injection for the rank-n invariant suite.
+"""Fault injection, a differential oracle and a memory bound for the
+rank-n invariant suite.
 
-``run_checks`` builds each coupling cycle and its rotation orbit once, from
-the cycle's first enumerated member, and each closing frieze once per
-quiddity rotated back to member 0.  A fault planted on another member
-must still fail its check.
+``run_checks`` builds each coupling cycle once, from the cycle's first
+enumerated member, checks every member's triangulation against member 0's
+rotated, and builds each closing frieze once per quiddity rotated back to
+member 0.  A fault planted on another member must still fail its check.
 """
+
+import tracemalloc
+
+import pytest
 
 from dyckfrieze import (
     checks,
@@ -12,9 +17,10 @@ from dyckfrieze import (
     enumerate_all,
     minimal_cycle,
     quiddity,
-    rotation_orbit,
+    rotate,
     vector_to_triangulation,
 )
+from oracles import run_checks_with_global_tables
 
 RANK = 5
 
@@ -43,20 +49,47 @@ def test_corrupt_quiddity_of_one_member_fails(monkeypatch):
         return (q[0] + 1,) + q[1:] if t == target else q
 
     monkeypatch.setattr(checks, "quiddity", corrupted)
-    assert _failed_checks() == ["quiddity_matches_heads", "quiddity_friezes_close"]
+    # the round trip reads the member's vector off that quiddity
+    assert _failed_checks() == [
+        "path_map_roundtrip",
+        "quiddity_matches_heads",
+        "quiddity_friezes_close",
+    ]
+
+
+def test_closing_frieze_unlike_the_cycle_frieze_is_verified(monkeypatch):
+    # a member reporting a rotation of its quiddity, itself a quiddity,
+    # builds a frieze whose rows differ from the verified cycle frieze's
+    target = _non_representative_triangulation()
+    verified = []
+
+    def rotated(t):
+        q = quiddity(t)
+        return q[1:] + q[:1] if t == target else q
+
+    def rejecting(fp):
+        verified.append(fp.quiddity)
+        return False
+
+    monkeypatch.setattr(checks, "quiddity", rotated)
+    monkeypatch.setattr(checks, "verify", rejecting)
+    assert _failed_checks() == [
+        "path_map_roundtrip",
+        "quiddity_matches_heads",
+        "quiddity_friezes_close",
+    ]
+    # rotated back by its offset, the reported quiddity is the true one
+    assert verified == [quiddity(target)]
 
 
 def test_orbit_missing_one_member_fails(monkeypatch):
     target = _non_representative_triangulation()
-    target_orbit = rotation_orbit(target)
 
-    def short(t):
-        orbit = rotation_orbit(t)
-        if orbit == target_orbit:
-            orbit.discard(target)
-        return orbit
+    def skewed(t, k):
+        moved = rotate(t, k)
+        return rotate(moved, 1) if moved == target else moved
 
-    monkeypatch.setattr(checks, "rotation_orbit", short)
+    monkeypatch.setattr(checks, "rotate", skewed)
     assert _failed_checks() == ["cycle_orbit_consistent"]
 
 
@@ -75,3 +108,23 @@ def test_closing_frieze_built_once_per_cycle(monkeypatch):
     }
     assert _failed_checks() == []
     assert len(built) == len(set(built)) == len(cycles)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_streamed_suite_matches_global_tables(n):
+    # names, order, pass flags and details
+    assert checks.run_checks(n) == run_checks_with_global_tables(n)
+
+
+def test_suite_keeps_only_compact_keys_across_cycles():
+    # with the enumeration cached, whole-enumeration tables of paths, words
+    # and triangulations take about 3 MiB at rank 7
+    enumerate_all(7)
+    tracemalloc.start()
+    try:
+        results = checks.run_checks(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 1.5 * 2**20, peak

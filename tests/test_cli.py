@@ -157,6 +157,19 @@ def test_unknown_command_is_input_error(capsys):
     assert code == 1
 
 
+def test_big_integers_stay_out_of_messages(capsys):
+    # the numerator 1 + 7...7 * 3...3 has about 8,000 digits, past the
+    # 4,300 that str() accepts
+    sevens, threes = "7" * 4000, "3" * 4000
+    code, out, err = run(capsys, "complete", "--vector", f"1,{sevens},{threes}")
+    assert (code, out) == (1, "")
+    assert "NonExactDivision" in err and "digits>" in err
+    assert "Traceback" not in err
+    code, out, err = run(capsys, "frieze", "--quiddity", ",".join(["9" * 12] * 400))
+    assert (code, out) == (1, "")
+    assert "FailsToClose" in err
+
+
 def test_vector_entry_cap(capsys):
     at_cap = ",".join(["1"] * MAX_VECTOR_ENTRIES)
     over_cap = at_cap + ",1"
@@ -191,12 +204,28 @@ CONTRACT_MAX_N = 5
 integer_lists = st.lists(st.integers(-2, 6), max_size=9).map(
     lambda v: ",".join(map(str, v))
 )
+# Entries of up to 4,500 digits, on both sides of the 4,300-digit limit
+# of str <-> int conversion, so that computed values past it reach messages.
+long_integer_lists = st.lists(
+    st.builds(
+        lambda digit, length: digit * length,
+        st.sampled_from("123456789"),
+        st.sampled_from([1, 12, 2200, 4000, 4300, 4301, 4500]),
+    )
+    | st.sampled_from(["1", "2"]),
+    min_size=3,
+    max_size=5,
+).map(",".join)
 # Well-formed values per flag, so that some runs succeed.  --max-n lifts the
 # rank cap by design; it stays within the environment's cap here so that
 # every run is short.
 WELL_FORMED = {
-    "--vector": st.sampled_from(["1", "2", "1,1", "1,2,3", "2,3,4,1"]) | integer_lists,
-    "--quiddity": st.sampled_from(["1,1,1", "1,2,1,2", "2,3,1,2,3,1"]) | integer_lists,
+    "--vector": st.sampled_from(["1", "2", "1,1", "1,2,3", "2,3,4,1"])
+    | integer_lists
+    | long_integer_lists,
+    "--quiddity": st.sampled_from(["1,1,1", "1,2,1,2", "2,3,1,2,3,1"])
+    | integer_lists
+    | long_integer_lists,
     "--word": st.sampled_from(["UD", "uudd", "UDUDUUDD"])
     | st.text("UDud", max_size=16),
     "--render": st.sampled_from(["json", "ascii"]),

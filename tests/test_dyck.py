@@ -9,6 +9,7 @@ from dyckfrieze import (
     enumerate_all,
     from_v_vector,
     parse_path,
+    path_rank,
     path_to_triangulation,
     path_to_vector,
     peaks,
@@ -113,6 +114,24 @@ def test_all_paths_first_path_at_half_length_1000():
 def test_path_counts_up_to_ten():
     for n in range(8, 11):
         assert sum(1 for _ in all_paths(n)) == catalan(n)
+
+
+def test_path_rank_is_all_paths_order():
+    for k in range(0, 10):
+        assert [path_rank(p) for p in all_paths(k)] == list(range(catalan(k)))
+    # first and last word in U < D order, past any float or machine width
+    assert path_rank("U" * 1000 + "D" * 1000) == 0
+    assert path_rank("UD" * 1000) == catalan(1000) - 1
+
+
+def test_path_rank_rejects_non_dyck_words():
+    assert path_rank("UUDUDD") == path_rank(parse_path("UUDUDD"))
+    with pytest.raises(PrefixViolation):
+        path_rank("UDDU")
+    with pytest.raises(NotBalanced):
+        path_rank("UUD")
+    with pytest.raises(BadSymbol):
+        path_rank("UXDD")
 
 
 def test_peaks():

@@ -73,8 +73,16 @@ def test_from_quiddity_rejects_non_quiddities():
         from_quiddity((1, 1, 1, 1))
     with pytest.raises(FailsToClose):
         from_quiddity((2, 2, 2, 2))
-    with pytest.raises(NonPositiveEntry):
+    # entries sum to 8, not 9: rejected before any row is built
+    with pytest.raises(FailsToClose, match="sum"):
         from_quiddity((2, 3, 1, 1, 1))
+    with pytest.raises(FailsToClose, match="exceeds"):
+        from_quiddity((1, 1, 4, 1, 2))
+    # within both bounds, yet a later row goes nonpositive or misses the ones
+    with pytest.raises(NonPositiveEntry, match="row 3"):
+        from_quiddity((1, 1, 1, 3, 3))
+    with pytest.raises(FailsToClose, match="row 5"):
+        from_quiddity((2, 2, 2, 2, 2, 2))
     with pytest.raises(NonPositiveEntry):
         from_quiddity((1, 0, 1, 2))
     with pytest.raises(RangeError):
@@ -86,10 +94,17 @@ def test_from_quiddity_rejects_non_quiddities():
 @given(st.lists(st.integers(1, 6), min_size=3, max_size=9))
 @settings(max_examples=500)
 def test_from_quiddity_matches_division_oracle(q):
-    # the same rows, or the same error with the same message
-    assert _outcome(lambda q: from_quiddity(q).rows, q) == _outcome(
-        frieze_rows_by_division, q
-    )
+    # the same rows, or the same error with the same message; a sequence
+    # outside the quiddity bounds fails to close before any row is built,
+    # and the oracle rejects it as well
+    got = _outcome(lambda q: from_quiddity(q).rows, q)
+    expected = _outcome(frieze_rows_by_division, q)
+    N = len(q)
+    if max(q) > N - 2 or sum(q) != 3 * (N - 2):
+        assert got[0] is FailsToClose
+        assert isinstance(expected[0], type)
+    else:
+        assert got == expected
 
 
 @given(st.integers(4, 60), st.randoms(use_true_random=False))
