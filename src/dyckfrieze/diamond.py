@@ -15,7 +15,10 @@ closed integral frieze pattern.
 Every such diagonal solves one three-term recurrence on the quiddity
 ``q`` of its frieze (Conway & Coxeter, 1973), computed by ``diagonal``
 without division.  Frieze completion, coupling cycles and the inverse
-path map are all built on it.
+path map are all built on it, and ``rotation_period`` finds the period of q.
+``check_head_form`` is closed-form: with ``a <= b`` the sorted top entries
+``(a[1,1], a[2,1])`` of rank n, ``a[1,2] = a*b - 1``, and ``2 <= b <= n+1``
+if ``a = 1``, else ``a >= 2`` and ``a + b <= n + 2``.
 
 All entries are plain Python integers, so arithmetic is exact and unbounded.
 Every value here is immutable and every function is pure.
@@ -38,6 +41,7 @@ from .errors import (
     NonExactDivision,
     NonPositiveEntry,
     RangeError,
+    is_int,
 )
 
 Vector = tuple[int, ...]
@@ -49,7 +53,7 @@ def as_vector(entries) -> Vector:
     if not v:
         raise InputError("vector must have at least one entry")
     for k, x in enumerate(v, start=1):
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not is_int(x):
             raise InputError(f"entry {k}: {x!r} is not an integer")
         if x < 1:
             raise NonPositiveEntry(k, x)
@@ -125,27 +129,16 @@ def complete_diamond(vector) -> Diamond:
     return Diamond._trusted(v, tuple(col2))
 
 
-def _head_form_ok(a11: int, a21: int, a12: int, n: int) -> bool:
-    """Existence check for the quadratic head relation.
-
-    True iff some pair ``a, m`` within the documented ranges satisfies
-    ``{a11, a21} = {a, a+m}`` and ``a12 = a*a + a*m - 1``.
-    """
-    head = sorted((a11, a21))
-    for a in range(1, (n + 2) // 2 + 1):
-        lo, hi = (1, n) if a == 1 else (0, n + 2 * (1 - a))
-        for m in range(lo, hi + 1):
-            if head == sorted((a, a + m)) and a12 == a * a + a * m - 1:
-                return True
-    return False
-
-
 def check_head_form(d: Diamond) -> bool:
     """Optional validator for the quadratic relation between a diamond's
-    top entries; total predicate, requires rank >= 2."""
+    top entries, total for rank n >= 2: with ``a <= b`` the sorted pair
+    ``(a[1,1], a[2,1])``, ``a[1,2] == a*b - 1`` and either ``a == 1 and
+    2 <= b <= n + 1`` or ``a >= 2 and a + b <= n + 2``."""
     if d.n < 2:
         raise RangeError("head-form check needs rank >= 2")
-    return _head_form_ok(d.col1[0], d.col2[0], d.col1[1], d.n)
+    a, b = sorted((d.col1[0], d.col2[0]))
+    in_range = 2 <= b <= d.n + 1 if a == 1 else 2 <= a and a + b <= d.n + 2
+    return in_range and d.col1[1] == a * b - 1
 
 
 def couple_next(d: Diamond) -> Diamond:
@@ -210,6 +203,11 @@ def diagonal(q, c: int, length: int) -> Vector:
     return tuple(d[:length])
 
 
+def rotation_period(seq: tuple) -> int:
+    """Least ``p >= 1`` with ``seq[p:] + seq[:p] == seq``; divides len(seq)."""
+    return next(p for p in range(1, len(seq) + 1) if seq[p:] + seq[:p] == seq)
+
+
 def minimal_cycle(d0: Diamond) -> Cycle:
     """The coupling cycle through ``d0``, read off the frieze it generates.
 
@@ -224,7 +222,7 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     m = (0, 1, *d0.col1, 1, 0, -1)
     w = (-1, 0, 1, *d0.col2, 1, 0)
     q = tuple(m[k] * w[k + 2] - m[k + 2] * w[k] for k in range(N))
-    p = next(t for t in range(1, N + 1) if q[t:] + q[:t] == q)
+    p = rotation_period(q)
     cols = [diagonal(q, t, N - 1)[2:] for t in range(p + 1)]
     if (cols[0], cols[1]) != (d0.col1, d0.col2):
         raise InvariantViolation(f"frieze of {d0.col1} does not reproduce it")

@@ -29,6 +29,7 @@ from .errors import (
     PositionOutOfRange,
     PrefixViolation,
     TooShort,
+    is_int,
 )
 
 
@@ -54,6 +55,8 @@ class DyckPath:
     word: str
 
     def __post_init__(self):
+        if not isinstance(self.word, str):
+            raise InputError(f"word {self.word!r} is not a string")
         _validate_word(self.word)
 
     @property
@@ -72,8 +75,8 @@ def parse_path(text: str) -> DyckPath:
 def all_paths(half_length: int):
     """Yield every Dyck path of length ``2 * half_length`` in lexicographic
     order with U < D."""
-    if half_length < 0:
-        raise InputError("half length must be >= 0")
+    if not is_int(half_length) or half_length < 0:
+        raise InputError("half length must be an integer >= 0")
     word = ["U"] * half_length + ["D"] * half_length
     while True:
         yield DyckPath("".join(word))
@@ -121,8 +124,8 @@ def path_rank(p) -> int:
 
 def catalan(n: int) -> int:
     """Exact n-th Catalan number."""
-    if n < 0:
-        raise InputError("catalan is defined for n >= 0")
+    if not is_int(n) or n < 0:
+        raise InputError("catalan is defined for integers n >= 0")
     return comb(2 * n, n) // (n + 1)
 
 
@@ -151,8 +154,8 @@ def unitary_shift(p: DyckPath, i: int) -> DyckPath:
     dip below the diagonal; that is asserted rather than assumed.
     """
     n = p.half_length
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"block index {i} not in 1..{n - 1}")
+    if not (is_int(i) and 1 <= i <= n - 1):
+        raise IndexOutOfRange(f"block index {i!r} not in 1..{n - 1}")
     w = p.word
     lo = 2 * i - 1
     flipped = w[:lo] + w[lo + 1] + w[lo] + w[lo + 2 :]
@@ -187,7 +190,7 @@ def from_v_vector(v) -> DyckPath:
     m_prev = 0
     parts = []
     for i, vi in enumerate(v, start=1):
-        if not isinstance(vi, int) or isinstance(vi, bool) or vi < 1:
+        if not is_int(vi) or vi < 1:
             raise InvalidVG(f"entry {i}: {vi!r} must be an integer >= 1")
         m_i = vi + i - 1
         if m_i < m_prev:
@@ -228,7 +231,7 @@ def reduce_coordinate(u, i: int) -> int:
     ``u`` must be a non-empty vector of positive ints.
     """
     u = as_vector(u)
-    if not (isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= len(u)):
+    if not (is_int(i) and 1 <= i <= len(u)):
         raise IndexOutOfRange(f"coordinate {i!r} not in 1..{len(u)}")
     return _reduce(u, i)
 
@@ -259,7 +262,7 @@ def lambda_diagonals(lambda_vector) -> list[tuple[int, int]]:
     active = list(range(len(lam) + 3))
     diagonals = []
     for step, li in enumerate(lam, start=1):
-        if not isinstance(li, int) or isinstance(li, bool) or li < 0:
+        if not is_int(li) or li < 0:
             raise InputError(f"step {step}: {li!r} is not a valid position")
         if li + 2 > len(active) - 1:
             raise PositionOutOfRange(step, li, len(active))
@@ -295,9 +298,9 @@ def path_to_vector(p: DyckPath, n: int) -> tuple[int, ...]:
     The vector is entries 2..n+1 of the frieze diagonal at column 0 of the
     quiddity of the path's triangulation.
     """
-    if p.half_length != n + 1:
+    if not is_int(n) or p.half_length != n + 1:
         raise InputError(
-            f"path of length {2 * p.half_length} does not match rank {n}"
+            f"path of length {2 * p.half_length} does not match rank {n!r}"
         )
     q = degree_quiddity(n + 3, lambda_diagonals(to_lambda(p)))
     return diagonal(q, 0, n + 2)[2:]

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .diamond import Vector, complete_diamond, minimal_cycle
 from .dyck import DyckPath, vector_to_path
-from .errors import IndexOutOfRange, LastEntryNotOne, RangeError
+from .errors import IndexOutOfRange, LastEntryNotOne, RangeError, is_int
 
 
 def seed_vector(n: int, z: int) -> Vector:
@@ -31,10 +31,10 @@ def companion_vector(n: int, z: int) -> Vector:
 
 
 def _check_range(n: int, z: int) -> None:
-    if n < 1:
-        raise RangeError(f"rank {n} must be >= 1")
-    if not 1 <= z <= n + 1:
-        raise RangeError(f"z={z} outside 1..{n + 1}")
+    if not is_int(n) or n < 1:
+        raise RangeError(f"rank {n!r} must be an integer >= 1")
+    if not (is_int(z) and 1 <= z <= n + 1):
+        raise RangeError(f"z={z!r} outside 1..{n + 1}")
 
 
 def expand(v, i: int) -> Vector:
@@ -46,22 +46,22 @@ def expand(v, i: int) -> Vector:
     """
     v = tuple(v)
     n = len(v)
-    if v[-1] != 1:
+    if v[-1:] != (1,):
         raise LastEntryNotOne(f"vector {v} does not end in 1")
-    if not 1 <= i < n:
-        raise IndexOutOfRange(f"position {i} not in 1..{n - 1}")
+    if not (is_int(i) and 1 <= i < n):
+        raise IndexOutOfRange(f"position {i!r} not in 1..{n - 1}")
     return v[:i] + (v[i - 1] + v[i],) + v[i:-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_all(n: int) -> tuple[Vector, ...]:
     """All rank-n diamond vectors, sorted lexicographically.
 
     BFS closure of the seed vectors under ``expand`` at every legal
     position; cardinality is catalan(n+1).
     """
-    if n < 1:
-        raise RangeError(f"rank {n} must be >= 1")
+    if not is_int(n) or n < 1:
+        raise RangeError(f"rank {n!r} must be an integer >= 1")
     seeds = [seed_vector(n, z) for z in range(1, n + 2)]
     seen = set(seeds)
     queue = deque(seeds)
@@ -77,7 +77,7 @@ def enumerate_all(n: int) -> tuple[Vector, ...]:
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ballot_count(n: int, z: int) -> int:
     """Expansion-history count f(n, z); the rows form the Catalan triangle
     (ballot numbers) and sum to catalan(n+1)."""

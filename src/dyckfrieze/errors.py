@@ -13,6 +13,11 @@ digit count instead of raising from inside the error.
 MAX_SHOWN_DIGITS = 100
 
 
+def is_int(x) -> bool:
+    """True iff ``x`` is an ``int`` and not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def format_int(x: int) -> str:
     """``x`` as text when it has at most ``MAX_SHOWN_DIGITS`` digits,
     otherwise its sign and digit count, e.g. ``<4001 digits>``."""

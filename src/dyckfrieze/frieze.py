@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .diamond import Cycle, complete_diamond, diagonal, minimal_cycle
+from .diamond import Cycle, complete_diamond, diagonal, minimal_cycle, rotation_period
 from .errors import (
     FailsToClose,
     InputError,
@@ -38,6 +38,7 @@ from .errors import (
     NonPositiveEntry,
     RangeError,
     format_int,
+    is_int,
 )
 
 Row = tuple[int, ...]
@@ -82,7 +83,7 @@ def from_quiddity(q) -> FriezePattern:
     if N < 3:
         raise RangeError("quiddity must have length >= 3")
     for c, x in enumerate(q):
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not is_int(x):
             raise InputError(f"quiddity entry {c}: {x!r} is not an integer")
         if x < 1:
             raise NonPositiveEntry(c, x, row=2)
@@ -183,12 +184,7 @@ def verify(fp: FriezePattern) -> bool:
 
 def period(fp: FriezePattern) -> int:
     """Minimal horizontal period of the quiddity row; divides the order."""
-    q = fp.quiddity
-    N = fp.order
-    for d in range(1, N + 1):
-        if N % d == 0 and all(q[c] == q[(c + d) % N] for c in range(N)):
-            return d
-    raise InvariantViolation("sequence has no period dividing its length")
+    return rotation_period(fp.quiddity)
 
 
 def render_ascii(fp: FriezePattern, repetitions: int = 1) -> str:
@@ -198,8 +194,8 @@ def render_ascii(fp: FriezePattern, repetitions: int = 1) -> str:
     periodic pattern aligned so diamond neighbors sit visually adjacent.
     Output is deterministic: same input, same bytes.
     """
-    if repetitions < 1:
-        raise RangeError("repetitions must be >= 1")
+    if not is_int(repetitions) or repetitions < 1:
+        raise RangeError("repetitions must be an integer >= 1")
     N = fp.order
     width = max(len(str(x)) for row in fp.rows for x in row)
     gap = " " * (width + 2)

@@ -20,13 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dyck import DyckPath, degree_quiddity, lambda_diagonals, to_lambda, vector_to_path
-from .errors import InputError, InvariantViolation, SizeMismatch
+from .errors import InputError, InvariantViolation, SizeMismatch, is_int
 
 Diagonal = tuple[int, int]
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _normalize_pair(pair) -> Diagonal:
@@ -34,7 +30,7 @@ def _normalize_pair(pair) -> Diagonal:
         a, b = pair
     except (TypeError, ValueError):
         raise InputError(f"{pair!r} is not a pair of vertex labels") from None
-    if not (_is_int(a) and _is_int(b)):
+    if not (is_int(a) and is_int(b)):
         raise InputError(f"diagonal {pair!r} has a non-integer vertex label")
     return (a, b) if a < b else (b, a)
 
@@ -48,7 +44,7 @@ class Triangulation:
 
     def __post_init__(self):
         N = self.polygon_size
-        if not _is_int(N):
+        if not is_int(N):
             raise InputError(f"polygon size {N!r} is not an integer")
         if N < 3:
             raise InputError("polygon needs at least 3 vertices")
@@ -126,7 +122,7 @@ def quiddity(t: Triangulation) -> tuple[int, ...]:
 
 def rotate(t: Triangulation, k: int) -> Triangulation:
     """Shift every vertex label by k modulo the polygon size."""
-    if not _is_int(k):
+    if not is_int(k):
         raise InputError(f"shift {k!r} is not an integer")
     N = t.polygon_size
     moved = []

@@ -5,6 +5,7 @@ filtering, rule checks by literal arithmetic, crossing by comparing every
 pair of chords, greedy reduction one subtraction at a time.  The rest are
 the library's earlier implementations, kept as differential references:
 the quiddity by counting ear-clipped faces (against the degree count),
+the head relation by searching its parameters (against the closed form),
 and, for the frieze-diagonal recurrence, frieze completion by row
 division, coupling cycles by iterated completion, and the path inverse by
 a table over the whole enumeration; and the rank-n invariant suite as it
@@ -128,6 +129,19 @@ def brute_triangulation_diagonal_sets(N):
         for combo in itertools.combinations(polygon_chords(N), N - 3)
         if pairwise_non_crossing(combo)
     ]
+
+
+def head_form_by_search(a11, a21, a12, n):
+    """The quadratic head relation of a rank-n diamond by search: true iff
+    some ``a, m`` in range give ``{a11, a21} = {a, a+m}`` and
+    ``a12 = a*a + a*m - 1``."""
+    head = sorted((a11, a21))
+    for a in range(1, (n + 2) // 2 + 1):
+        lo, hi = (1, n) if a == 1 else (0, n + 2 * (1 - a))
+        for m in range(lo, hi + 1):
+            if head == sorted((a, a + m)) and a12 == a * a + a * m - 1:
+                return True
+    return False
 
 
 def reduce_coordinate_stepwise(u, i):

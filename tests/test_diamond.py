@@ -13,7 +13,7 @@ from dyckfrieze import (
     enumerate_all,
     minimal_cycle,
 )
-from dyckfrieze.diamond import _head_form_ok, diagonal
+from dyckfrieze.diamond import diagonal
 from dyckfrieze.errors import (
     InputError,
     NonExactDivision,
@@ -22,6 +22,7 @@ from dyckfrieze.errors import (
 )
 from oracles import (
     frieze_rows_by_division,
+    head_form_by_search,
     minimal_cycle_by_coupling,
     quiddity_by_faces,
     random_triangulation_diagonals,
@@ -112,9 +113,26 @@ def test_head_form_known_diamonds():
     assert check_head_form(complete_diamond((1, 1))) is True
 
 
+def _top_entries(a11, a21, a12, n):
+    """A rank-n diamond with the given top entries, built unchecked: the
+    head relation is a predicate on those entries alone."""
+    return Diamond._trusted((a11, a12) + (1,) * (n - 2), (a21,) * n)
+
+
 def test_head_form_rejects_impossible_triple():
     # no (a, m) in range reproduces top entries (3, 3) with second entry 8
-    assert _head_form_ok(3, 3, 8, 2) is False
+    assert check_head_form(_top_entries(3, 3, 8, 2)) is False
+    assert head_form_by_search(3, 3, 8, 2) is False
+
+
+def test_head_form_closed_form_matches_search():
+    for n in range(2, 14):
+        for a11 in range(0, n + 5):
+            for a21 in range(0, n + 5):
+                for a12 in (a11 * a21 - 2, a11 * a21 - 1, a11 * a21):
+                    args = (a11, a21, a12, n)
+                    closed = check_head_form(_top_entries(*args))
+                    assert closed is head_form_by_search(*args), args
 
 
 def test_head_form_requires_rank_two():
@@ -124,7 +142,10 @@ def test_head_form_requires_rank_two():
 
 def test_head_form_holds_on_all_enumerated():
     for n in range(2, 7):
-        assert all(check_head_form(complete_diamond(v)) for v in enumerate_all(n))
+        for v in enumerate_all(n):
+            d = complete_diamond(v)
+            assert check_head_form(d) is True
+            assert head_form_by_search(d.col1[0], d.col2[0], d.col1[1], n) is True
 
 
 def test_couple_next_swaps_rank_one_pair():

@@ -85,6 +85,9 @@ def test_parse_bad_symbol_and_imbalance():
     assert info.value.position == 2
     with pytest.raises(NotBalanced):
         parse_path("UUD")
+    for word in (["U", "D"], 5, None):
+        with pytest.raises(InputError):
+            DyckPath(word)
 
 
 def test_catalan_values():

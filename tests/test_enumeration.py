@@ -1,6 +1,7 @@
 import pytest
 
 from dyckfrieze import (
+    all_paths,
     ballot_count,
     catalan,
     companion_vector,
@@ -8,12 +9,17 @@ from dyckfrieze import (
     cycle_paths,
     enumerate_all,
     expand,
+    from_quiddity,
     minimal_cycle,
+    parse_path,
+    path_to_vector,
+    render_ascii,
     same_rotation_orbit,
     seed_vector,
+    unitary_shift,
     vector_to_triangulation,
 )
-from dyckfrieze.errors import IndexOutOfRange, LastEntryNotOne, RangeError
+from dyckfrieze.errors import IndexOutOfRange, InputError, LastEntryNotOne, RangeError
 
 RANK3_VECTORS = [
     (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 3), (1, 3, 2), (2, 1, 1), (2, 1, 2),
@@ -125,6 +131,32 @@ def test_ballot_range():
         ballot_count(3, 0)
     with pytest.raises(RangeError):
         ballot_count(3, 5)
+
+
+# The cached functions are asked for the int first, so a cache that took
+# 3.0 or True for 3 or 1 would answer without the check.
+NON_INTEGER_CALLS = {
+    "seed_vector(3, 1.5)": lambda: seed_vector(3, 1.5),
+    "expand((), 1)": lambda: expand((), 1),
+    "expand((2, 1), 1.0)": lambda: expand((2, 1), 1.0),
+    "catalan(2.5)": lambda: catalan(2.5),
+    "all_paths(2.5)": lambda: next(all_paths(2.5)),
+    "ballot_count(3.0, 2)": lambda: (ballot_count(3, 2), ballot_count(3.0, 2)),
+    "enumerate_all(2.0)": lambda: (enumerate_all(2), enumerate_all(2.0)),
+    "enumerate_all(True)": lambda: (enumerate_all(1), enumerate_all(True)),
+    "unitary_shift(p, 1.0)": lambda: unitary_shift(parse_path("UUDD"), 1.0),
+    "path_to_vector(p, '1')": lambda: path_to_vector(parse_path("UDUD"), "1"),
+    "path_to_vector(p, True)": lambda: path_to_vector(parse_path("UUDD"), True),
+    "render_ascii(fp, 1.5)": lambda: render_ascii(from_quiddity((1, 2, 1, 2)), 1.5),
+}
+
+
+@pytest.mark.parametrize(
+    "call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys()
+)
+def test_non_integer_parameters_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_cycle_paths_known():

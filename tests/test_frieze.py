@@ -215,10 +215,16 @@ def test_violations_names_non_integer_entry():
 
 
 def test_period_divides_order():
-    for n in range(1, 6):
+    # once per distinct coupling cycle: its frieze's period is the cycle's
+    for n in range(1, 9):
+        members = set()
         for v in enumerate_all(n):
-            fp = frieze_of_vector(v)
-            assert fp.order % period(fp) == 0
+            if v not in members:
+                c = minimal_cycle(complete_diamond(v))
+                members.update(d.col1 for d in c.diamonds)
+                fp = from_cycle(c)
+                assert period(fp) == c.p
+                assert fp.order % period(fp) == 0
 
 
 def test_render_shape_and_determinism():

@@ -1,7 +1,8 @@
 """The package's modules form layers: imports run at module level only, and
 the import graph between the package's modules has no cycle, with
 ``diamond`` at the bottom above ``errors``.  The unvalidated construction
-paths are called only where a theorem guarantees the result."""
+paths are called only where a theorem guarantees the result, and one
+predicate says what an integer is."""
 
 import ast
 import graphlib
@@ -68,3 +69,24 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
         ("dyck", "reduce_coordinate"),
         ("dyck", "vector_to_path"),
     }
+
+
+def test_one_integer_predicate_refuses_bool():
+    trees = _trees()
+    bool_checks = [
+        (module, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))
+    ]
+    predicate = next(
+        fn
+        for fn in ast.walk(trees["errors"])
+        if isinstance(fn, ast.FunctionDef) and fn.name == "is_int"
+    )
+    assert len(bool_checks) == 1, bool_checks
+    module, line = bool_checks[0]
+    assert module == "errors"
+    assert predicate.lineno <= line <= predicate.end_lineno
