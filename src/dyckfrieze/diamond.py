@@ -27,8 +27,11 @@ Every value here is immutable and every function is pure.
 alone builds its ``Diamond`` without re-checking it: ``as_vector`` has
 validated the first column, and each second-column entry is the exact,
 positive quotient ``(1 + a[2,j-1] * a[1,j+1]) / a[1,j]``, so the unimodular
-rule holds by arithmetic.  ``minimal_cycle`` keeps building validated
-members, because their positivity is the paper's claim, not a premise.
+rule holds by arithmetic.  ``minimal_cycle`` does the same once each
+diagonal ``d_t`` of its frieze closes, ``d_t[N-1] == 1``, and is positive,
+``min(d_t[2:N-1]) >= 1`` (the paper's claim, checked, not assumed).  This
+is exact: consecutive diagonals have Casoratian 1 for any integer q, so with
+positive entries the rule can fail only at the border ``a[1,n+1] = 1``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .errors import (
     NonExactDivision,
     NonPositiveEntry,
     RangeError,
+    as_tuple,
     is_int,
 )
 
@@ -49,7 +53,7 @@ Vector = tuple[int, ...]
 
 def as_vector(entries) -> Vector:
     """Normalize to a tuple of positive ints, rejecting anything else."""
-    v = tuple(entries)
+    v = as_tuple(entries, "vector")
     if not v:
         raise InputError("vector must have at least one entry")
     for k, x in enumerate(v, start=1):
@@ -65,8 +69,8 @@ class Diamond:
     """A validated rank-n diamond; construction checks the unimodular rule.
 
     ``col1`` and ``col2`` hold ``a[1,1..n]`` and ``a[2,1..n]``; the boundary
-    ones are implicit and never stored.  ``complete_diamond`` skips the
-    check, since its exact division satisfies the rule by construction.
+    ones are implicit and never stored.  ``complete_diamond`` and
+    ``minimal_cycle`` skip the check, since the rule holds by construction.
     """
 
     col1: Vector
@@ -164,7 +168,7 @@ class Cycle:
     diamonds: tuple[Diamond, ...]
 
     def __post_init__(self):
-        ds = tuple(self.diamonds)
+        ds = as_tuple(self.diamonds, "cycle")
         object.__setattr__(self, "diamonds", ds)
         if not ds:
             raise InputError("cycle must contain at least one diamond")
@@ -193,14 +197,19 @@ def diagonal(q, c: int, length: int) -> Vector:
     that starts at column ``c``.
 
     ``d_0 = 0``, ``d_1 = 1`` and ``d_{k+1} = q_{c+k-1} * d_k - d_{k-1}``,
-    with indices into ``q`` taken modulo its length.  Pure integer
-    multiplication: nothing is divided, so any ``q`` is accepted.
+    with indices into ``q`` taken modulo its length, by rotating ``q`` once.
+    Pure integer multiplication: nothing is divided, so any ``q`` is accepted.
     """
-    N = len(q)
+    if length < 3:
+        return (0, 1)[:length]
+    s = c % len(q)
+    steps = (q[s:] + q[:s]) * ((length - 2) // len(q) + 1)
+    a, b = 0, 1
     d = [0, 1]
-    for k in range(1, length - 1):
-        d.append(q[(c + k - 1) % N] * d[k] - d[k - 1])
-    return tuple(d[:length])
+    for x in steps[: length - 2]:
+        a, b = b, x * b - a
+        d.append(b)
+    return tuple(d)
 
 
 def rotation_period(seq: tuple) -> int:
@@ -223,10 +232,14 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     w = (-1, 0, 1, *d0.col2, 1, 0)
     q = tuple(m[k] * w[k + 2] - m[k + 2] * w[k] for k in range(N))
     p = rotation_period(q)
-    cols = [diagonal(q, t, N - 1)[2:] for t in range(p + 1)]
+    diags = [diagonal(q, t, N) for t in range(p + 1)]
+    cols = [d[2 : N - 1] for d in diags]
     if (cols[0], cols[1]) != (d0.col1, d0.col2):
         raise InvariantViolation(f"frieze of {d0.col1} does not reproduce it")
-    return Cycle(tuple(Diamond(cols[t], cols[t + 1]) for t in range(p)))
+    for t in range(p):
+        if diags[t][N - 1] != 1 or min(cols[t]) < 1:
+            raise InvariantViolation(f"cycle member {t} is not a positive diamond")
+    return Cycle(tuple(Diamond._trusted(cols[t], cols[t + 1]) for t in range(p)))
 
 
 def cycle_heads(c: Cycle) -> Vector:

@@ -3,7 +3,8 @@ vectors.
 
 A Dyck word over {U, D} is balanced and never has a prefix with more Ds
 than Us.  Canonical text form is the plain uppercase string, e.g.
-``"UUDUDD"``.
+``"UUDUDD"``.  A function that takes a ``DyckPath`` validates anything
+else as one, so a plain word is accepted.
 
 Two vector encodings are used.  The profile vector of a path of length 2k
 lists, for the first k-1 Ds, the number of Us seen before that D minus its
@@ -29,6 +30,7 @@ from .errors import (
     PositionOutOfRange,
     PrefixViolation,
     TooShort,
+    as_tuple,
     is_int,
 )
 
@@ -56,7 +58,8 @@ class DyckPath:
 
     def __post_init__(self):
         if not isinstance(self.word, str):
-            raise InputError(f"word {self.word!r} is not a string")
+            kind = type(self.word).__name__
+            raise InputError(f"word of type {kind} is not a string")
         _validate_word(self.word)
 
     @property
@@ -65,6 +68,11 @@ class DyckPath:
 
     def __str__(self) -> str:
         return self.word
+
+
+def _as_path(p) -> DyckPath:
+    """``p`` itself if it is a ``DyckPath``, otherwise ``p`` validated as one."""
+    return p if isinstance(p, DyckPath) else DyckPath(p)
 
 
 def parse_path(text: str) -> DyckPath:
@@ -105,10 +113,9 @@ def path_rank(p) -> int:
     take a U there instead: the ballot number of paths from the raised
     height back to 0 in the remaining steps (Knuth, TAOCP Vol. 4A,
     7.2.1.6), a difference of two binomials by the reflection principle.
-    No table is kept, so memory stays O(length).  A word that is not a
-    ``DyckPath`` is validated as one.
+    No table is kept, so memory stays O(length).
     """
-    word = p.word if isinstance(p, DyckPath) else DyckPath(str(p)).word
+    word = _as_path(p).word
     rank = height = 0
     remaining = len(word)
     for ch in word:
@@ -131,11 +138,12 @@ def catalan(n: int) -> int:
 
 def peaks(p: DyckPath) -> int:
     """Number of UD factors (north-then-east turns)."""
-    return p.word.count("UD")
+    return _as_path(p).word.count("UD")
 
 
 def _blocks(p: DyckPath) -> list[str]:
     # factor as U w_1 ... w_{n-1} D into two-letter blocks
+    p = _as_path(p)
     n = p.half_length
     if n < 2:
         raise TooShort("block factorization needs length >= 4")
@@ -153,6 +161,7 @@ def unitary_shift(p: DyckPath, i: int) -> DyckPath:
     The height entering a block is odd, hence >= 1, so the reversal cannot
     dip below the diagonal; that is asserted rather than assumed.
     """
+    p = _as_path(p)
     n = p.half_length
     if not (is_int(i) and 1 <= i <= n - 1):
         raise IndexOutOfRange(f"block index {i!r} not in 1..{n - 1}")
@@ -167,6 +176,7 @@ def unitary_shift(p: DyckPath, i: int) -> DyckPath:
 
 def to_v_vector(p: DyckPath) -> tuple[int, ...]:
     """Profile encoding: for i = 1..k-1, (Us before the i-th D) - i + 1."""
+    p = _as_path(p)
     k = p.half_length
     ups = 0
     seen_d = 0
@@ -185,7 +195,7 @@ def to_v_vector(p: DyckPath) -> tuple[int, ...]:
 def from_v_vector(v) -> DyckPath:
     """Inverse of ``to_v_vector``; raises InvalidVG on vectors that encode
     no path."""
-    v = tuple(v)
+    v = as_tuple(v, "vector")
     k = len(v) + 1
     m_prev = 0
     parts = []
@@ -209,6 +219,7 @@ def from_v_vector(v) -> DyckPath:
 def to_lambda(p: DyckPath) -> tuple[int, ...]:
     """Descent encoding: entry i counts Ds before the (n+2-i)-th U, where
     the path has length 2(n+1)."""
+    p = _as_path(p)
     n = p.half_length - 1
     if n < 1:
         raise TooShort("descent encoding needs length >= 4")
@@ -258,7 +269,7 @@ def lambda_diagonals(lambda_vector) -> list[tuple[int, int]]:
     off-by-one drift from relabeling arithmetic, and as the list stays
     sorted each diagonal comes out as ``(low, high)``.
     """
-    lam = tuple(lambda_vector)
+    lam = as_tuple(lambda_vector, "descent encoding")
     active = list(range(len(lam) + 3))
     diagonals = []
     for step, li in enumerate(lam, start=1):
@@ -298,6 +309,7 @@ def path_to_vector(p: DyckPath, n: int) -> tuple[int, ...]:
     The vector is entries 2..n+1 of the frieze diagonal at column 0 of the
     quiddity of the path's triangulation.
     """
+    p = _as_path(p)
     if not is_int(n) or p.half_length != n + 1:
         raise InputError(
             f"path of length {2 * p.half_length} does not match rank {n!r}"

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .diamond import Vector, complete_diamond, minimal_cycle
 from .dyck import DyckPath, vector_to_path
-from .errors import IndexOutOfRange, LastEntryNotOne, RangeError, is_int
+from .errors import IndexOutOfRange, LastEntryNotOne, RangeError, as_tuple, is_int
 
 
 def seed_vector(n: int, z: int) -> Vector:
@@ -44,7 +44,7 @@ def expand(v, i: int) -> Vector:
     Requires the last entry to be 1 and 1 <= i < n; the result is again
     associated to a positive integral diamond.
     """
-    v = tuple(v)
+    v = as_tuple(v, "vector")
     n = len(v)
     if v[-1:] != (1,):
         raise LastEntryNotOne(f"vector {v} does not end in 1")
@@ -53,15 +53,20 @@ def expand(v, i: int) -> Vector:
     return v[:i] + (v[i - 1] + v[i],) + v[i:-1]
 
 
-@lru_cache(maxsize=None, typed=True)
 def enumerate_all(n: int) -> tuple[Vector, ...]:
     """All rank-n diamond vectors, sorted lexicographically.
 
     BFS closure of the seed vectors under ``expand`` at every legal
-    position; cardinality is catalan(n+1).
+    position; cardinality is catalan(n+1).  The rank is checked before the
+    cache is asked, and ``enumerate_all.cache_info`` reports that cache.
     """
     if not is_int(n) or n < 1:
         raise RangeError(f"rank {n!r} must be an integer >= 1")
+    return _enumerate_all(n)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_all(n: int) -> tuple[Vector, ...]:
     seeds = [seed_vector(n, z) for z in range(1, n + 2)]
     seen = set(seeds)
     queue = deque(seeds)
@@ -77,15 +82,22 @@ def enumerate_all(n: int) -> tuple[Vector, ...]:
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=None, typed=True)
+enumerate_all.cache_info = _enumerate_all.cache_info
+
+
 def ballot_count(n: int, z: int) -> int:
     """Expansion-history count f(n, z); the rows form the Catalan triangle
     (ballot numbers) and sum to catalan(n+1)."""
     _check_range(n, z)
+    return _ballot_count(n, z)
+
+
+@lru_cache(maxsize=None)
+def _ballot_count(n: int, z: int) -> int:
     if n == 1:
         return 1
     lo = 1 if z == 1 else z - 1
-    return sum(ballot_count(n - 1, i) for i in range(lo, n + 1))
+    return sum(_ballot_count(n - 1, i) for i in range(lo, n + 1))
 
 
 def cycle_paths(v) -> tuple[DyckPath, ...]:

@@ -18,6 +18,16 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def as_tuple(items, what: str) -> tuple:
+    """``tuple(items)``, refusing a non-iterable ``items`` with InputError."""
+    try:
+        iter(items)
+    except TypeError:
+        kind = type(items).__name__
+        raise InputError(f"{what} of type {kind} is not iterable") from None
+    return tuple(items)
+
+
 def format_int(x: int) -> str:
     """``x`` as text when it has at most ``MAX_SHOWN_DIGITS`` digits,
     otherwise its sign and digit count, e.g. ``<4001 digits>``."""

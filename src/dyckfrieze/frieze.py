@@ -37,6 +37,7 @@ from .errors import (
     InvariantViolation,
     NonPositiveEntry,
     RangeError,
+    as_tuple,
     format_int,
     is_int,
 )
@@ -56,7 +57,7 @@ class FriezePattern:
     rows: tuple[Row, ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(as_tuple(row, "row") for row in as_tuple(self.rows, "rows"))
         object.__setattr__(self, "rows", rows)
         N = self.order
         if N < 3:
@@ -78,7 +79,7 @@ def from_quiddity(q) -> FriezePattern:
     the N - 2 triangles have 3(N - 2) corners, so a sequence outside those
     bounds fails to close before any row is built.
     """
-    q = tuple(q)
+    q = as_tuple(q, "quiddity")
     N = len(q)
     if N < 3:
         raise RangeError("quiddity must have length >= 3")
@@ -97,9 +98,9 @@ def from_quiddity(q) -> FriezePattern:
     for r in range(3, N):
         if rows[r - 1] == ones:
             raise FailsToClose(f"row of ones appeared early, at row {r - 1}")
-        for c, x in enumerate(rows[r]):
-            if x < 1:
-                raise NonPositiveEntry(c, x, row=r)
+        if min(rows[r]) < 1:
+            c = next(c for c, x in enumerate(rows[r]) if x < 1)
+            raise NonPositiveEntry(c, rows[r][c], row=r)
     if rows[N - 1] != ones:
         shown = ", ".join(map(format_int, rows[N - 1]))
         raise FailsToClose(f"row {N - 1} is ({shown}), not all ones")
@@ -133,9 +134,11 @@ def violations(fp: FriezePattern) -> list[str]:
 
     Checks the zero and one borders, band positivity, the unimodular rule
     on every quadruple of the fundamental domain, and invariance under
-    glide reflection.  Row periodicity is inherent to the storage.  A
-    pattern holding a non-integer entry is reported by those entries
-    alone, since the arithmetic checks cannot run on it.
+    glide reflection.  Each check scans a whole row first (its ``min``, its
+    quadruples zipped with rotated rows, its rotated glide image), and only
+    a failing row is walked entry by entry.  Row periodicity is inherent to
+    the storage.  A pattern holding a non-integer entry is reported by
+    those entries alone, since the arithmetic checks cannot run on it.
     """
     N = fp.order
     rows = fp.rows
@@ -153,27 +156,25 @@ def violations(fp: FriezePattern) -> list[str]:
         problems.append("border rows 0 and N must be all zeros")
     if rows[1] != ones or rows[N - 1] != ones:
         problems.append("rows 1 and N-1 must be all ones")
-    for r in range(2, N - 1):
+    for r in [r for r in range(2, N - 1) if min(rows[r]) < 1]:
         for c, x in enumerate(rows[r]):
             if x < 1:
                 problems.append(f"band entry at row {r}, column {c} is {x}")
     for r in range(1, N):
+        row, above = rows[r], rows[r - 1]
+        sides = (row, row[1:] + row[:1], above[1:] + above[:1], rows[r + 1])
+        if {w * x - y * z for w, x, y, z in zip(*sides)} != {1}:
+            for c, (left, right, top, bottom) in enumerate(zip(*sides)):
+                if left * right - top * bottom != 1:
+                    problems.append(
+                        f"rule fails at rows {r - 1}..{r + 1}, column {c}: "
+                        f"{left}*{right} - {top}*{bottom} != 1"
+                    )
+    glides = [rows[N - r][r % N :] + rows[N - r][: r % N] for r in range(N + 1)]
+    for r in [r for r in range(N + 1) if rows[r] != glides[r]]:
         for c in range(N):
-            left = rows[r][c]
-            right = rows[r][(c + 1) % N]
-            top = rows[r - 1][(c + 1) % N]
-            bottom = rows[r + 1][c]
-            if left * right - top * bottom != 1:
-                problems.append(
-                    f"rule fails at rows {r - 1}..{r + 1}, column {c}: "
-                    f"{left}*{right} - {top}*{bottom} != 1"
-                )
-    for r in range(N + 1):
-        for c in range(N):
-            if rows[r][c] != rows[N - r][(c + r) % N]:
-                problems.append(
-                    f"glide reflection fails at row {r}, column {c}"
-                )
+            if rows[r][c] != glides[r][c]:
+                problems.append(f"glide reflection fails at row {r}, column {c}")
     return problems
 
 

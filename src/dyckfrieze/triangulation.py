@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dyck import DyckPath, degree_quiddity, lambda_diagonals, to_lambda, vector_to_path
-from .errors import InputError, InvariantViolation, SizeMismatch, is_int
+from .errors import InputError, InvariantViolation, SizeMismatch, as_tuple, is_int
 
 Diagonal = tuple[int, int]
 
@@ -48,7 +48,7 @@ class Triangulation:
             raise InputError(f"polygon size {N!r} is not an integer")
         if N < 3:
             raise InputError("polygon needs at least 3 vertices")
-        diags = frozenset(_normalize_pair(p) for p in self.diagonals)
+        diags = frozenset(map(_normalize_pair, as_tuple(self.diagonals, "diagonals")))
         object.__setattr__(self, "diagonals", diags)
         if len(diags) != N - 3:
             raise InputError(f"expected {N - 3} diagonals, got {len(diags)}")
@@ -86,7 +86,7 @@ class Triangulation:
 
 def realize(lambda_vector) -> Triangulation:
     """Triangulation realized by the descent encoding of a Dyck path."""
-    lam = tuple(lambda_vector)
+    lam = as_tuple(lambda_vector, "descent encoding")
     return Triangulation._trusted(len(lam) + 3, frozenset(lambda_diagonals(lam)))
 
 
@@ -143,6 +143,8 @@ def same_rotation_orbit(t1: Triangulation, t2: Triangulation) -> bool:
 
 def rotation_orbit(t: Triangulation) -> set[Triangulation]:
     """All distinct label rotations of ``t``; size divides the polygon size."""
+    if not isinstance(t, Triangulation):
+        raise InputError(f"{type(t).__name__} is not a Triangulation")
     return {rotate(t, k) for k in range(t.polygon_size)}
 
 

@@ -10,7 +10,10 @@ and, for the frieze-diagonal recurrence, frieze completion by row
 division, coupling cycles by iterated completion, and the path inverse by
 a table over the whole enumeration; and the rank-n invariant suite as it
 was before it streamed one coupling cycle at a time, holding every path,
-word set and triangulation until the end.
+word set and triangulation until the end.  The kernel's earlier forms are
+kept as well: the diagonal recurrence indexing ``q`` modulo its length at
+every step, coupling cycles that validate each member as a ``Diamond``,
+and the frieze checks walked entry by entry.
 """
 
 import functools
@@ -36,7 +39,7 @@ from dyckfrieze import (
     verify,
 )
 from dyckfrieze.checks import CheckResult
-from dyckfrieze.diamond import Cycle
+from dyckfrieze.diamond import Cycle, Diamond, rotation_period
 from dyckfrieze.errors import (
     FailsToClose,
     InputError,
@@ -343,3 +346,68 @@ def run_checks_with_global_tables(n):
         )
     )
     return results
+
+
+def diagonal_by_index(q, c, length):
+    """The frieze diagonal by its recurrence, reading ``q[(c + k - 1) % N]``
+    afresh at every step."""
+    N = len(q)
+    d = [0, 1]
+    for k in range(1, length - 1):
+        d.append(q[(c + k - 1) % N] * d[k] - d[k - 1])
+    return tuple(d[:length])
+
+
+def minimal_cycle_validated(d0):
+    """The coupling cycle through ``d0`` from the Wronskian quiddity, each
+    member validated in full by ``Diamond(...)``."""
+    N = d0.n + 3
+    m = (0, 1, *d0.col1, 1, 0, -1)
+    w = (-1, 0, 1, *d0.col2, 1, 0)
+    q = tuple(m[k] * w[k + 2] - m[k + 2] * w[k] for k in range(N))
+    p = rotation_period(q)
+    cols = [diagonal_by_index(q, t, N - 1)[2:] for t in range(p + 1)]
+    if (cols[0], cols[1]) != (d0.col1, d0.col2):
+        raise InvariantViolation(f"frieze of {d0.col1} does not reproduce it")
+    return Cycle(tuple(Diamond(cols[t], cols[t + 1]) for t in range(p)))
+
+
+def violations_by_entry(fp):
+    """Every broken frieze invariant, found by visiting each entry of the
+    fundamental domain with its column indices taken modulo N."""
+    N = fp.order
+    rows = fp.rows
+    if set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+        return [
+            f"entry at row {r}, column {c} is {x!r}, not an integer"
+            for r, row in enumerate(rows)
+            for c, x in enumerate(row)
+            if type(x) is not int
+        ]
+    problems = []
+    zeros = (0,) * N
+    ones = (1,) * N
+    if rows[0] != zeros or rows[N] != zeros:
+        problems.append("border rows 0 and N must be all zeros")
+    if rows[1] != ones or rows[N - 1] != ones:
+        problems.append("rows 1 and N-1 must be all ones")
+    for r in range(2, N - 1):
+        for c, x in enumerate(rows[r]):
+            if x < 1:
+                problems.append(f"band entry at row {r}, column {c} is {x}")
+    for r in range(1, N):
+        for c in range(N):
+            left = rows[r][c]
+            right = rows[r][(c + 1) % N]
+            top = rows[r - 1][(c + 1) % N]
+            bottom = rows[r + 1][c]
+            if left * right - top * bottom != 1:
+                problems.append(
+                    f"rule fails at rows {r - 1}..{r + 1}, column {c}: "
+                    f"{left}*{right} - {top}*{bottom} != 1"
+                )
+    for r in range(N + 1):
+        for c in range(N):
+            if rows[r][c] != rows[N - r][(c + r) % N]:
+                problems.append(f"glide reflection fails at row {r}, column {c}")
+    return problems

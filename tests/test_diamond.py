@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckfrieze import (
@@ -13,17 +13,21 @@ from dyckfrieze import (
     enumerate_all,
     minimal_cycle,
 )
+from dyckfrieze import diamond
 from dyckfrieze.diamond import diagonal
 from dyckfrieze.errors import (
     InputError,
+    InvariantViolation,
     NonExactDivision,
     NonPositiveEntry,
     RangeError,
 )
 from oracles import (
+    diagonal_by_index,
     frieze_rows_by_division,
     head_form_by_search,
     minimal_cycle_by_coupling,
+    minimal_cycle_validated,
     quiddity_by_faces,
     random_triangulation_diagonals,
     unimodular_holds,
@@ -233,6 +237,7 @@ def test_minimal_cycle_matches_coupling_oracle_exhaustive():
         for v in enumerate_all(n):
             d = complete_diamond(v)
             assert minimal_cycle(d) == minimal_cycle_by_coupling(d)
+            assert minimal_cycle(d) == minimal_cycle_validated(d)
 
 
 @given(st.integers(4, 60), st.randoms(use_true_random=False))
@@ -243,6 +248,58 @@ def test_minimal_cycle_matches_coupling_oracle_past_enumeration_cap(N, rng):
     rows = frieze_rows_by_division(q)
     d = complete_diamond(tuple(rows[r][0] for r in range(2, N - 1)))
     assert minimal_cycle(d) == minimal_cycle_by_coupling(d)
+    assert minimal_cycle(d) == minimal_cycle_validated(d)
+
+
+@st.composite
+def diagonal_arguments(draw):
+    q = tuple(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=12)))
+    N = len(q)
+    return q, draw(st.integers(-3 * N, 3 * N)), draw(st.integers(0, 3 * N))
+
+
+@given(diagonal_arguments())
+@settings(max_examples=300)
+def test_diagonal_matches_indexed_recurrence(args):
+    assert diagonal(*args) == diagonal_by_index(*args)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*[st.lists(st.integers(-2, 9), min_size=n, max_size=n)] * 2)
+    )
+)
+@example(((1,), (5,)))  # reproduces itself, but 1*5 - 1*1 != 1
+@settings(max_examples=300)
+def test_minimal_cycle_refuses_trusted_non_diamonds_like_the_oracle(cols):
+    # Columns set without the rule check: a true diamond gives both versions
+    # the same cycle, anything else makes both raise.
+    d = Diamond._trusted(tuple(cols[0]), tuple(cols[1]))
+    if min(cols[0] + cols[1]) >= 1 and unimodular_holds(*cols):
+        assert minimal_cycle(d) == minimal_cycle_validated(d)
+        return
+    with pytest.raises(InvariantViolation):
+        minimal_cycle(d)
+    with pytest.raises((InputError, InvariantViolation)):
+        minimal_cycle_validated(d)
+
+
+@pytest.mark.parametrize(
+    "position, value", [(2, 0), (-1, 2)], ids=["non-positive", "not-closing"]
+)
+def test_minimal_cycle_rejects_a_later_member(monkeypatch, position, value):
+    # A valid d0 cannot give a bad member, so diagonal 2 is corrupted in
+    # place: an entry of its column set to 0, or its closing entry to 2.
+    def corrupted(q, c, length):
+        d = list(diagonal(q, c, length))
+        if c == 2:
+            d[position] = value
+        return tuple(d)
+
+    d0 = complete_diamond((1, 2, 3))  # a cycle of three members
+    monkeypatch.setattr(diamond, "diagonal", corrupted)
+    with pytest.raises(InvariantViolation, match="member 2"):
+        minimal_cycle(d0)
 
 
 def test_cycle_constructor_rejects_uncoupled_members():

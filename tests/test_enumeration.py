@@ -1,6 +1,9 @@
 import pytest
 
 from dyckfrieze import (
+    Cycle,
+    FriezePattern,
+    Triangulation,
     all_paths,
     ballot_count,
     catalan,
@@ -10,12 +13,19 @@ from dyckfrieze import (
     enumerate_all,
     expand,
     from_quiddity,
+    from_v_vector,
     minimal_cycle,
     parse_path,
+    path_rank,
     path_to_vector,
+    realize,
+    reduce_coordinate,
     render_ascii,
+    rotation_orbit,
     same_rotation_orbit,
     seed_vector,
+    to_lambda,
+    to_v_vector,
     unitary_shift,
     vector_to_triangulation,
 )
@@ -157,6 +167,48 @@ NON_INTEGER_CALLS = {
 def test_non_integer_parameters_raise_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+# A wrong type is refused with InputError, never TypeError or AttributeError:
+# a sequence argument that is not iterable, an unhashable argument of a
+# cached function (checked before the cache is asked), and anything but a
+# valid word where a DyckPath belongs, or anything but a Triangulation.
+WRONG_TYPE_CALLS = {
+    "complete_diamond(5)": lambda: complete_diamond(5),
+    "from_v_vector(5)": lambda: from_v_vector(5),
+    "from_quiddity(5)": lambda: from_quiddity(5),
+    "reduce_coordinate(5, 1)": lambda: reduce_coordinate(5, 1),
+    "expand(5, 1)": lambda: expand(5, 1),
+    "realize(None)": lambda: realize(None),
+    "Triangulation(5, None)": lambda: Triangulation(5, None),
+    "Cycle(5)": lambda: Cycle(5),
+    "FriezePattern(3, (5, 6, 7, 8))": lambda: FriezePattern(3, (5, 6, 7, 8)),
+    "ballot_count([1], 2)": lambda: ballot_count([1], 2),
+    "enumerate_all([3])": lambda: enumerate_all([3]),
+    "path_to_vector('UDDU', 1)": lambda: path_to_vector("UDDU", 1),
+    "path_to_vector(None, 1)": lambda: path_to_vector(None, 1),
+    "unitary_shift('UUDX', 1)": lambda: unitary_shift("UUDX", 1),
+    "to_lambda(5)": lambda: to_lambda(5),
+    "to_v_vector(['U', 'D'])": lambda: to_v_vector(["U", "D"]),
+    "path_rank(10**5000)": lambda: path_rank(10**5000),
+    "rotation_orbit(None)": lambda: rotation_orbit(None),
+}
+
+
+@pytest.mark.parametrize(
+    "call", WRONG_TYPE_CALLS.values(), ids=WRONG_TYPE_CALLS.keys()
+)
+def test_wrong_types_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_plain_words_are_validated_as_paths():
+    p = parse_path("UUDUDD")
+    assert path_to_vector("UUDUDD", 2) == path_to_vector(p, 2)
+    assert unitary_shift("UUDUDD", 1) == unitary_shift(p, 1)
+    assert to_lambda("UUDUDD") == to_lambda(p)
+    assert to_v_vector("UUDUDD") == to_v_vector(p)
 
 
 def test_cycle_paths_known():

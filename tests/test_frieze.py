@@ -28,6 +28,7 @@ from oracles import (
     frieze_rows_by_division,
     quiddity_by_faces,
     random_triangulation_diagonals,
+    violations_by_entry,
 )
 
 
@@ -212,6 +213,38 @@ def test_violations_names_non_integer_entry():
     bad = FriezePattern(fp.order, tuple(tuple(r) for r in rows))
     assert violations(bad) == ["entry at row 3, column 1 is '5', not an integer"]
     assert not verify(bad)
+
+
+@st.composite
+def tampered_friezes(draw):
+    """A valid frieze of order 3..40 with up to four edits: an entry set or
+    shifted (band entries and borders alike, breaking the rule and the
+    glide), an entry set together with its glide image (the rule breaks,
+    the glide holds), a whole row rotated, or a non-int entry."""
+    N = draw(st.integers(3, 40))
+    rng = draw(st.randoms(use_true_random=False))
+    t = Triangulation(N, random_triangulation_diagonals(N, rng))
+    rows = [list(row) for row in from_quiddity(quiddity_by_faces(t)).rows]
+    for _ in range(draw(st.integers(0, 4))):
+        r, c = draw(st.integers(0, N)), draw(st.integers(0, N - 1))
+        edit = draw(st.sampled_from(["set", "shift", "mirrored", "rotate", "type"]))
+        if edit == "set":
+            rows[r][c] = draw(st.integers(-3, 9))
+        elif edit == "shift" and type(rows[r][c]) is int:
+            rows[r][c] += draw(st.sampled_from([-2, -1, 1, 2]))
+        elif edit == "mirrored":
+            rows[r][c] = rows[N - r][(c + r) % N] = draw(st.integers(-3, 9))
+        elif edit == "rotate":
+            rows[r] = rows[r][1:] + rows[r][:1]
+        elif edit == "type":
+            rows[r][c] = draw(st.sampled_from(["5", 2.0, None, True]))
+    return FriezePattern(N, rows)
+
+
+@given(tampered_friezes())
+@settings(max_examples=150)
+def test_violations_match_the_entry_by_entry_oracle(fp):
+    assert violations(fp) == violations_by_entry(fp)
 
 
 def test_period_divides_order():

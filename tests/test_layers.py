@@ -1,11 +1,13 @@
 """The package's modules form layers: imports run at module level only, and
 the import graph between the package's modules has no cycle, with
-``diamond`` at the bottom above ``errors``.  The unvalidated construction
-paths are called only where a theorem guarantees the result, and one
-predicate says what an integer is."""
+``diamond`` at the bottom above ``errors``.  Nothing outside the package
+and the standard library is imported, as ``dependencies = []`` promises.
+The unvalidated construction paths are called only where a theorem
+guarantees the result, and one predicate says what an integer is."""
 
 import ast
 import graphlib
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dyckfrieze"
@@ -45,6 +47,23 @@ def test_import_graph_is_acyclic_with_diamond_above_errors():
     tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
 
 
+def test_only_package_and_standard_library_imports():
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level <= 1, f"{name} imports above the package"
+                modules = [] if node.level else [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.partition(".")[0]
+                assert top in sys.stdlib_module_names, (
+                    f"{name} imports {module} at line {node.lineno}"
+                )
+
+
 def _callers(name):
     """(module, function) pairs whose bodies call ``name`` or ``x.name``."""
     found = set()
@@ -64,6 +83,7 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
         ("triangulation", "realize"),
         ("triangulation", "rotate"),
         ("diamond", "complete_diamond"),
+        ("diamond", "minimal_cycle"),
     }
     assert _callers("_reduce") == {
         ("dyck", "reduce_coordinate"),
