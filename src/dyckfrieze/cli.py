@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import checks as checks_mod
@@ -26,7 +25,6 @@ from .enumeration import enumerate_all
 from .triangulation import path_to_triangulation, vector_to_triangulation
 
 DEFAULT_MAX_N = 10
-MAX_N_ENV = "DYCKFRIEZE_MAX_N"
 # Output and work grow with the cube of the length (N^2 entries of up to
 # N digits).  At 400 entries the slowest command, the ASCII frieze of the
 # zigzag triangulation's vector, takes 0.7-0.85 s from process start to
@@ -56,20 +54,8 @@ def _format_vector(v) -> str:
     return ",".join(str(x) for x in v)
 
 
-def _enumeration_cap(args) -> int:
-    if args.max_n is not None:
-        return args.max_n
-    env = os.environ.get(MAX_N_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"{MAX_N_ENV}={env!r} is not an integer") from exc
-    return DEFAULT_MAX_N
-
-
-def _check_cap(n: int, args) -> None:
-    cap = _enumeration_cap(args)
+def _check_cap(args) -> None:
+    n, cap = args.n, args.max_n
     if n > cap:
         raise InputError(
             f"n={n} exceeds the enumeration cap {cap}; raise it with --max-n"
@@ -134,7 +120,7 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    _check_cap(args.n, args)
+    _check_cap(args)
     vectors = enumerate_all(args.n)
     if args.format == "text":
         for v in vectors:
@@ -145,7 +131,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_cap(args.n, args)
+    _check_cap(args)
     results = checks_mod.run_checks(args.n)
     print(
         json.dumps(
@@ -196,12 +182,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="all diamond vectors of a rank")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--max-n", type=int, default=None, help="override the size cap")
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="size cap")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the rank-n invariant suite")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=None, help="override the size cap")
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="size cap")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -23,15 +23,17 @@ if ``a = 1``, else ``a >= 2`` and ``a + b <= n + 2``.
 All entries are plain Python integers, so arithmetic is exact and unbounded.
 Every value here is immutable and every function is pure.
 
-``Diamond(...)`` and ``Cycle(...)`` validate in full.  ``complete_diamond``
-alone builds its ``Diamond`` without re-checking it: ``as_vector`` has
-validated the first column, and each second-column entry is the exact,
-positive quotient ``(1 + a[2,j-1] * a[1,j+1]) / a[1,j]``, so the unimodular
-rule holds by arithmetic.  ``minimal_cycle`` does the same once each
-diagonal ``d_t`` of its frieze closes, ``d_t[N-1] == 1``, and is positive,
-``min(d_t[2:N-1]) >= 1`` (the paper's claim, checked, not assumed).  This
-is exact: consecutive diagonals have Casoratian 1 for any integer q, so with
-positive entries the rule can fail only at the border ``a[1,n+1] = 1``.
+``Diamond(...)`` checks a diamond by completing its first column: with positive
+entries, the rule at j is the division step of ``complete_diamond`` at j.
+``Cycle(...)`` validates in full.  ``complete_diamond`` builds its ``Diamond``
+without re-checking it: ``as_vector`` has validated the first column, and each
+second-column entry is the exact, positive quotient
+``(1 + a[2,j-1] * a[1,j+1]) / a[1,j]``, so the unimodular rule holds by
+arithmetic.  ``minimal_cycle`` does the same once each diagonal ``d_t`` of its
+frieze closes, ``d_t[N-1] == 1``, and is positive, ``min(d_t[2:N-1]) >= 1``
+(the paper's claim, checked, not assumed).  This is exact: consecutive
+diagonals have Casoratian 1 for any integer q, so with positive entries the
+rule can fail only at the border ``a[1,n+1] = 1``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .errors import (
     NonPositiveEntry,
     RangeError,
     as_tuple,
+    expect,
     is_int,
 )
 
@@ -66,7 +69,7 @@ def as_vector(entries) -> Vector:
 
 @dataclass(frozen=True)
 class Diamond:
-    """A validated rank-n diamond; construction checks the unimodular rule.
+    """A rank-n diamond, validated by completing ``col1`` and comparing ``col2``.
 
     ``col1`` and ``col2`` hold ``a[1,1..n]`` and ``a[2,1..n]``; the boundary
     ones are implicit and never stored.  ``complete_diamond`` and
@@ -80,19 +83,12 @@ class Diamond:
         c1, c2 = as_vector(self.col1), as_vector(self.col2)
         object.__setattr__(self, "col1", c1)
         object.__setattr__(self, "col2", c2)
-        n = len(c1)
-        if len(c2) != n:
+        want = complete_diamond(c1).col2
+        if len(c2) != len(want):
             raise InputError("columns must be of equal length")
-        for j in range(1, n + 1):
-            a1j = c1[j - 1]
-            a2j = c2[j - 1]
-            left = c2[j - 2] if j >= 2 else 1
-            right = c1[j] if j < n else 1
-            if a1j * a2j - left * right != 1:
-                raise InputError(
-                    f"unimodular rule fails at position {j}: "
-                    f"{a1j}*{a2j} - {left}*{right} != 1"
-                )
+        for j, (x, y) in enumerate(zip(c2, want), start=1):
+            if x != y:
+                raise InputError(f"unimodular rule fails at position {j}")
 
     @classmethod
     def _trusted(cls, col1: Vector, col2: Vector):
@@ -112,9 +108,10 @@ def complete_diamond(vector) -> Diamond:
     """Build the diamond whose first column is ``vector``.
 
     The second column is computed left to right from the rearranged rule
-    ``a[2,j] = (1 + a[2,j-1] * a[1,j+1]) / a[1,j]``.  Raises
-    ``NonExactDivision`` or ``NonPositiveEntry`` when the vector is not
-    associated to a positive integral diamond.
+    ``a[2,j] = (1 + a[2,j-1] * a[1,j+1]) / a[1,j]``, whose exact quotients
+    are positive.  Raises ``NonExactDivision`` when the vector is not
+    associated to a positive integral diamond; ``NonPositiveEntry`` comes
+    only from a non-positive entry of ``vector``.
     """
     v = as_vector(vector)
     n = len(v)
@@ -126,8 +123,6 @@ def complete_diamond(vector) -> Diamond:
         quotient, remainder = divmod(numerator, v[j - 1])
         if remainder:
             raise NonExactDivision(j, numerator, v[j - 1])
-        if quotient < 1:
-            raise NonPositiveEntry(j, quotient)
         col2.append(quotient)
         below = quotient
     return Diamond._trusted(v, tuple(col2))
@@ -138,7 +133,7 @@ def check_head_form(d: Diamond) -> bool:
     top entries, total for rank n >= 2: with ``a <= b`` the sorted pair
     ``(a[1,1], a[2,1])``, ``a[1,2] == a*b - 1`` and either ``a == 1 and
     2 <= b <= n + 1`` or ``a >= 2 and a + b <= n + 2``."""
-    if d.n < 2:
+    if expect(d, Diamond).n < 2:
         raise RangeError("head-form check needs rank >= 2")
     a, b = sorted((d.col1[0], d.col2[0]))
     in_range = 2 <= b <= d.n + 1 if a == 1 else 2 <= a and a + b <= d.n + 2
@@ -227,7 +222,7 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     ``q_k = m_k * w_{k+2} - m_{k+2} * w_k``.  The period of ``q`` is the
     cycle length p, and member t pairs diagonals t and t + 1.
     """
-    N = d0.n + 3
+    N = expect(d0, Diamond).n + 3
     m = (0, 1, *d0.col1, 1, 0, -1)
     w = (-1, 0, 1, *d0.col2, 1, 0)
     q = tuple(m[k] * w[k + 2] - m[k + 2] * w[k] for k in range(N))
@@ -248,4 +243,4 @@ def cycle_heads(c: Cycle) -> Vector:
     Repeated ``(n + 3) / p`` times this is the quiddity row of the frieze
     the cycle generates.
     """
-    return tuple(d.col1[0] for d in c.diamonds)
+    return tuple(d.col1[0] for d in expect(c, Cycle).diamonds)

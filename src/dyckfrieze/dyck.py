@@ -31,6 +31,7 @@ from .errors import (
     PrefixViolation,
     TooShort,
     as_tuple,
+    expect,
     is_int,
 )
 
@@ -57,10 +58,7 @@ class DyckPath:
     word: str
 
     def __post_init__(self):
-        if not isinstance(self.word, str):
-            kind = type(self.word).__name__
-            raise InputError(f"word of type {kind} is not a string")
-        _validate_word(self.word)
+        _validate_word(expect(self.word, str))
 
     @property
     def half_length(self) -> int:
@@ -210,10 +208,7 @@ def from_v_vector(v) -> DyckPath:
         parts.append("U" * (m_i - m_prev) + "D")
         m_prev = m_i
     parts.append("U" * (k - m_prev) + "D")
-    try:
-        return DyckPath("".join(parts))
-    except InputError as exc:
-        raise InvalidVG(str(exc)) from exc
+    return DyckPath("".join(parts))
 
 
 def to_lambda(p: DyckPath) -> tuple[int, ...]:

@@ -28,6 +28,13 @@ def as_tuple(items, what: str) -> tuple:
     return tuple(items)
 
 
+def expect(x, cls):
+    """``x`` itself if it is a ``cls``; otherwise InputError naming its type."""
+    if not isinstance(x, cls):
+        raise InputError(f"{type(x).__name__} is not a {cls.__name__}")
+    return x
+
+
 def format_int(x: int) -> str:
     """``x`` as text when it has at most ``MAX_SHOWN_DIGITS`` digits,
     otherwise its sign and digit count, e.g. ``<4001 digits>``."""

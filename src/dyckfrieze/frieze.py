@@ -38,6 +38,7 @@ from .errors import (
     NonPositiveEntry,
     RangeError,
     as_tuple,
+    expect,
     format_int,
     is_int,
 )
@@ -116,7 +117,7 @@ def from_cycle(c: Cycle) -> FriezePattern:
     construction is theorem-backed, so a verification failure is an
     internal error rather than bad input.
     """
-    N = c.n + 3
+    N = expect(c, Cycle).n + 3
     zeros = (0,) * N
     ones = (1,) * N
     band = zip(*(c.diamonds[col % c.p].col1 for col in range(N)))
@@ -140,7 +141,7 @@ def violations(fp: FriezePattern) -> list[str]:
     the storage.  A pattern holding a non-integer entry is reported by
     those entries alone, since the arithmetic checks cannot run on it.
     """
-    N = fp.order
+    N = expect(fp, FriezePattern).order
     rows = fp.rows
     if set(map(type, chain.from_iterable(rows))) != {int}:
         return [
@@ -159,7 +160,7 @@ def violations(fp: FriezePattern) -> list[str]:
     for r in [r for r in range(2, N - 1) if min(rows[r]) < 1]:
         for c, x in enumerate(rows[r]):
             if x < 1:
-                problems.append(f"band entry at row {r}, column {c} is {x}")
+                problems.append(f"band entry at row {r}, column {c} is {format_int(x)}")
     for r in range(1, N):
         row, above = rows[r], rows[r - 1]
         sides = (row, row[1:] + row[:1], above[1:] + above[:1], rows[r + 1])
@@ -168,7 +169,8 @@ def violations(fp: FriezePattern) -> list[str]:
                 if left * right - top * bottom != 1:
                     problems.append(
                         f"rule fails at rows {r - 1}..{r + 1}, column {c}: "
-                        f"{left}*{right} - {top}*{bottom} != 1"
+                        f"{format_int(left)}*{format_int(right)} - "
+                        f"{format_int(top)}*{format_int(bottom)} != 1"
                     )
     glides = [rows[N - r][r % N :] + rows[N - r][: r % N] for r in range(N + 1)]
     for r in [r for r in range(N + 1) if rows[r] != glides[r]]:
@@ -185,7 +187,7 @@ def verify(fp: FriezePattern) -> bool:
 
 def period(fp: FriezePattern) -> int:
     """Minimal horizontal period of the quiddity row; divides the order."""
-    return rotation_period(fp.quiddity)
+    return rotation_period(expect(fp, FriezePattern).quiddity)
 
 
 def render_ascii(fp: FriezePattern, repetitions: int = 1) -> str:
@@ -197,7 +199,7 @@ def render_ascii(fp: FriezePattern, repetitions: int = 1) -> str:
     """
     if not is_int(repetitions) or repetitions < 1:
         raise RangeError("repetitions must be an integer >= 1")
-    N = fp.order
+    N = expect(fp, FriezePattern).order
     width = max(len(str(x)) for row in fp.rows for x in row)
     gap = " " * (width + 2)
     lines = []
@@ -215,7 +217,7 @@ def render_ascii(fp: FriezePattern, repetitions: int = 1) -> str:
 def to_json_dict(fp: FriezePattern) -> dict:
     """JSON-ready form: order, quiddity, and the full row table."""
     return {
-        "order": fp.order,
+        "order": expect(fp, FriezePattern).order,
         "quiddity": list(fp.quiddity),
         "rows": [list(row) for row in fp.rows],
     }

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dyck import DyckPath, degree_quiddity, lambda_diagonals, to_lambda, vector_to_path
-from .errors import InputError, InvariantViolation, SizeMismatch, as_tuple, is_int
+from .errors import InputError, InvariantViolation, SizeMismatch
+from .errors import as_tuple, expect, is_int
 
 Diagonal = tuple[int, int]
 
@@ -86,8 +87,8 @@ class Triangulation:
 
 def realize(lambda_vector) -> Triangulation:
     """Triangulation realized by the descent encoding of a Dyck path."""
-    lam = as_tuple(lambda_vector, "descent encoding")
-    return Triangulation._trusted(len(lam) + 3, frozenset(lambda_diagonals(lam)))
+    diagonals = lambda_diagonals(lambda_vector)
+    return Triangulation._trusted(len(diagonals) + 3, frozenset(diagonals))
 
 
 def triangles(t: Triangulation) -> list[tuple[int, int, int]]:
@@ -117,14 +118,14 @@ def triangles(t: Triangulation) -> list[tuple[int, int, int]]:
 
 def quiddity(t: Triangulation) -> tuple[int, ...]:
     """Triangles at each vertex, 1 + its diagonals; entries sum to 3(N-2)."""
-    return degree_quiddity(t.polygon_size, t.diagonals)
+    return degree_quiddity(expect(t, Triangulation).polygon_size, t.diagonals)
 
 
 def rotate(t: Triangulation, k: int) -> Triangulation:
     """Shift every vertex label by k modulo the polygon size."""
     if not is_int(k):
         raise InputError(f"shift {k!r} is not an integer")
-    N = t.polygon_size
+    N = expect(t, Triangulation).polygon_size
     moved = []
     for i, j in t.diagonals:
         i, j = (i + k) % N, (j + k) % N
@@ -134,18 +135,16 @@ def rotate(t: Triangulation, k: int) -> Triangulation:
 
 def same_rotation_orbit(t1: Triangulation, t2: Triangulation) -> bool:
     """True iff some label rotation carries t1 onto t2."""
-    if t1.polygon_size != t2.polygon_size:
+    if expect(t1, Triangulation).polygon_size != expect(t2, Triangulation).polygon_size:
         raise SizeMismatch(
             f"polygon sizes differ: {t1.polygon_size} vs {t2.polygon_size}"
         )
-    return any(rotate(t1, k) == t2 for k in range(t1.polygon_size))
+    return t2 in rotation_orbit(t1)
 
 
 def rotation_orbit(t: Triangulation) -> set[Triangulation]:
     """All distinct label rotations of ``t``; size divides the polygon size."""
-    if not isinstance(t, Triangulation):
-        raise InputError(f"{type(t).__name__} is not a Triangulation")
-    return {rotate(t, k) for k in range(t.polygon_size)}
+    return {rotate(t, k) for k in range(expect(t, Triangulation).polygon_size)}
 
 
 def vector_to_triangulation(v) -> Triangulation:

@@ -46,6 +46,7 @@ from dyckfrieze.errors import (
     InvariantViolation,
     NonPositiveEntry,
     RangeError,
+    format_int,
 )
 
 
@@ -394,7 +395,7 @@ def violations_by_entry(fp):
     for r in range(2, N - 1):
         for c, x in enumerate(rows[r]):
             if x < 1:
-                problems.append(f"band entry at row {r}, column {c} is {x}")
+                problems.append(f"band entry at row {r}, column {c} is {format_int(x)}")
     for r in range(1, N):
         for c in range(N):
             left = rows[r][c]
@@ -404,7 +405,8 @@ def violations_by_entry(fp):
             if left * right - top * bottom != 1:
                 problems.append(
                     f"rule fails at rows {r - 1}..{r + 1}, column {c}: "
-                    f"{left}*{right} - {top}*{bottom} != 1"
+                    f"{format_int(left)}*{format_int(right)} - "
+                    f"{format_int(top)}*{format_int(bottom)} != 1"
                 )
     for r in range(N + 1):
         for c in range(N):

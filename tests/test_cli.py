@@ -1,13 +1,13 @@
 import contextlib
 import io
 import json
-import os
 import time
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyckfrieze import cli
 from dyckfrieze.cli import MAX_VECTOR_ENTRIES, main
 
 
@@ -122,12 +122,11 @@ def test_enumerate_json_and_text(capsys):
     assert lines[-1] == "4,3,2"
 
 
-def test_enumerate_cap(capsys, monkeypatch):
+def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "11")
     assert code == 1
     assert "cap" in err
-    monkeypatch.setenv("DYCKFRIEZE_MAX_N", "2")
-    code, _, err = run(capsys, "enumerate", "--n", "3")
+    code, _, err = run(capsys, "enumerate", "--n", "3", "--max-n", "2")
     assert code == 1
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--max-n", "3")
     assert code == 0
@@ -217,7 +216,7 @@ long_integer_lists = st.lists(
     max_size=5,
 ).map(",".join)
 # Well-formed values per flag, so that some runs succeed.  --max-n lifts the
-# rank cap by design; it stays within the environment's cap here so that
+# rank cap by design; it stays within the patched default cap here so that
 # every run is short.
 WELL_FORMED = {
     "--vector": st.sampled_from(["1", "2", "1,1", "1,2,3", "2,3,4,1"])
@@ -259,7 +258,7 @@ def argument_lists(draw):
 def test_cli_contract_on_arbitrary_arguments(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with mock.patch.dict(os.environ, {"DYCKFRIEZE_MAX_N": str(CONTRACT_MAX_N)}):
+    with mock.patch.object(cli, "DEFAULT_MAX_N", CONTRACT_MAX_N):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)

@@ -80,8 +80,48 @@ def test_direct_construction_rejects_non_integers(col1, col2):
         Diamond(col1, col2)
 
 
+# Entries in -2..12, and now and then one of 4,500 digits, past the
+# 4,300-digit limit of str, so that a message printing it would raise.
+HUGE = 10**4499 + 7
+column_entries = st.integers(-2, 12) | st.sampled_from([HUGE, -HUGE])
+columns = st.lists(column_entries, min_size=1, max_size=6)
+DIAMOND_VECTORS = [v for n in range(1, 7) for v in enumerate_all(n)]
+
+
+@st.composite
+def column_pairs(draw):
+    """Two int lists of length 1..6, arbitrary or a true diamond's columns
+    with up to two entries replaced and the second column maybe resized."""
+    if draw(st.booleans()):
+        return draw(columns), draw(columns)
+    d = complete_diamond(draw(st.sampled_from(DIAMOND_VECTORS)))
+    cols = [list(d.col1), list(d.col2)]
+    for _ in range(draw(st.integers(0, 2))):
+        col = cols[draw(st.integers(0, 1))]
+        col[draw(st.integers(0, len(col) - 1))] = draw(column_entries)
+    cols[1] = cols[1][: draw(st.integers(1, 7))]
+    cols[1] += draw(st.lists(column_entries, max_size=1))
+    return cols
+
+
+@given(column_pairs())
+@example(([1, 2], [3]))  # the completion (3, 2) is longer
+@example(([1], [HUGE]))  # 1*HUGE - 1*1 != 1, and HUGE is too long to print
+@settings(max_examples=400)
+def test_direct_construction_accepts_exactly_what_the_oracle_accepts(cols):
+    col1, col2 = cols
+    if len(col1) == len(col2) and min(col1 + col2) >= 1 and unimodular_holds(*cols):
+        d = Diamond(col1, col2)
+        assert (d.col1, d.col2) == (tuple(col1), tuple(col2))
+    else:
+        with pytest.raises(InputError):  # never a bare ValueError from str()
+            Diamond(col1, col2)
+
+
 def assert_same_as_validated(d):
-    # complete_diamond skips the constructor; redo its check here
+    # complete_diamond skips the constructor; redo its check here.  The
+    # constructor completes col1 itself, so the literal rule check below is
+    # what keeps this independent of complete_diamond.
     checked = Diamond(d.col1, d.col2)
     assert d == checked and hash(d) == hash(checked)
     assert unimodular_holds(d.col1, d.col2)

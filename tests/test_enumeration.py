@@ -7,27 +7,36 @@ from dyckfrieze import (
     all_paths,
     ballot_count,
     catalan,
+    check_head_form,
     companion_vector,
     complete_diamond,
+    cycle_heads,
     cycle_paths,
     enumerate_all,
     expand,
+    from_cycle,
     from_quiddity,
     from_v_vector,
     minimal_cycle,
     parse_path,
     path_rank,
     path_to_vector,
+    period,
+    quiddity,
     realize,
     reduce_coordinate,
     render_ascii,
+    rotate,
     rotation_orbit,
     same_rotation_orbit,
     seed_vector,
+    to_json_dict,
     to_lambda,
     to_v_vector,
     unitary_shift,
     vector_to_triangulation,
+    verify,
+    violations,
 )
 from dyckfrieze.errors import IndexOutOfRange, InputError, LastEntryNotOne, RangeError
 
@@ -172,7 +181,8 @@ def test_non_integer_parameters_raise_input_error(call):
 # A wrong type is refused with InputError, never TypeError or AttributeError:
 # a sequence argument that is not iterable, an unhashable argument of a
 # cached function (checked before the cache is asked), and anything but a
-# valid word where a DyckPath belongs, or anything but a Triangulation.
+# valid word where a DyckPath belongs, and anything but the Diamond, Cycle,
+# Triangulation or FriezePattern an object-typed argument names.
 WRONG_TYPE_CALLS = {
     "complete_diamond(5)": lambda: complete_diamond(5),
     "from_v_vector(5)": lambda: from_v_vector(5),
@@ -192,6 +202,20 @@ WRONG_TYPE_CALLS = {
     "to_v_vector(['U', 'D'])": lambda: to_v_vector(["U", "D"]),
     "path_rank(10**5000)": lambda: path_rank(10**5000),
     "rotation_orbit(None)": lambda: rotation_orbit(None),
+    "rotate(None, 1)": lambda: rotate(None, 1),
+    "quiddity(None)": lambda: quiddity(None),
+    "same_rotation_orbit(None, t)": lambda: same_rotation_orbit(None, realize((1,))),
+    "same_rotation_orbit(t, None)": lambda: same_rotation_orbit(realize((1,)), None),
+    "minimal_cycle(None)": lambda: minimal_cycle(None),
+    "check_head_form(None)": lambda: check_head_form(None),
+    "cycle_heads(None)": lambda: cycle_heads(None),
+    "from_cycle(None)": lambda: from_cycle(None),
+    "violations(None)": lambda: violations(None),
+    "verify(None)": lambda: verify(None),
+    "period(None)": lambda: period(None),
+    "render_ascii(None)": lambda: render_ascii(None),
+    "to_json_dict(None)": lambda: to_json_dict(None),
+    "quiddity(diamond)": lambda: quiddity(complete_diamond((1,))),
 }
 
 

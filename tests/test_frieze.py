@@ -220,14 +220,16 @@ def tampered_friezes(draw):
     """A valid frieze of order 3..40 with up to four edits: an entry set or
     shifted (band entries and borders alike, breaking the rule and the
     glide), an entry set together with its glide image (the rule breaks,
-    the glide holds), a whole row rotated, or a non-int entry."""
+    the glide holds), a whole row rotated, a non-int entry, or an entry set
+    to +-10**4500, past the 4,300-digit limit of ``str``."""
     N = draw(st.integers(3, 40))
     rng = draw(st.randoms(use_true_random=False))
     t = Triangulation(N, random_triangulation_diagonals(N, rng))
     rows = [list(row) for row in from_quiddity(quiddity_by_faces(t)).rows]
     for _ in range(draw(st.integers(0, 4))):
         r, c = draw(st.integers(0, N)), draw(st.integers(0, N - 1))
-        edit = draw(st.sampled_from(["set", "shift", "mirrored", "rotate", "type"]))
+        edits = ["set", "shift", "mirrored", "rotate", "type", "huge"]
+        edit = draw(st.sampled_from(edits))
         if edit == "set":
             rows[r][c] = draw(st.integers(-3, 9))
         elif edit == "shift" and type(rows[r][c]) is int:
@@ -238,6 +240,8 @@ def tampered_friezes(draw):
             rows[r] = rows[r][1:] + rows[r][:1]
         elif edit == "type":
             rows[r][c] = draw(st.sampled_from(["5", 2.0, None, True]))
+        elif edit == "huge":
+            rows[r][c] = draw(st.sampled_from([10**4500, -(10**4500)]))
     return FriezePattern(N, rows)
 
 
