@@ -19,7 +19,7 @@ import sys
 from . import checks as checks_mod
 from .diamond import complete_diamond, cycle_heads, minimal_cycle
 from .dyck import parse_path, to_lambda, to_v_vector, vector_to_path
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, format_int, int_in
 from .frieze import from_quiddity, frieze_of_vector, render_ascii, to_json_dict
 from .enumeration import enumerate_all
 from .triangulation import path_to_triangulation, vector_to_triangulation
@@ -40,14 +40,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     parts = text.split(",")
-    if len(parts) > MAX_VECTOR_ENTRIES:
-        raise InputError(
-            f"{len(parts)} entries exceed the cap of {MAX_VECTOR_ENTRIES}"
-        )
+    what = f"number of entries (cap of {MAX_VECTOR_ENTRIES})"
+    int_in(len(parts), what, 1, MAX_VECTOR_ENTRIES)
     try:
         return tuple(int(part) for part in parts)
     except ValueError as exc:
-        raise InputError(f"not a comma-separated integer vector: {text!r}") from exc
+        shown = format_int(text)
+        raise InputError(f"not a comma-separated integer vector: {shown}") from exc
 
 
 def _format_vector(v) -> str:

@@ -48,6 +48,8 @@ from .errors import (
     RangeError,
     as_tuple,
     expect,
+    format_int,
+    int_in,
     is_int,
 )
 
@@ -57,11 +59,10 @@ Vector = tuple[int, ...]
 def as_vector(entries) -> Vector:
     """Normalize to a tuple of positive ints, rejecting anything else."""
     v = as_tuple(entries, "vector")
-    if not v:
-        raise InputError("vector must have at least one entry")
+    int_in(len(v), "vector length", 1)
     for k, x in enumerate(v, start=1):
         if not is_int(x):
-            raise InputError(f"entry {k}: {x!r} is not an integer")
+            raise InputError(f"entry {k}: {format_int(x)} is not an integer")
         if x < 1:
             raise NonPositiveEntry(k, x)
     return v
@@ -80,13 +81,13 @@ class Diamond:
     col2: Vector
 
     def __post_init__(self):
-        c1, c2 = as_vector(self.col1), as_vector(self.col2)
-        object.__setattr__(self, "col1", c1)
+        want = complete_diamond(self.col1)
+        c2 = as_vector(self.col2)
+        object.__setattr__(self, "col1", want.col1)
         object.__setattr__(self, "col2", c2)
-        want = complete_diamond(c1).col2
-        if len(c2) != len(want):
+        if len(c2) != want.n:
             raise InputError("columns must be of equal length")
-        for j, (x, y) in enumerate(zip(c2, want), start=1):
+        for j, (x, y) in enumerate(zip(c2, want.col2), start=1):
             if x != y:
                 raise InputError(f"unimodular rule fails at position {j}")
 
@@ -133,8 +134,7 @@ def check_head_form(d: Diamond) -> bool:
     top entries, total for rank n >= 2: with ``a <= b`` the sorted pair
     ``(a[1,1], a[2,1])``, ``a[1,2] == a*b - 1`` and either ``a == 1 and
     2 <= b <= n + 1`` or ``a >= 2 and a + b <= n + 2``."""
-    if expect(d, Diamond).n < 2:
-        raise RangeError("head-form check needs rank >= 2")
+    int_in(expect(d, Diamond).n, "head-form check rank", 2, error=RangeError)
     a, b = sorted((d.col1[0], d.col2[0]))
     in_range = 2 <= b <= d.n + 1 if a == 1 else 2 <= a and a + b <= d.n + 2
     return in_range and d.col1[1] == a * b - 1
@@ -163,12 +163,10 @@ class Cycle:
     diamonds: tuple[Diamond, ...]
 
     def __post_init__(self):
-        ds = as_tuple(self.diamonds, "cycle")
+        ds = tuple(expect(d, Diamond) for d in as_tuple(self.diamonds, "cycle"))
         object.__setattr__(self, "diamonds", ds)
-        if not ds:
-            raise InputError("cycle must contain at least one diamond")
+        p = int_in(len(ds), "cycle length", 1)
         n = ds[0].n
-        p = len(ds)
         if len(set(ds)) != p:
             raise InputError("cycle members must be distinct")
         for t, d in enumerate(ds):
@@ -230,7 +228,8 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     diags = [diagonal(q, t, N) for t in range(p + 1)]
     cols = [d[2 : N - 1] for d in diags]
     if (cols[0], cols[1]) != (d0.col1, d0.col2):
-        raise InvariantViolation(f"frieze of {d0.col1} does not reproduce it")
+        shown = format_int(d0.col1)
+        raise InvariantViolation(f"frieze of {shown} does not reproduce it")
     for t in range(p):
         if diags[t][N - 1] != 1 or min(cols[t]) < 1:
             raise InvariantViolation(f"cycle member {t} is not a positive diamond")

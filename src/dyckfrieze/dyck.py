@@ -32,6 +32,8 @@ from .errors import (
     TooShort,
     as_tuple,
     expect,
+    format_int,
+    int_in,
     is_int,
 )
 
@@ -81,8 +83,7 @@ def parse_path(text: str) -> DyckPath:
 def all_paths(half_length: int):
     """Yield every Dyck path of length ``2 * half_length`` in lexicographic
     order with U < D."""
-    if not is_int(half_length) or half_length < 0:
-        raise InputError("half length must be an integer >= 0")
+    int_in(half_length, "half length", 0)
     word = ["U"] * half_length + ["D"] * half_length
     while True:
         yield DyckPath("".join(word))
@@ -129,8 +130,7 @@ def path_rank(p) -> int:
 
 def catalan(n: int) -> int:
     """Exact n-th Catalan number."""
-    if not is_int(n) or n < 0:
-        raise InputError("catalan is defined for integers n >= 0")
+    int_in(n, "catalan index", 0)
     return comb(2 * n, n) // (n + 1)
 
 
@@ -139,18 +139,12 @@ def peaks(p: DyckPath) -> int:
     return _as_path(p).word.count("UD")
 
 
-def _blocks(p: DyckPath) -> list[str]:
-    # factor as U w_1 ... w_{n-1} D into two-letter blocks
-    p = _as_path(p)
-    n = p.half_length
-    if n < 2:
-        raise TooShort("block factorization needs length >= 4")
-    return [p.word[2 * q - 1 : 2 * q + 1] for q in range(1, n)]
-
-
 def support(p: DyckPath) -> set[int]:
-    """Block indices q where the two-letter block is UD or UU."""
-    return {q for q, w in enumerate(_blocks(p), start=1) if w in ("UD", "UU")}
+    """Block indices q where the two-letter block w_q is UD or UU, for the
+    path factored as U w_1 ... w_{n-1} D."""
+    w = _as_path(p).word
+    n = int_in(len(w) // 2, "half length of a block factorization", 2, error=TooShort)
+    return {q for q in range(1, n) if w[2 * q - 1 : 2 * q + 1] in ("UD", "UU")}
 
 
 def unitary_shift(p: DyckPath, i: int) -> DyckPath:
@@ -159,11 +153,8 @@ def unitary_shift(p: DyckPath, i: int) -> DyckPath:
     The height entering a block is odd, hence >= 1, so the reversal cannot
     dip below the diagonal; that is asserted rather than assumed.
     """
-    p = _as_path(p)
-    n = p.half_length
-    if not (is_int(i) and 1 <= i <= n - 1):
-        raise IndexOutOfRange(f"block index {i!r} not in 1..{n - 1}")
-    w = p.word
+    w = _as_path(p).word
+    int_in(i, "block index", 1, len(w) // 2 - 1, IndexOutOfRange)
     lo = 2 * i - 1
     flipped = w[:lo] + w[lo + 1] + w[lo] + w[lo + 2 :]
     try:
@@ -199,7 +190,7 @@ def from_v_vector(v) -> DyckPath:
     parts = []
     for i, vi in enumerate(v, start=1):
         if not is_int(vi) or vi < 1:
-            raise InvalidVG(f"entry {i}: {vi!r} must be an integer >= 1")
+            raise InvalidVG(f"entry {i}: {format_int(vi)} must be an integer >= 1")
         m_i = vi + i - 1
         if m_i < m_prev:
             raise InvalidVG(f"entry {i}: U-count profile decreases")
@@ -215,9 +206,7 @@ def to_lambda(p: DyckPath) -> tuple[int, ...]:
     """Descent encoding: entry i counts Ds before the (n+2-i)-th U, where
     the path has length 2(n+1)."""
     p = _as_path(p)
-    n = p.half_length - 1
-    if n < 1:
-        raise TooShort("descent encoding needs length >= 4")
+    n = int_in(p.half_length - 1, "rank of a descent encoding", 1, error=TooShort)
     ds_before = []
     downs = 0
     for ch in p.word:
@@ -237,9 +226,7 @@ def reduce_coordinate(u, i: int) -> int:
     ``u`` must be a non-empty vector of positive ints.
     """
     u = as_vector(u)
-    if not (is_int(i) and 1 <= i <= len(u)):
-        raise IndexOutOfRange(f"coordinate {i!r} not in 1..{len(u)}")
-    return _reduce(u, i)
+    return _reduce(u, int_in(i, "coordinate", 1, len(u), IndexOutOfRange))
 
 
 def _reduce(u: tuple[int, ...], i: int) -> int:
@@ -269,7 +256,7 @@ def lambda_diagonals(lambda_vector) -> list[tuple[int, int]]:
     diagonals = []
     for step, li in enumerate(lam, start=1):
         if not is_int(li) or li < 0:
-            raise InputError(f"step {step}: {li!r} is not a valid position")
+            raise InputError(f"step {step}: {format_int(li)} is not a valid position")
         if li + 2 > len(active) - 1:
             raise PositionOutOfRange(step, li, len(active))
         diagonals.append((active[li], active[li + 2]))
@@ -305,9 +292,6 @@ def path_to_vector(p: DyckPath, n: int) -> tuple[int, ...]:
     quiddity of the path's triangulation.
     """
     p = _as_path(p)
-    if not is_int(n) or p.half_length != n + 1:
-        raise InputError(
-            f"path of length {2 * p.half_length} does not match rank {n!r}"
-        )
+    int_in(n, "rank of the path", p.half_length - 1, p.half_length - 1)
     q = degree_quiddity(n + 3, lambda_diagonals(to_lambda(p)))
     return diagonal(q, 0, n + 2)[2:]

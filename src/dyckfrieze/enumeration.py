@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .diamond import Vector, complete_diamond, minimal_cycle
 from .dyck import DyckPath, vector_to_path
-from .errors import IndexOutOfRange, LastEntryNotOne, RangeError, as_tuple, is_int
+from .errors import IndexOutOfRange, LastEntryNotOne, RangeError, as_tuple, int_in
 
 
 def seed_vector(n: int, z: int) -> Vector:
@@ -31,10 +31,8 @@ def companion_vector(n: int, z: int) -> Vector:
 
 
 def _check_range(n: int, z: int) -> None:
-    if not is_int(n) or n < 1:
-        raise RangeError(f"rank {n!r} must be an integer >= 1")
-    if not (is_int(z) and 1 <= z <= n + 1):
-        raise RangeError(f"z={z!r} outside 1..{n + 1}")
+    int_in(n, "rank", 1, error=RangeError)
+    int_in(z, "z", 1, n + 1, RangeError)
 
 
 def expand(v, i: int) -> Vector:
@@ -45,11 +43,9 @@ def expand(v, i: int) -> Vector:
     associated to a positive integral diamond.
     """
     v = as_tuple(v, "vector")
-    n = len(v)
     if v[-1:] != (1,):
-        raise LastEntryNotOne(f"vector {v} does not end in 1")
-    if not (is_int(i) and 1 <= i < n):
-        raise IndexOutOfRange(f"position {i!r} not in 1..{n - 1}")
+        raise LastEntryNotOne("vector does not end in 1")
+    int_in(i, "position", 1, len(v) - 1, IndexOutOfRange)
     return v[:i] + (v[i - 1] + v[i],) + v[i:-1]
 
 
@@ -60,9 +56,7 @@ def enumerate_all(n: int) -> tuple[Vector, ...]:
     position; cardinality is catalan(n+1).  The rank is checked before the
     cache is asked, and ``enumerate_all.cache_info`` reports that cache.
     """
-    if not is_int(n) or n < 1:
-        raise RangeError(f"rank {n!r} must be an integer >= 1")
-    return _enumerate_all(n)
+    return _enumerate_all(int_in(n, "rank", 1, error=RangeError))
 
 
 @lru_cache(maxsize=None)

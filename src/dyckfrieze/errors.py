@@ -1,16 +1,25 @@
-"""Exception hierarchy shared by all dyckfrieze modules.
+"""Exception hierarchy and argument guards shared by all dyckfrieze modules.
 
 Two bases matter to callers: ``InputError`` means the caller handed us
 something malformed (a vector that does not complete, a word that is not a
 Dyck word, a sequence that is not a quiddity), while ``InvariantViolation``
 means a theorem-backed property failed internally and indicates a bug.
 
-Messages show a computed integer through ``format_int``, so that one too
-long to print (Python refuses ``str`` past 4,300 digits) reads as its
-digit count instead of raising from inside the error.
+The guards are ``is_int``, ``as_tuple``, ``expect``, ``int_in`` (an integer
+in a range) and ``format_int``.  Messages echo a value only through
+``format_int``, so that an int too long to print (Python refuses ``str``
+past 4,300 digits) reads as its digit count instead of raising.
 """
 
 MAX_SHOWN_DIGITS = 100
+
+
+class InputError(ValueError):
+    """Malformed input; recoverable by fixing the argument."""
+
+
+class InvariantViolation(RuntimeError):
+    """A property guaranteed by construction failed; always a bug."""
 
 
 def is_int(x) -> bool:
@@ -35,9 +44,28 @@ def expect(x, cls):
     return x
 
 
-def format_int(x: int) -> str:
-    """``x`` as text when it has at most ``MAX_SHOWN_DIGITS`` digits,
-    otherwise its sign and digit count, e.g. ``<4001 digits>``."""
+def int_in(x, what: str, lo: int, hi: int | None = None, error=InputError) -> int:
+    """``x`` itself if it is an integer with ``lo <= x <= hi`` (no upper
+    bound when ``hi`` is None); otherwise ``error`` naming ``what``."""
+    if is_int(x) and lo <= x and (hi is None or x <= hi):
+        return x
+    if hi is None:
+        span = f">= {format_int(lo)}"
+    else:
+        span = f"in {format_int(lo)}..{format_int(hi)}"
+    raise error(f"{what} is {format_int(x)}, not an integer {span}")
+
+
+def format_int(x) -> str:
+    """An int as text when it has at most ``MAX_SHOWN_DIGITS`` digits,
+    otherwise its sign and digit count, e.g. ``<4001 digits>``; any other
+    value by its ``repr``, or by its type when that ``repr`` holds an int
+    too long to print."""
+    if not is_int(x):
+        try:
+            return repr(x)
+        except ValueError:
+            return f"<{type(x).__name__}>"
     size = abs(x)
     if size < 10**MAX_SHOWN_DIGITS:
         return str(x)
@@ -46,14 +74,6 @@ def format_int(x: int) -> str:
     while size >= 10**digits:
         digits += 1
     return f"{'-' if x < 0 else ''}<{digits} digits>"
-
-
-class InputError(ValueError):
-    """Malformed input; recoverable by fixing the argument."""
-
-
-class InvariantViolation(RuntimeError):
-    """A property guaranteed by construction failed; always a bug."""
 
 
 class NonExactDivision(InputError):
@@ -95,7 +115,7 @@ class BadSymbol(InputError):
 
     def __init__(self, position, char):
         self.position = position
-        super().__init__(f"position {position}: unexpected symbol {char!r}")
+        super().__init__(f"position {position}: unexpected symbol {format_int(char)}")
 
 
 class TooShort(InputError):
@@ -116,7 +136,8 @@ class PositionOutOfRange(InputError):
     def __init__(self, step, value, size):
         self.step = step
         super().__init__(
-            f"step {step}: position {value}+2 exceeds active polygon of size {size}"
+            f"step {step}: position {format_int(value)}+2 exceeds active polygon "
+            f"of size {size}"
         )
 
 
@@ -125,10 +146,11 @@ class SizeMismatch(InputError):
 
 
 class FailsToClose(InputError):
-    """Frieze rows do not terminate in a row of ones at the right depth.
+    """Frieze rows do not close: row N - 1 of the order-N pattern is not all ones.
 
     Raised before any row is built when an entry exceeds N - 2 or the
-    entries do not sum to 3(N - 2): no triangulation has such a quiddity.
+    entries do not sum to 3(N - 2): no triangulation has such a quiddity,
+    and within those bounds no earlier row is all ones (``from_quiddity``).
     """
 
 

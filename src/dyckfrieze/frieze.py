@@ -40,6 +40,7 @@ from .errors import (
     as_tuple,
     expect,
     format_int,
+    int_in,
     is_int,
 )
 
@@ -60,11 +61,10 @@ class FriezePattern:
     def __post_init__(self):
         rows = tuple(as_tuple(row, "row") for row in as_tuple(self.rows, "rows"))
         object.__setattr__(self, "rows", rows)
-        N = self.order
-        if N < 3:
-            raise InputError("frieze order must be at least 3")
+        N = int_in(self.order, "frieze order", 3)
         if len(rows) != N + 1 or any(len(row) != N for row in rows):
-            raise InputError(f"expected {N + 1} rows of width {N}")
+            shown = f"{format_int(N + 1)} rows of width {format_int(N)}"
+            raise InputError(f"expected {shown}")
 
     @property
     def quiddity(self) -> Row:
@@ -78,15 +78,18 @@ def from_quiddity(q) -> FriezePattern:
     otherwise raises NonPositiveEntry or FailsToClose, reporting rows from
     the top down.  A vertex of the N-gon meets at most N - 2 triangles and
     the N - 2 triangles have 3(N - 2) corners, so a sequence outside those
-    bounds fails to close before any row is built.
+    bounds fails to close before any row is built.  Within them no row m,
+    2 <= m <= N - 2, is all ones below positive rows: rows 0..m would then
+    close a frieze of order m + 1 (Conway & Coxeter, 1973), so q would have
+    a period g dividing N and m + 1; with s the sum of g consecutive
+    entries, 3(m + 1) - 6 = (m + 1)s/g and 3N - 6 = Ns/g give m + 1 = N.
     """
     q = as_tuple(q, "quiddity")
     N = len(q)
-    if N < 3:
-        raise RangeError("quiddity must have length >= 3")
+    int_in(N, "quiddity length", 3, error=RangeError)
     for c, x in enumerate(q):
         if not is_int(x):
-            raise InputError(f"quiddity entry {c}: {x!r} is not an integer")
+            raise InputError(f"quiddity entry {c}: {format_int(x)} is not an integer")
         if x < 1:
             raise NonPositiveEntry(c, x, row=2)
         if x > N - 2:
@@ -94,15 +97,12 @@ def from_quiddity(q) -> FriezePattern:
     if sum(q) != 3 * (N - 2):
         raise FailsToClose(f"entries do not sum to 3(N - 2) = {3 * (N - 2)}")
 
-    ones = (1,) * N
     rows = list(zip(*(diagonal(q, c, N) for c in range(N))))
     for r in range(3, N):
-        if rows[r - 1] == ones:
-            raise FailsToClose(f"row of ones appeared early, at row {r - 1}")
         if min(rows[r]) < 1:
             c = next(c for c, x in enumerate(rows[r]) if x < 1)
             raise NonPositiveEntry(c, rows[r][c], row=r)
-    if rows[N - 1] != ones:
+    if rows[N - 1] != (1,) * N:
         shown = ", ".join(map(format_int, rows[N - 1]))
         raise FailsToClose(f"row {N - 1} is ({shown}), not all ones")
     rows.append((0,) * N)
@@ -145,7 +145,7 @@ def violations(fp: FriezePattern) -> list[str]:
     rows = fp.rows
     if set(map(type, chain.from_iterable(rows))) != {int}:
         return [
-            f"entry at row {r}, column {c} is {x!r}, not an integer"
+            f"entry at row {r}, column {c} is {format_int(x)}, not an integer"
             for r, row in enumerate(rows)
             for c, x in enumerate(row)
             if type(x) is not int
@@ -197,21 +197,25 @@ def render_ascii(fp: FriezePattern, repetitions: int = 1) -> str:
     periodic pattern aligned so diamond neighbors sit visually adjacent.
     Output is deterministic: same input, same bytes.
     """
-    if not is_int(repetitions) or repetitions < 1:
-        raise RangeError("repetitions must be an integer >= 1")
+    int_in(repetitions, "repetitions", 1, error=RangeError)
     N = expect(fp, FriezePattern).order
-    width = max(len(str(x)) for row in fp.rows for x in row)
+    texts = [[_cell_text(fp.rows, r, c) for c in range(N)] for r in range(N + 1)]
+    width = max(len(text) for row in texts for text in row)
     gap = " " * (width + 2)
     lines = []
-    for r, row in enumerate(fp.rows):
+    for r, row in enumerate(texts):
         shift = r // 2
-        cells = [
-            str(row[(k - shift) % N]).rjust(width)
-            for k in range(N * repetitions)
-        ]
+        cells = [row[(k - shift) % N].rjust(width) for k in range(N * repetitions)]
         indent = " " * ((r % 2) * (width + 1))
         lines.append((indent + gap.join(cells)).rstrip())
     return "\n".join(lines)
+
+
+def _cell_text(rows, r: int, c: int) -> str:
+    try:
+        return str(rows[r][c])
+    except ValueError:
+        raise InputError(f"entry at row {r}, column {c} is too long to show") from None
 
 
 def to_json_dict(fp: FriezePattern) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .dyck import DyckPath, degree_quiddity, lambda_diagonals, to_lambda, vector_to_path
 from .errors import InputError, InvariantViolation, SizeMismatch
-from .errors import as_tuple, expect, is_int
+from .errors import as_tuple, expect, format_int, int_in, is_int
 
 Diagonal = tuple[int, int]
 
@@ -30,9 +30,9 @@ def _normalize_pair(pair) -> Diagonal:
     try:
         a, b = pair
     except (TypeError, ValueError):
-        raise InputError(f"{pair!r} is not a pair of vertex labels") from None
+        raise InputError(f"{format_int(pair)} is not a pair of vertex labels") from None
     if not (is_int(a) and is_int(b)):
-        raise InputError(f"diagonal {pair!r} has a non-integer vertex label")
+        raise InputError(f"diagonal {format_int(pair)} has a non-integer vertex label")
     return (a, b) if a < b else (b, a)
 
 
@@ -44,20 +44,15 @@ class Triangulation:
     diagonals: frozenset[Diagonal]
 
     def __post_init__(self):
-        N = self.polygon_size
-        if not is_int(N):
-            raise InputError(f"polygon size {N!r} is not an integer")
-        if N < 3:
-            raise InputError("polygon needs at least 3 vertices")
+        N = int_in(self.polygon_size, "polygon size", 3)
         diags = frozenset(map(_normalize_pair, as_tuple(self.diagonals, "diagonals")))
         object.__setattr__(self, "diagonals", diags)
         if len(diags) != N - 3:
-            raise InputError(f"expected {N - 3} diagonals, got {len(diags)}")
+            raise InputError(f"expected {format_int(N - 3)} diagonals, got {len(diags)}")
         for i, j in diags:
-            if not (0 <= i < j <= N - 1):
-                raise InputError(f"diagonal {i}-{j} outside vertex range")
-            if (j - i) % N in (1, N - 1):
-                raise InputError(f"{i}-{j} is a polygon edge, not a diagonal")
+            if not (0 <= i < j <= N - 1) or (j - i) % N in (1, N - 1):
+                shown = f"{format_int(i)}-{format_int(j)}"
+                raise InputError(f"{shown} is not a diagonal of the {N}-gon")
         # Non-crossing chords form a laminar family of intervals (shared
         # endpoints do not cross).  In (i, -j) order, once the open chords
         # ending at or before i are closed, chord (i, j) must end no later
@@ -124,7 +119,7 @@ def quiddity(t: Triangulation) -> tuple[int, ...]:
 def rotate(t: Triangulation, k: int) -> Triangulation:
     """Shift every vertex label by k modulo the polygon size."""
     if not is_int(k):
-        raise InputError(f"shift {k!r} is not an integer")
+        raise InputError(f"shift {format_int(k)} is not an integer")
     N = expect(t, Triangulation).polygon_size
     moved = []
     for i, j in t.diagonals:

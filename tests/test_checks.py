@@ -20,6 +20,7 @@ from dyckfrieze import (
     rotate,
     vector_to_triangulation,
 )
+from dyckfrieze.errors import InvariantViolation
 from oracles import run_checks_with_global_tables
 
 RANK = 5
@@ -91,6 +92,29 @@ def test_orbit_missing_one_member_fails(monkeypatch):
 
     monkeypatch.setattr(checks, "rotate", skewed)
     assert _failed_checks() == ["cycle_orbit_consistent"]
+
+
+def test_cycle_frieze_failing_to_build_fails(monkeypatch):
+    first = minimal_cycle(complete_diamond(enumerate_all(RANK)[0]))
+    original = checks.from_cycle
+
+    def rejecting(c):
+        if c == first:
+            raise InvariantViolation("planted")
+        return original(c)
+
+    monkeypatch.setattr(checks, "from_cycle", rejecting)
+    # the closing friezes are then verified on their own, and pass
+    assert _failed_checks() == ["frieze_from_cycle_valid"]
+
+
+def test_member_outside_the_enumeration_fails(monkeypatch):
+    vectors = enumerate_all(RANK)
+    missing = _non_representative_triangulation()
+    kept = tuple(v for v in vectors if vector_to_triangulation(v) != missing)
+    assert len(kept) == len(vectors) - 1
+    monkeypatch.setattr(checks, "enumerate_all", lambda n: kept)
+    assert _failed_checks() == ["enumeration_count", "cycle_period_divides"]
 
 
 def test_closing_frieze_built_once_per_cycle(monkeypatch):

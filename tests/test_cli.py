@@ -7,8 +7,9 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckfrieze import cli
+from dyckfrieze import checks, cli
 from dyckfrieze.cli import MAX_VECTOR_ENTRIES, main
+from dyckfrieze.errors import InvariantViolation
 
 
 def run(capsys, *argv):
@@ -140,6 +141,26 @@ def test_verify(capsys):
     names = [c["name"] for c in payload["checks"]]
     assert "enumeration_count" in names
     assert all(c["pass"] for c in payload["checks"])
+
+
+def test_verify_exits_2_on_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "ballot_count", lambda n, z: 0)
+    code, out, err = run(capsys, "verify", "--n", "3")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["n"] == 3
+    assert [c["name"] for c in payload["checks"] if not c["pass"]] == ["ballot_row_sum"]
+    assert err == "check failed: ballot_row_sum expected=14\n"
+
+
+def test_verify_exits_2_on_an_invariant_violation(capsys, monkeypatch):
+    def broken(d0):
+        raise InvariantViolation("planted")
+
+    monkeypatch.setattr(checks, "minimal_cycle", broken)
+    code, out, err = run(capsys, "verify", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "internal error: InvariantViolation: planted\n"
 
 
 def test_output_is_deterministic(capsys):

@@ -348,3 +348,5 @@ def test_cycle_constructor_rejects_uncoupled_members():
         Cycle((a, a))
     with pytest.raises(InputError):
         Cycle((a,))  # not coupled to itself: col2 != col1
+    with pytest.raises(InputError, match="cycle length is 0"):
+        Cycle(())

@@ -45,6 +45,8 @@ RANK3_VECTORS = [
     (2, 3, 1), (2, 3, 4), (2, 5, 3), (3, 2, 1), (3, 2, 3), (3, 5, 2), (4, 3, 2),
 ]
 
+ORDER5 = from_quiddity((1, 2, 2, 1, 3))
+
 BALLOT_TRIANGLE = {
     1: (1, 1),
     2: (1, 2, 2),
@@ -216,6 +218,9 @@ WRONG_TYPE_CALLS = {
     "render_ascii(None)": lambda: render_ascii(None),
     "to_json_dict(None)": lambda: to_json_dict(None),
     "quiddity(diamond)": lambda: quiddity(complete_diamond((1,))),
+    "FriezePattern(None, rows)": lambda: FriezePattern(None, ORDER5.rows),
+    "FriezePattern(5.0, rows)": lambda: FriezePattern(5.0, ORDER5.rows),
+    "Cycle((None,))": lambda: Cycle((None,)),
 }
 
 
@@ -223,6 +228,49 @@ WRONG_TYPE_CALLS = {
     "call", WRONG_TYPE_CALLS.values(), ids=WRONG_TYPE_CALLS.keys()
 )
 def test_wrong_types_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+# Python refuses str of an int past 4,300 digits, so a message that printed
+# B itself would raise ValueError from inside the error.  B is never passed
+# as a size that is valid: seed_vector(B, 1) would build a B-entry tuple.
+B = 10**5000
+
+
+def _tampered_render():
+    rows = [list(row) for row in ORDER5.rows]
+    rows[2][1] = -B
+    return render_ascii(FriezePattern(5, rows))
+
+
+TOO_LONG_TO_PRINT_CALLS = {
+    "seed_vector(2, B)": lambda: seed_vector(2, B),
+    "companion_vector(2, -B)": lambda: companion_vector(2, -B),
+    "ballot_count(2, B)": lambda: ballot_count(2, B),
+    "enumerate_all(-B)": lambda: enumerate_all(-B),
+    "expand((2, 1), B)": lambda: expand((2, 1), B),
+    "expand((B, 2), 1)": lambda: expand((B, 2), 1),
+    "unitary_shift('UUDD', B)": lambda: unitary_shift("UUDD", B),
+    "reduce_coordinate((1,), B)": lambda: reduce_coordinate((1,), B),
+    "path_to_vector('UUDD', B)": lambda: path_to_vector("UUDD", B),
+    "from_v_vector((-B,))": lambda: from_v_vector((-B,)),
+    "realize((-B,))": lambda: realize((-B,)),
+    "realize((B,))": lambda: realize((B,)),
+    "Triangulation(B, ())": lambda: Triangulation(B, ()),
+    "Triangulation(5, ((0, B), (1, 3)))": lambda: Triangulation(5, ((0, B), (1, 3))),
+    "Triangulation(5, ((0, B, 1), (1, 3)))": lambda: Triangulation(
+        5, ((0, B, 1), (1, 3))
+    ),
+    "FriezePattern(B, ())": lambda: FriezePattern(B, ()),
+    "render_ascii(entry -B)": _tampered_render,
+}
+
+
+@pytest.mark.parametrize(
+    "call", TOO_LONG_TO_PRINT_CALLS.values(), ids=TOO_LONG_TO_PRINT_CALLS.keys()
+)
+def test_values_too_long_to_print_raise_input_error(call):
     with pytest.raises(InputError):
         call()
 

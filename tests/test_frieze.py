@@ -188,6 +188,16 @@ def test_member_friezes_are_column_rotations():
                 )
 
 
+def test_constructor_checks_order_and_shape():
+    fp = from_quiddity((2, 3, 1, 2, 3, 1))
+    with pytest.raises(InputError, match="frieze order is 2"):
+        FriezePattern(2, ((0, 0),) * 3)
+    with pytest.raises(InputError, match="expected 7 rows of width 6"):
+        FriezePattern(6, fp.rows[:-1])
+    with pytest.raises(InputError, match="expected 7 rows of width 6"):
+        FriezePattern(6, fp.rows[:-1] + (fp.rows[-1][:-1],))
+
+
 def test_verify_detects_tampering():
     fp = from_quiddity((2, 3, 1, 2, 3, 1))
     rows = [list(row) for row in fp.rows]

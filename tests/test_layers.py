@@ -3,7 +3,9 @@ the import graph between the package's modules has no cycle, with
 ``diamond`` at the bottom above ``errors``.  Nothing outside the package
 and the standard library is imported, as ``dependencies = []`` promises.
 The unvalidated construction paths are called only where a theorem
-guarantees the result, and one predicate says what an integer is."""
+guarantees the result, one predicate says what an integer is, one guard
+checks a scalar argument's range, and messages show values through one
+formatter."""
 
 import ast
 import graphlib
@@ -110,3 +112,30 @@ def test_one_integer_predicate_refuses_bool():
     module, line = bool_checks[0]
     assert module == "errors"
     assert predicate.lineno <= line <= predicate.end_lineno
+
+
+def test_scalar_arguments_are_checked_by_one_range_guard():
+    # a hand-written scalar check would call is_int outside these: the
+    # guard, the formatter, the loops that check each entry of a sequence,
+    # and rotate, whose shift may be any int
+    assert _callers("is_int") == {
+        ("errors", "int_in"),
+        ("errors", "format_int"),
+        ("diamond", "as_vector"),
+        ("dyck", "from_v_vector"),
+        ("dyck", "lambda_diagonals"),
+        ("frieze", "from_quiddity"),
+        ("triangulation", "_normalize_pair"),
+        ("triangulation", "rotate"),
+    }
+
+
+def test_messages_show_values_only_through_format_int():
+    # repr of an int past 4,300 digits raises; format_int shows its length
+    conversions = [
+        (module, node.lineno)
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+    ]
+    assert conversions == []

@@ -125,6 +125,8 @@ def test_constructor_rejects_malformed():
         tri(6, {(0, 2), (1, 3), (1, 4)})  # crossing pair
     with pytest.raises(InputError):
         tri(6, {(0, 7), (2, 4), (2, 5)})  # label out of range
+    with pytest.raises(InputError, match="polygon size is 2"):
+        Triangulation(2, ())
 
 
 def test_constructor_accepts_exactly_the_non_crossing_sets():
