@@ -22,12 +22,14 @@ cycles the sweep keeps only compact keys: a ``bytearray`` over the sorted
 vectors marks the cycle members seen, a ``bytearray`` over path ranks
 (``dyck.path_rank``) marks the image of the path map, and one int bitmask
 per triangulation, bit ``i * N + j`` for diagonal ``(i, j)``, decides the
-injectivity of the triangulation map.
+injectivity of the triangulation map.  The same pass tallies the vectors
+by first entry z, a row that must equal ``ballot_count(n, z)``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from .diamond import complete_diamond, cycle_heads, diagonal, minimal_cycle
@@ -55,10 +57,12 @@ def run_checks(n: int) -> list[CheckResult]:
     ranks = bytearray(expected)
     tri_keys = set()
     walked = 0
+    firsts = Counter()  # first entry z -> vectors starting with z
     paths_injective = roundtrip_ok = members_ok = periods_ok = True
     friezes_ok = quiddity_ok = orbit_ok = closes_ok = True
 
     for index, v in enumerate(vectors):
+        firsts[v[0]] += 1
         if visited[index]:
             continue
         c = minimal_cycle(complete_diamond(v))
@@ -111,6 +115,8 @@ def run_checks(n: int) -> list[CheckResult]:
             closes_ok &= fp.rows == cycle_rows or verify(fp)
 
     distinct = expected - ranks.count(0)
+    row = Counter({z: ballot_count(n, z) for z in range(1, n + 2)})
+    off = min(row - firsts | firsts - row, default=None)  # first z that differs
     return [
         CheckResult(
             "enumeration_count",
@@ -144,7 +150,9 @@ def run_checks(n: int) -> list[CheckResult]:
         CheckResult("quiddity_friezes_close", closes_ok),
         CheckResult(
             "ballot_row_sum",
-            sum(ballot_count(n, z) for z in range(1, n + 2)) == expected,
-            f"expected={expected}",
+            off is None,
+            f"z={off} count={firsts[off]} ballot={row[off]}"
+            if off
+            else f"expected={expected}",
         ),
     ]

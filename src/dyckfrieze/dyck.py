@@ -11,12 +11,15 @@ lists, for the first k-1 Ds, the number of Us seen before that D minus its
 position offset; the descent vector of a path of length 2(n+1) lists, for
 i = 1..n, how many Ds occur before the (n+2-i)-th U.  The former drives the
 bijection with diamond vectors, the latter drives polygon triangulations
-through ``lambda_diagonals``.
+through ``lambda_diagonals``.  Both encodings and the rank in ``all_paths``
+order are read off the profile m (the Us before each D) that the
+constructor's validating walk computes, with no walk of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from math import comb
 
 from .diamond import as_vector, complete_diamond, diagonal
@@ -38,19 +41,22 @@ from .errors import (
 )
 
 
-def _validate_word(word: str) -> None:
-    height = 0
-    for pos, ch in enumerate(word, start=1):
+def _profile(word: str) -> tuple[int, ...]:
+    m = []
+    ups = downs = 0
+    for ch in word:
         if ch == "U":
-            height += 1
+            ups += 1
         elif ch == "D":
-            height -= 1
-            if height < 0:
-                raise PrefixViolation(pos)
+            downs += 1
+            if ups < downs:
+                raise PrefixViolation(ups + downs)
+            m.append(ups)
         else:
-            raise BadSymbol(pos, ch)
-    if height != 0:
-        raise NotBalanced(f"{word.count('U')} Us vs {word.count('D')} Ds")
+            raise BadSymbol(ups + downs + 1, ch)
+    if ups != downs:
+        raise NotBalanced(f"{ups} Us vs {downs} Ds")
+    return tuple(m)
 
 
 @dataclass(frozen=True)
@@ -58,9 +64,11 @@ class DyckPath:
     """Validated Dyck word; construction rejects anything else."""
 
     word: str
+    # the profile, Us before each D: a function of word, so not compared
+    _m: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate_word(expect(self.word, str))
+        object.__setattr__(self, "_m", _profile(expect(self.word, str)))
 
     @property
     def half_length(self) -> int:
@@ -112,20 +120,15 @@ def path_rank(p) -> int:
     take a U there instead: the ballot number of paths from the raised
     height back to 0 in the remaining steps (Knuth, TAOCP Vol. 4A,
     7.2.1.6), a difference of two binomials by the reflection principle.
-    No table is kept, so memory stays O(length).
+    The i-th D (from 0) with m Us before it leaves 2k - m - i - 1 steps,
+    k - i of them Ds once a U takes its place.  No table is kept.
     """
-    word = _as_path(p).word
-    rank = height = 0
-    remaining = len(word)
-    for ch in word:
-        remaining -= 1
-        if ch == "U":
-            height += 1
-        else:
-            downs = (remaining + height + 1) // 2
-            rank += comb(remaining, downs) - comb(remaining, downs + 1)
-            height -= 1
-    return rank
+    m = _as_path(p)._m
+    k = len(m)
+    return sum(
+        comb(2 * k - mi - i - 1, k - i) - comb(2 * k - mi - i - 1, k - i + 1)
+        for i, mi in enumerate(m)
+    )
 
 
 def catalan(n: int) -> int:
@@ -165,20 +168,8 @@ def unitary_shift(p: DyckPath, i: int) -> DyckPath:
 
 def to_v_vector(p: DyckPath) -> tuple[int, ...]:
     """Profile encoding: for i = 1..k-1, (Us before the i-th D) - i + 1."""
-    p = _as_path(p)
-    k = p.half_length
-    ups = 0
-    seen_d = 0
-    out = []
-    for ch in p.word:
-        if ch == "U":
-            ups += 1
-        else:
-            seen_d += 1
-            if seen_d == k:
-                break
-            out.append(ups - seen_d + 1)
-    return tuple(out)
+    m = _as_path(p)._m
+    return tuple(m[i] - i for i in range(len(m) - 1))
 
 
 def from_v_vector(v) -> DyckPath:
@@ -205,16 +196,10 @@ def from_v_vector(v) -> DyckPath:
 def to_lambda(p: DyckPath) -> tuple[int, ...]:
     """Descent encoding: entry i counts Ds before the (n+2-i)-th U, where
     the path has length 2(n+1)."""
-    p = _as_path(p)
-    n = int_in(p.half_length - 1, "rank of a descent encoding", 1, error=TooShort)
-    ds_before = []
-    downs = 0
-    for ch in p.word:
-        if ch == "U":
-            ds_before.append(downs)
-        else:
-            downs += 1
-    return tuple(ds_before[n + 1 - i] for i in range(1, n + 1))
+    m = _as_path(p)._m
+    n = int_in(len(m) - 1, "rank of a descent encoding", 1, error=TooShort)
+    # Ds before the j-th U are those with at most j - 1 Us before them
+    return tuple(bisect_right(m, n + 1 - i) for i in range(1, n + 1))
 
 
 def reduce_coordinate(u, i: int) -> int:

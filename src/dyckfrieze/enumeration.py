@@ -4,17 +4,20 @@ vectors, and ballot-number counting.
 Generation is a breadth-first closure of the n+1 seed vectors under the
 expansion move, deduplicated and emitted in sorted order so output is
 deterministic.  The closure has exactly catalan(n+1) members, one per Dyck
-path of length 2(n+1).
+path of length 2(n+1).  Those whose first entry is z number
+``ballot_count(n, z) = comb(2n+1-z, n) - comb(2n+1-z, n+1)``, the Dyck
+paths of half length n+1 whose first D comes after exactly z Us.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
+from math import comb
 
-from .diamond import Vector, complete_diamond, minimal_cycle
+from .diamond import Vector, as_vector, complete_diamond, minimal_cycle
 from .dyck import DyckPath, vector_to_path
-from .errors import IndexOutOfRange, LastEntryNotOne, RangeError, as_tuple, int_in
+from .errors import IndexOutOfRange, LastEntryNotOne, RangeError, int_in
 
 
 def seed_vector(n: int, z: int) -> Vector:
@@ -39,13 +42,16 @@ def expand(v, i: int) -> Vector:
     """Expansion move at position i: insert the sum of neighbors i and i+1
     after position i and drop the trailing 1.
 
-    Requires the last entry to be 1 and 1 <= i < n; the result is again
-    associated to a positive integral diamond.
+    Requires positive int entries, the last one 1, and 1 <= i < n; the
+    result is again associated to a positive integral diamond.
     """
-    v = as_tuple(v, "vector")
-    if v[-1:] != (1,):
+    v = as_vector(v)
+    if v[-1] != 1:
         raise LastEntryNotOne("vector does not end in 1")
-    int_in(i, "position", 1, len(v) - 1, IndexOutOfRange)
+    return _expand(v, int_in(i, "position", 1, len(v) - 1, IndexOutOfRange))
+
+
+def _expand(v: Vector, i: int) -> Vector:
     return v[:i] + (v[i - 1] + v[i],) + v[i:-1]
 
 
@@ -69,7 +75,7 @@ def _enumerate_all(n: int) -> tuple[Vector, ...]:
         if v[-1] != 1:
             continue
         for i in range(1, n):
-            w = expand(v, i)
+            w = _expand(v, i)
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -80,18 +86,11 @@ enumerate_all.cache_info = _enumerate_all.cache_info
 
 
 def ballot_count(n: int, z: int) -> int:
-    """Expansion-history count f(n, z); the rows form the Catalan triangle
-    (ballot numbers) and sum to catalan(n+1)."""
+    """Ballot number ``comb(2n+1-z, n) - comb(2n+1-z, n+1)``: the Dyck paths
+    of half length n+1 whose first D comes after exactly z Us.  The rows
+    form the Catalan triangle and sum to catalan(n+1)."""
     _check_range(n, z)
-    return _ballot_count(n, z)
-
-
-@lru_cache(maxsize=None)
-def _ballot_count(n: int, z: int) -> int:
-    if n == 1:
-        return 1
-    lo = 1 if z == 1 else z - 1
-    return sum(_ballot_count(n - 1, i) for i in range(lo, n + 1))
+    return comb(2 * n + 1 - z, n) - comb(2 * n + 1 - z, n + 1)
 
 
 def cycle_paths(v) -> tuple[DyckPath, ...]:

@@ -13,11 +13,15 @@ was before it streamed one coupling cycle at a time, holding every path,
 word set and triangulation until the end.  The kernel's earlier forms are
 kept as well: the diagonal recurrence indexing ``q`` modulo its length at
 every step, coupling cycles that validate each member as a ``Diamond``,
-and the frieze checks walked entry by entry.
+and the frieze checks walked entry by entry.  So are the word walks that
+read each of the two encodings and the rank off a Dyck word, one walk per
+answer, and ballot numbers by their recursion over the rank.
 """
 
 import functools
 import itertools
+import math
+from collections import Counter
 
 from dyckfrieze import (
     all_paths,
@@ -339,11 +343,16 @@ def run_checks_with_global_tables(n):
     results.append(CheckResult("cycle_orbit_consistent", orbit_ok))
     results.append(CheckResult("quiddity_friezes_close", all(closes.values())))
 
+    firsts = Counter(v[0] for v in vectors)
+    row = Counter({z: ballot_count(n, z) for z in range(1, n + 2)})
+    off = sorted(z for z in set(firsts) | set(row) if firsts[z] != row[z])
     results.append(
         CheckResult(
             "ballot_row_sum",
-            sum(ballot_count(n, z) for z in range(1, n + 2)) == expected,
-            f"expected={expected}",
+            not off,
+            f"z={off[0]} count={firsts[off[0]]} ballot={row[off[0]]}"
+            if off
+            else f"expected={expected}",
         )
     )
     return results
@@ -413,3 +422,59 @@ def violations_by_entry(fp):
             if rows[r][c] != rows[N - r][(c + r) % N]:
                 problems.append(f"glide reflection fails at row {r}, column {c}")
     return problems
+
+
+def v_vector_by_walk(word):
+    """Profile encoding by walking the word: for the i-th D but the last,
+    the Us before it minus i - 1."""
+    k = len(word) // 2
+    ups = seen_d = 0
+    out = []
+    for ch in word:
+        if ch == "U":
+            ups += 1
+        else:
+            seen_d += 1
+            if seen_d == k:
+                break
+            out.append(ups - seen_d + 1)
+    return tuple(out)
+
+
+def lambda_by_walk(word):
+    """Descent encoding by walking the word: the Ds before each U, read
+    from the (n+1)-th U back to the 2nd."""
+    n = len(word) // 2 - 1
+    ds_before = []
+    downs = 0
+    for ch in word:
+        if ch == "U":
+            ds_before.append(downs)
+        else:
+            downs += 1
+    return tuple(ds_before[n + 1 - i] for i in range(1, n + 1))
+
+
+def path_rank_by_walk(word):
+    """Rank in ``all_paths`` order by walking the word with its height,
+    adding at each D the ballot number of the words taking a U there."""
+    rank = height = 0
+    remaining = len(word)
+    for ch in word:
+        remaining -= 1
+        if ch == "U":
+            height += 1
+        else:
+            downs = (remaining + height + 1) // 2
+            rank += math.comb(remaining, downs) - math.comb(remaining, downs + 1)
+            height -= 1
+    return rank
+
+
+@functools.lru_cache(maxsize=None)
+def ballot_count_by_recursion(n, z):
+    """Expansion-history count f(n, z), summed from the row of rank n - 1."""
+    if n == 1:
+        return 1
+    lo = 1 if z == 1 else z - 1
+    return sum(ballot_count_by_recursion(n - 1, i) for i in range(lo, n + 1))

@@ -114,7 +114,17 @@ def test_member_outside_the_enumeration_fails(monkeypatch):
     kept = tuple(v for v in vectors if vector_to_triangulation(v) != missing)
     assert len(kept) == len(vectors) - 1
     monkeypatch.setattr(checks, "enumerate_all", lambda n: kept)
-    assert _failed_checks() == ["enumeration_count", "cycle_period_divides"]
+    # the missing vector also leaves its first entry's ballot count one short
+    assert _failed_checks() == [
+        "enumeration_count",
+        "cycle_period_divides",
+        "ballot_row_sum",
+    ]
+    (gone,) = set(vectors) - set(kept)
+    z = gone[0]
+    want = sum(v[0] == z for v in vectors)
+    ballot = checks.run_checks(RANK)[-1]
+    assert ballot.detail == f"z={z} count={want - 1} ballot={want}"
 
 
 def test_closing_frieze_built_once_per_cycle(monkeypatch):

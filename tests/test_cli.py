@@ -150,7 +150,8 @@ def test_verify_exits_2_on_a_failed_check(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["n"] == 3
     assert [c["name"] for c in payload["checks"] if not c["pass"]] == ["ballot_row_sum"]
-    assert err == "check failed: ballot_row_sum expected=14\n"
+    # the first z off its ballot number: five rank-3 vectors start with 1
+    assert err == "check failed: ballot_row_sum z=1 count=5 ballot=0\n"
 
 
 def test_verify_exits_2_on_an_invariant_violation(capsys, monkeypatch):

@@ -34,9 +34,12 @@ from oracles import (
     brute_paths,
     catalan_by_convolution,
     frieze_rows_by_division,
+    lambda_by_walk,
+    path_rank_by_walk,
     path_to_vector_by_table,
     quiddity_by_faces,
     reduce_coordinate_stepwise,
+    v_vector_by_walk,
 )
 
 PATH18 = "UUUUUDDDUDUUUDDDDD"
@@ -125,6 +128,52 @@ def test_path_rank_is_all_paths_order():
     # first and last word in U < D order, past any float or machine width
     assert path_rank("U" * 1000 + "D" * 1000) == 0
     assert path_rank("UD" * 1000) == catalan(1000) - 1
+
+
+def _assert_profile_reads_match_walks(p):
+    assert to_v_vector(p) == v_vector_by_walk(p.word)
+    assert path_rank(p) == path_rank_by_walk(p.word)
+    if p.half_length >= 2:
+        assert to_lambda(p) == lambda_by_walk(p.word)
+
+
+def test_profile_reads_match_word_walks_exhaustive():
+    for k in range(0, 11):
+        for p in all_paths(k):
+            _assert_profile_reads_match_walks(p)
+
+
+@st.composite
+def long_dyck_words(draw, max_half=100):
+    """Dyck words whose free steps are the bits of one drawn integer: bit j
+    set takes a U at step j wherever both steps are legal."""
+    n = draw(st.integers(min_value=0, max_value=max_half))
+    bits = draw(st.integers(min_value=0, max_value=4**n - 1))
+    out = []
+    ups = height = 0
+    for j in range(2 * n):
+        if ups < n and (height == 0 or bits >> j & 1):
+            ups += 1
+            height += 1
+            out.append("U")
+        else:
+            height -= 1
+            out.append("D")
+    return DyckPath("".join(out))
+
+
+@given(long_dyck_words())
+@settings(max_examples=200)
+def test_profile_reads_match_word_walks_property(p):
+    _assert_profile_reads_match_walks(p)
+
+
+def test_profile_is_not_part_of_the_value():
+    p = DyckPath("UUDD")
+    assert p == DyckPath("UUDD") == parse_path("uudd")
+    assert p != DyckPath("UDUD")
+    assert hash(p) == hash(DyckPath("UUDD"))
+    assert repr(p) == "DyckPath(word='UUDD')"
 
 
 def test_path_rank_rejects_non_dyck_words():

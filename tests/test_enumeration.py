@@ -38,7 +38,14 @@ from dyckfrieze import (
     verify,
     violations,
 )
-from dyckfrieze.errors import IndexOutOfRange, InputError, LastEntryNotOne, RangeError
+from dyckfrieze.errors import (
+    IndexOutOfRange,
+    InputError,
+    LastEntryNotOne,
+    NonPositiveEntry,
+    RangeError,
+)
+from oracles import ballot_count_by_recursion
 
 RANK3_VECTORS = [
     (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 3), (1, 3, 2), (2, 1, 1), (2, 1, 2),
@@ -99,6 +106,8 @@ def test_expand_errors():
         expand((1, 1, 1), 0)
     with pytest.raises(IndexOutOfRange):
         expand((1, 1, 1), 3)
+    with pytest.raises(NonPositiveEntry):
+        expand((-3, 1), 1)
 
 
 def test_expand_preserves_completability():
@@ -147,6 +156,17 @@ def test_ballot_row_sums_are_catalan():
         assert sum(ballot_count(n, z) for z in range(1, n + 2)) == catalan(n + 1)
 
 
+def test_ballot_closed_form_matches_recursion():
+    for n in range(1, 61):
+        for z in range(1, n + 2):
+            assert ballot_count(n, z) == ballot_count_by_recursion(n, z)
+
+
+def test_ballot_count_at_large_ranks_needs_no_recursion():
+    assert ballot_count(334, 1) == catalan(334)
+    assert sum(ballot_count(1200, z) for z in range(1, 1202)) == catalan(1201)
+
+
 def test_ballot_range():
     with pytest.raises(RangeError):
         ballot_count(3, 0)
@@ -160,6 +180,8 @@ NON_INTEGER_CALLS = {
     "seed_vector(3, 1.5)": lambda: seed_vector(3, 1.5),
     "expand((), 1)": lambda: expand((), 1),
     "expand((2, 1), 1.0)": lambda: expand((2, 1), 1.0),
+    "expand((1.5, 1), 1)": lambda: expand((1.5, 1), 1),
+    "expand((True, 1), 1)": lambda: expand((True, 1), 1),
     "catalan(2.5)": lambda: catalan(2.5),
     "all_paths(2.5)": lambda: next(all_paths(2.5)),
     "ballot_count(3.0, 2)": lambda: (ballot_count(3, 2), ballot_count(3.0, 2)),
@@ -191,6 +213,7 @@ WRONG_TYPE_CALLS = {
     "from_quiddity(5)": lambda: from_quiddity(5),
     "reduce_coordinate(5, 1)": lambda: reduce_coordinate(5, 1),
     "expand(5, 1)": lambda: expand(5, 1),
+    "expand(('a', 1), 1)": lambda: expand(("a", 1), 1),
     "realize(None)": lambda: realize(None),
     "Triangulation(5, None)": lambda: Triangulation(5, None),
     "Cycle(5)": lambda: Cycle(5),

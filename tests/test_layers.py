@@ -4,8 +4,9 @@ the import graph between the package's modules has no cycle, with
 and the standard library is imported, as ``dependencies = []`` promises.
 The unvalidated construction paths are called only where a theorem
 guarantees the result, one predicate says what an integer is, one guard
-checks a scalar argument's range, and messages show values through one
-formatter."""
+checks a scalar argument's range, messages show values through one
+formatter, and the one cache is the enumeration's, which callers can
+inspect through ``enumerate_all.cache_info``."""
 
 import ast
 import graphlib
@@ -91,6 +92,29 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
         ("dyck", "reduce_coordinate"),
         ("dyck", "vector_to_path"),
     }
+    assert _callers("_expand") == {
+        ("enumeration", "expand"),
+        ("enumeration", "_enumerate_all"),
+    }
+
+
+def test_only_the_enumeration_is_cached():
+    # a cache decorator is named once, on the function behind
+    # enumerate_all.cache_info; any other would keep state out of sight
+    places = []
+    for module, tree in _trees().items():
+        decorating = {
+            node: fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for dec in fn.decorator_list
+            for node in ast.walk(dec)
+        }
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in ("lru_cache", "cache"):
+                places.append((module, decorating.get(node)))
+    assert places == [("enumeration", "_enumerate_all")]
 
 
 def test_one_integer_predicate_refuses_bool():
