@@ -148,7 +148,7 @@ def couple_next(d: Diamond) -> Diamond:
     here is reported as an internal invariant violation.
     """
     try:
-        return complete_diamond(d.col2)
+        return complete_diamond(expect(d, Diamond).col2)
     except (NonExactDivision, NonPositiveEntry) as exc:
         raise InvariantViolation(
             f"coupling failed on a valid diamond: {exc}"

@@ -18,6 +18,7 @@ constructor's validating walk computes, with no walk of their own.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import comb
@@ -91,7 +92,9 @@ def parse_path(text: str) -> DyckPath:
 def all_paths(half_length: int):
     """Yield every Dyck path of length ``2 * half_length`` in lexicographic
     order with U < D."""
-    int_in(half_length, "half length", 0)
+    # turns a list's OverflowError past sys.maxsize into an InputError; a
+    # shorter word that memory cannot hold still raises MemoryError
+    int_in(half_length, "half length", 0, sys.maxsize)
     word = ["U"] * half_length + ["D"] * half_length
     while True:
         yield DyckPath("".join(word))

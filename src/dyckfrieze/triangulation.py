@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dyck import DyckPath, degree_quiddity, lambda_diagonals, to_lambda, vector_to_path
-from .errors import InputError, InvariantViolation, SizeMismatch
+from .errors import InputError, SizeMismatch
 from .errors import as_tuple, expect, format_int, int_in, is_int
 
 Diagonal = tuple[int, int]
@@ -87,27 +87,22 @@ def realize(lambda_vector) -> Triangulation:
 
 
 def triangles(t: Triangulation) -> list[tuple[int, int, int]]:
-    """The N-2 triangular faces, each as a sorted vertex triple.
+    """The N-2 triangular faces, each a sorted vertex triple, in sorted order.
 
-    Found by repeatedly clipping an ear: a vertex with no incident
-    remaining diagonal, whose neighbors' chord then becomes boundary.
+    The ring of v is its two polygon neighbours and its diagonals' other
+    ends.  Two ring members consecutive in circular order from v bound a
+    face with v; those above v come first, in increasing order, so their
+    consecutive pairs a < b are the faces (v, a, b) with smallest corner v.
     """
-    active = list(range(t.polygon_size))
-    remaining = set(t.diagonals)
+    N = expect(t, Triangulation).polygon_size
+    rings = [{(v - 1) % N, (v + 1) % N} for v in range(N)]
+    for i, j in t.diagonals:
+        rings[i].add(j)
+        rings[j].add(i)
     faces = []
-    while len(active) > 3:
-        for j, v in enumerate(active):
-            if any(v in d for d in remaining):
-                continue
-            u = active[j - 1]
-            w = active[(j + 1) % len(active)]
-            faces.append(tuple(sorted((u, v, w))))
-            remaining.discard(_normalize_pair((u, w)))
-            del active[j]
-            break
-        else:
-            raise InvariantViolation("no ear found in a valid triangulation")
-    faces.append(tuple(sorted(active)))
+    for v, ring in enumerate(rings):
+        above = sorted(w for w in ring if w > v)
+        faces += [(v, a, b) for a, b in zip(above, above[1:])]
     return faces
 
 

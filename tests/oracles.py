@@ -4,18 +4,20 @@ These deliberately avoid the library's own code paths: counting by direct
 filtering, rule checks by literal arithmetic, crossing by comparing every
 pair of chords, greedy reduction one subtraction at a time.  The rest are
 the library's earlier implementations, kept as differential references:
-the quiddity by counting ear-clipped faces (against the degree count),
-the head relation by searching its parameters (against the closed form),
-and, for the frieze-diagonal recurrence, frieze completion by row
-division, coupling cycles by iterated completion, and the path inverse by
-a table over the whole enumeration; and the rank-n invariant suite as it
-was before it streamed one coupling cycle at a time, holding every path,
-word set and triangulation until the end.  The kernel's earlier forms are
-kept as well: the diagonal recurrence indexing ``q`` modulo its length at
-every step, coupling cycles that validate each member as a ``Diamond``,
-and the frieze checks walked entry by entry.  So are the word walks that
-read each of the two encodings and the rank off a Dyck word, one walk per
-answer, and ballot numbers by their recursion over the rank.
+the faces of a triangulation by clipping ears (against the faces read off
+each vertex's neighbour ring), the quiddity by counting those faces
+(against the degree count), the head relation by searching its parameters
+(against the closed form), and, for the frieze-diagonal recurrence, frieze
+completion by row division, coupling cycles by iterated completion, and
+the path inverse by a table over the whole enumeration; and the rank-n
+invariant suite as it was before it streamed one coupling cycle at a time,
+holding every path, word set and triangulation until the end.  The
+kernel's earlier forms are kept as well: the diagonal recurrence indexing
+``q`` modulo its length at every step, coupling cycles that validate each
+member as a ``Diamond``, and the frieze checks walked entry by entry.  So
+are the word walks that read each of the two encodings and the rank off a
+Dyck word, one walk per answer, and ballot numbers by their recursion over
+the rank.
 """
 
 import functools
@@ -38,7 +40,6 @@ from dyckfrieze import (
     path_to_vector,
     quiddity,
     rotation_orbit,
-    triangles,
     vector_to_path,
     verify,
 )
@@ -96,11 +97,34 @@ def catalan_by_convolution(n):
     return cs[n]
 
 
+def triangles_by_ear_clipping(t):
+    """The N-2 faces, each a sorted vertex triple, in the order found by
+    repeatedly clipping an ear: a vertex with no incident remaining
+    diagonal, whose neighbours' chord then becomes boundary."""
+    active = list(range(t.polygon_size))
+    remaining = set(t.diagonals)
+    faces = []
+    while len(active) > 3:
+        for j, v in enumerate(active):
+            if any(v in d for d in remaining):
+                continue
+            u = active[j - 1]
+            w = active[(j + 1) % len(active)]
+            faces.append(tuple(sorted((u, v, w))))
+            remaining.discard((min(u, w), max(u, w)))
+            del active[j]
+            break
+        else:
+            raise InvariantViolation("no ear found in a valid triangulation")
+    faces.append(tuple(sorted(active)))
+    return faces
+
+
 def quiddity_by_faces(t):
     """Triangles at each vertex, counted over the faces that ear clipping
     finds."""
     counts = [0] * t.polygon_size
-    for face in triangles(t):
+    for face in triangles_by_ear_clipping(t):
         for v in face:
             counts[v] += 1
     return tuple(counts)

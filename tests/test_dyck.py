@@ -48,24 +48,22 @@ PATH18_DESCENTS = (4, 4, 4, 3, 0, 0, 0, 0)
 
 
 @st.composite
-def dyck_words(draw, max_half=8):
-    n = draw(st.integers(min_value=1, max_value=max_half))
-    ups, downs, height = n, n, 0
+def dyck_words(draw, max_half=8, min_half=1):
+    """Dyck words whose free steps are the bits of uniformly drawn bytes: bit
+    j set takes a U at step j wherever both steps are legal."""
+    n = draw(st.integers(min_value=min_half, max_value=max_half))
+    size = (2 * n + 7) // 8
+    bits = int.from_bytes(draw(st.binary(min_size=size, max_size=size)), "little")
     out = []
-    while ups or downs:
-        if ups and downs and height > 0:
-            step = draw(st.sampled_from("UD"))
-        elif ups:
-            step = "U"
-        else:
-            step = "D"
-        if step == "U":
-            ups -= 1
+    ups = height = 0
+    for j in range(2 * n):
+        if ups < n and (height == 0 or bits >> j & 1):
+            ups += 1
             height += 1
+            out.append("U")
         else:
-            downs -= 1
             height -= 1
-        out.append(step)
+            out.append("D")
     return DyckPath("".join(out))
 
 
@@ -143,26 +141,7 @@ def test_profile_reads_match_word_walks_exhaustive():
             _assert_profile_reads_match_walks(p)
 
 
-@st.composite
-def long_dyck_words(draw, max_half=100):
-    """Dyck words whose free steps are the bits of one drawn integer: bit j
-    set takes a U at step j wherever both steps are legal."""
-    n = draw(st.integers(min_value=0, max_value=max_half))
-    bits = draw(st.integers(min_value=0, max_value=4**n - 1))
-    out = []
-    ups = height = 0
-    for j in range(2 * n):
-        if ups < n and (height == 0 or bits >> j & 1):
-            ups += 1
-            height += 1
-            out.append("U")
-        else:
-            height -= 1
-            out.append("D")
-    return DyckPath("".join(out))
-
-
-@given(long_dyck_words())
+@given(dyck_words(max_half=100, min_half=0))
 @settings(max_examples=200)
 def test_profile_reads_match_word_walks_property(p):
     _assert_profile_reads_match_walks(p)

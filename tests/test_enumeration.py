@@ -10,6 +10,7 @@ from dyckfrieze import (
     check_head_form,
     companion_vector,
     complete_diamond,
+    couple_next,
     cycle_heads,
     cycle_paths,
     enumerate_all,
@@ -33,6 +34,7 @@ from dyckfrieze import (
     to_json_dict,
     to_lambda,
     to_v_vector,
+    triangles,
     unitary_shift,
     vector_to_triangulation,
     verify,
@@ -229,6 +231,8 @@ WRONG_TYPE_CALLS = {
     "rotation_orbit(None)": lambda: rotation_orbit(None),
     "rotate(None, 1)": lambda: rotate(None, 1),
     "quiddity(None)": lambda: quiddity(None),
+    "triangles(None)": lambda: triangles(None),
+    "couple_next(None)": lambda: couple_next(None),
     "same_rotation_orbit(None, t)": lambda: same_rotation_orbit(None, realize((1,))),
     "same_rotation_orbit(t, None)": lambda: same_rotation_orbit(realize((1,)), None),
     "minimal_cycle(None)": lambda: minimal_cycle(None),
@@ -258,6 +262,7 @@ def test_wrong_types_raise_input_error(call):
 # Python refuses str of an int past 4,300 digits, so a message that printed
 # B itself would raise ValueError from inside the error.  B is never passed
 # as a size that is valid: seed_vector(B, 1) would build a B-entry tuple.
+# A half length of 10**19 prints, but its word would not fit in a str.
 B = 10**5000
 
 
@@ -286,6 +291,8 @@ TOO_LONG_TO_PRINT_CALLS = {
         5, ((0, B, 1), (1, 3))
     ),
     "FriezePattern(B, ())": lambda: FriezePattern(B, ()),
+    "all_paths(B)": lambda: next(all_paths(B)),
+    "all_paths(10**19)": lambda: next(all_paths(10**19)),
     "render_ascii(entry -B)": _tampered_render,
 }
 
@@ -296,6 +303,10 @@ TOO_LONG_TO_PRINT_CALLS = {
 def test_values_too_long_to_print_raise_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+def test_all_paths_starts_at_once_below_its_bound():
+    assert next(all_paths(1000)).word == "U" * 1000 + "D" * 1000
 
 
 def test_plain_words_are_validated_as_paths():

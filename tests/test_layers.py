@@ -6,14 +6,18 @@ The unvalidated construction paths are called only where a theorem
 guarantees the result, one predicate says what an integer is, one guard
 checks a scalar argument's range, messages show values through one
 formatter, and the one cache is the enumeration's, which callers can
-inspect through ``enumerate_all.cache_info``."""
+inspect through ``enumerate_all.cache_info``.  Every function the
+benchmark's tracer wraps by name still exists."""
 
 import ast
 import graphlib
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dyckfrieze"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dyckfrieze"
 
 
 def _trees():
@@ -163,3 +167,24 @@ def test_messages_show_values_only_through_format_int():
         if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
     ]
     assert conversions == []
+
+
+def test_every_name_the_benchmark_traces_is_a_function():
+    # perfbench/spans.py looks each name up with getattr, so a removal
+    # here would break its traced runs; read its table without importing it
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    )
+    assert traced
+    for module, names in traced.items():
+        namespace = importlib.import_module(f"dyckfrieze.{module}")
+        for name in names:
+            assert inspect.isfunction(getattr(namespace, name, None)), (
+                f"dyckfrieze.{module}.{name}"
+            )
+    enumerate_all = importlib.import_module("dyckfrieze.enumeration").enumerate_all
+    assert callable(enumerate_all.cache_info)

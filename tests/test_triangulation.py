@@ -28,6 +28,7 @@ from oracles import (
     polygon_chords,
     quiddity_by_faces,
     random_triangulation_diagonals,
+    triangles_by_ear_clipping,
 )
 
 
@@ -165,13 +166,41 @@ def test_quiddity_agrees_with_degree_oracle():
             assert quiddity(t) == quiddity_by_faces(t)
 
 
+def assert_faces_match_ear_clipping(t):
+    faces = triangles(t)
+    assert faces == sorted(set(triangles_by_ear_clipping(t)))
+    assert len(faces) == t.polygon_size - 2
+
+
 def test_triangles_count_and_cover():
-    for n in range(1, 6):
-        for v in enumerate_all(n):
-            t = vector_to_triangulation(v)
-            faces = triangles(t)
-            assert len(faces) == t.polygon_size - 2
-            assert len(set(faces)) == len(faces)
+    # every triangulation of the N-gon for N = 3..10
+    assert_faces_match_ear_clipping(tri(3, ()))  # realize starts at rank 1
+    for N in range(4, 11):
+        for p in all_paths(N - 2):
+            assert_faces_match_ear_clipping(realize(to_lambda(p)))
+
+
+@given(st.integers(3, 60), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_triangles_match_ear_clipping_property(N, rng):
+    t = Triangulation(N, random_triangulation_diagonals(N, rng))
+    assert_faces_match_ear_clipping(t)
+
+
+@pytest.mark.parametrize("N", [4, 7, 60, 120])
+def test_triangles_of_a_zigzag_and_a_mid_vertex_fan(N):
+    # the shapes on which the ear search scanned longest
+    s = [k // 2 if k % 2 == 0 else N - 1 - k // 2 for k in range(N)]
+    zigzag = tri(N, {tuple(sorted(s[k : k + 2])) for k in range(1, N - 2)})
+    m = N // 2
+    spokes = [w for w in range(N) if (w - m) % N not in (0, 1, N - 1)]
+    fan = tri(N, {tuple(sorted((m, w))) for w in spokes})
+    zigzag_faces = {tuple(sorted(s[k : k + 3])) for k in range(N - 2)}
+    sides = [(w, (w + 1) % N) for w in range(N)]
+    fan_faces = {tuple(sorted((m, *side))) for side in sides if m not in side}
+    for t, faces in ((zigzag, zigzag_faces), (fan, fan_faces)):
+        assert triangles(t) == sorted(faces)
+        assert_faces_match_ear_clipping(t)
 
 
 def test_rotate_group_action():
