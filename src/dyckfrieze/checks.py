@@ -7,20 +7,22 @@ and the orbit/quiddity consistency between cycles and triangulations.
 The sweep streams the rank-n vectors one coupling cycle at a time.  The
 first vector of each cycle not yet visited gives its minimal cycle and
 that cycle's frieze, which ``from_cycle`` verifies as it builds it.  Each
-member u is then walked once: its path, the path's triangulation and that
-triangulation's quiddity q.  ``diagonal(q, 0, n + 2)[2:] == u`` is the
-round trip, because ``path_to_vector`` is exactly that composition.  The
-quiddity must equal the cycle heads rotated to the member's offset, and
-the triangulation of member t must be member 0's rotated by -t, with
-member 0's returning after p rotations.  Closure is checked once per
-quiddity rotated back to member 0: ``from_quiddity`` and ``verify`` read
-columns cyclically, so a rotation closes iff it does, and a frieze with
-the rows of the verified cycle frieze needs no second ``verify``.
+member u is then walked once by ``dyck._walk``, from its reduced profile
+and with no Dyck word: the rank of its path, the diagonals of the path's
+triangulation and that triangulation's quiddity q.
+``diagonal(q, 0, n + 2)[2:] == u`` is the round trip, because
+``path_to_vector`` is exactly that composition.  The quiddity must equal
+the cycle heads rotated to the member's offset, and the triangulation of
+member t must be member 0's rotated by -t, with member 0's returning
+after p rotations.  Closure is checked once per quiddity rotated back to
+member 0: ``from_quiddity`` and ``verify`` read columns cyclically, so a
+rotation closes iff it does, and a frieze with the rows of the verified
+cycle frieze needs no second ``verify``.
 
 Everything built for a cycle is dropped once the cycle is done.  Across
 cycles the sweep keeps only compact keys: a ``bytearray`` over the sorted
 vectors marks the cycle members seen, a ``bytearray`` over path ranks
-(``dyck.path_rank``) marks the image of the path map, and one int bitmask
+(``all_paths`` order) marks the image of the path map, and one int bitmask
 per triangulation, bit ``i * N + j`` for diagonal ``(i, j)``, decides the
 injectivity of the triangulation map.  The same pass tallies the vectors
 by first entry z, a row that must equal ``ballot_count(n, z)``.
@@ -33,11 +35,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .diamond import complete_diamond, cycle_heads, diagonal, minimal_cycle
-from .dyck import catalan, path_rank, vector_to_path
+from .dyck import _walk, catalan
 from .enumeration import ballot_count, enumerate_all
 from .errors import InputError, InvariantViolation
 from .frieze import from_cycle, from_quiddity, verify
-from .triangulation import path_to_triangulation, quiddity, rotate
+from .triangulation import Triangulation, rotate
 
 
 @dataclass(frozen=True)
@@ -85,19 +87,17 @@ def run_checks(n: int) -> list[CheckResult]:
             else:
                 visited[at] = 1
 
-            path = vector_to_path(u)
-            rank = path_rank(path)
+            rank, diagonals, q = _walk(u)
             paths_injective &= not ranks[rank]
             ranks[rank] = 1
             walked += 1
 
-            t = path_to_triangulation(path)
-            q = quiddity(t)
             roundtrip_ok &= diagonal(q, 0, n + 2)[2:] == u
             quiddity_ok &= (heads[offset:] + heads[:offset]) * (N // p) == q
             closing_keys.add(q[-offset:] + q[:-offset])
-            images.append(t)
-            cycle_tri_keys.add(sum(1 << (i * N + j) for i, j in t.diagonals))
+            # the clipped ears are a triangulation, as for ``realize``
+            images.append(Triangulation._trusted(N, frozenset(diagonals)))
+            cycle_tri_keys.add(sum(1 << (i * N + j) for i, j in diagonals))
 
         orbit_ok &= (
             len(cycle_tri_keys) == p

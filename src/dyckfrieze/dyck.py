@@ -14,6 +14,9 @@ bijection with diamond vectors, the latter drives polygon triangulations
 through ``lambda_diagonals``.  Both encodings and the rank in ``all_paths``
 order are read off the profile m (the Us before each D) that the
 constructor's validating walk computes, with no walk of their own.
+``_walk`` reads the rank, the triangulation and the quiddity of a diamond
+vector's path off its reduced profile, with no word in between, by the
+same formulas; it is for the vectors that the invariant sweep builds.
 """
 
 from __future__ import annotations
@@ -126,7 +129,11 @@ def path_rank(p) -> int:
     The i-th D (from 0) with m Us before it leaves 2k - m - i - 1 steps,
     k - i of them Ds once a U takes its place.  No table is kept.
     """
-    m = _as_path(p)._m
+    return _ballot_rank(_as_path(p)._m)
+
+
+def _ballot_rank(m) -> int:
+    # the ballot sum of ``path_rank`` over a profile m of length k
     k = len(m)
     return sum(
         comb(2 * k - mi - i - 1, k - i) - comb(2 * k - mi - i - 1, k - i + 1)
@@ -201,6 +208,10 @@ def to_lambda(p: DyckPath) -> tuple[int, ...]:
     the path has length 2(n+1)."""
     m = _as_path(p)._m
     n = int_in(len(m) - 1, "rank of a descent encoding", 1, error=TooShort)
+    return _descents(m, n)
+
+
+def _descents(m, n: int) -> tuple[int, ...]:
     # Ds before the j-th U are those with at most j - 1 Us before them
     return tuple(bisect_right(m, n + 1 - i) for i in range(1, n + 1))
 
@@ -240,13 +251,21 @@ def lambda_diagonals(lambda_vector) -> list[tuple[int, int]]:
     sorted each diagonal comes out as ``(low, high)``.
     """
     lam = as_tuple(lambda_vector, "descent encoding")
-    active = list(range(len(lam) + 3))
-    diagonals = []
+    size = len(lam) + 3
     for step, li in enumerate(lam, start=1):
+        # the active polygon has size - step + 1 vertices at this step
         if not is_int(li) or li < 0:
             raise InputError(f"step {step}: {format_int(li)} is not a valid position")
-        if li + 2 > len(active) - 1:
-            raise PositionOutOfRange(step, li, len(active))
+        if li + 2 > size - step:
+            raise PositionOutOfRange(step, li, size - step + 1)
+    return _clip(lam)
+
+
+def _clip(lam) -> list[tuple[int, int]]:
+    # the ear clipping of ``lambda_diagonals``, on positions already checked
+    active = list(range(len(lam) + 3))
+    diagonals = []
+    for li in lam:
         diagonals.append((active[li], active[li + 2]))
         del active[li + 1]
     return diagonals
@@ -271,6 +290,26 @@ def vector_to_path(v) -> DyckPath:
     v = complete_diamond(v).col1
     profile = tuple(_reduce(v, i) for i in range(1, len(v) + 1))
     return from_v_vector(profile)
+
+
+def _walk(u: tuple[int, ...]) -> tuple[int, list[tuple[int, int]], tuple[int, ...]]:
+    """``(path_rank, lambda_diagonals, quiddity)`` of the path of a diamond
+    vector ``u`` that the caller built itself, read off the reduced profile
+    with no Dyck word and no re-check of ``u``.
+
+    The profile m is ``vector_to_path``'s reduced coordinates plus their
+    offsets, closed by the last D's m = n + 1.  A profile that encodes no
+    path raises InvariantViolation: the path map's theorem failed.
+    """
+    n = len(u)
+    m = [_reduce(u, i) + i - 1 for i in range(1, n + 1)] + [n + 1]
+    # i <= m_i, non-decreasing, so at most m_{n+1} = n + 1 (``from_v_vector``)
+    for i in range(1, n + 1):
+        if not i <= m[i - 1] <= m[i]:
+            shown = f"{format_int(m)} of {format_int(u)}"
+            raise InvariantViolation(f"profile {shown} encodes no Dyck path")
+    diagonals = _clip(_descents(m, n))
+    return _ballot_rank(m), diagonals, degree_quiddity(n + 3, diagonals)
 
 
 def path_to_vector(p: DyckPath, n: int) -> tuple[int, ...]:

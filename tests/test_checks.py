@@ -2,9 +2,11 @@
 rank-n invariant suite.
 
 ``run_checks`` builds each coupling cycle once, from the cycle's first
-enumerated member, checks every member's triangulation against member 0's
-rotated, and builds each closing frieze once per quiddity rotated back to
-member 0.  A fault planted on another member must still fail its check.
+enumerated member, walks each member's profile once (``dyck._walk``) for its
+path rank, triangulation and quiddity, checks every member's triangulation
+against member 0's rotated, and builds each closing frieze once per quiddity
+rotated back to member 0.  A fault planted on another member must still fail
+its check.
 """
 
 import tracemalloc
@@ -12,6 +14,7 @@ import tracemalloc
 import pytest
 
 from dyckfrieze import (
+    catalan,
     checks,
     complete_diamond,
     enumerate_all,
@@ -30,12 +33,30 @@ def _failed_checks():
     return [r.name for r in checks.run_checks(RANK) if not r.passed]
 
 
-def _non_representative_triangulation():
+def _non_representative_vector():
     # the first enumerated vector represents its cycle; its successor is a
     # member whose cycle is never built from it
     c = minimal_cycle(complete_diamond(enumerate_all(RANK)[0]))
     assert c.p > 1
-    return vector_to_triangulation(c.diamonds[1].col1)
+    return c.diamonds[1].col1
+
+
+def _non_representative_triangulation():
+    return vector_to_triangulation(_non_representative_vector())
+
+
+def _plant_on_walk(monkeypatch, target, plant):
+    """Make the sweep's walk of vector ``target`` report ``plant(rank, q)``
+    in place of its path rank and quiddity."""
+    original = checks._walk
+
+    def planted(u):
+        rank, diagonals, q = original(u)
+        if u == target:
+            rank, q = plant(rank, q)
+        return rank, diagonals, q
+
+    monkeypatch.setattr(checks, "_walk", planted)
 
 
 def test_unplanted_suite_passes():
@@ -43,13 +64,8 @@ def test_unplanted_suite_passes():
 
 
 def test_corrupt_quiddity_of_one_member_fails(monkeypatch):
-    target = _non_representative_triangulation()
-
-    def corrupted(t):
-        q = quiddity(t)
-        return (q[0] + 1,) + q[1:] if t == target else q
-
-    monkeypatch.setattr(checks, "quiddity", corrupted)
+    target = _non_representative_vector()
+    _plant_on_walk(monkeypatch, target, lambda rank, q: (rank, (q[0] + 1,) + q[1:]))
     # the round trip reads the member's vector off that quiddity
     assert _failed_checks() == [
         "path_map_roundtrip",
@@ -61,18 +77,15 @@ def test_corrupt_quiddity_of_one_member_fails(monkeypatch):
 def test_closing_frieze_unlike_the_cycle_frieze_is_verified(monkeypatch):
     # a member reporting a rotation of its quiddity, itself a quiddity,
     # builds a frieze whose rows differ from the verified cycle frieze's
-    target = _non_representative_triangulation()
+    member = _non_representative_vector()
+    target = vector_to_triangulation(member)
     verified = []
-
-    def rotated(t):
-        q = quiddity(t)
-        return q[1:] + q[:1] if t == target else q
 
     def rejecting(fp):
         verified.append(fp.quiddity)
         return False
 
-    monkeypatch.setattr(checks, "quiddity", rotated)
+    _plant_on_walk(monkeypatch, member, lambda rank, q: (rank, q[1:] + q[:1]))
     monkeypatch.setattr(checks, "verify", rejecting)
     assert _failed_checks() == [
         "path_map_roundtrip",
@@ -81,6 +94,24 @@ def test_closing_frieze_unlike_the_cycle_frieze_is_verified(monkeypatch):
     ]
     # rotated back by its offset, the reported quiddity is the true one
     assert verified == [quiddity(target)]
+
+
+def test_member_reporting_another_members_path_rank_fails(monkeypatch):
+    # the non-representative member takes its cycle head's rank, so one
+    # rank is hit twice and one is never hit
+    head = enumerate_all(RANK)[0]
+    taken, _, _ = checks._walk(head)
+    target = _non_representative_vector()
+    _plant_on_walk(monkeypatch, target, lambda rank, q: (taken, q))
+    results = {r.name: r for r in checks.run_checks(RANK)}
+    assert [name for name, r in results.items() if not r.passed] == [
+        "path_map_injective",
+        "path_map_image_complete",
+    ]
+    expected = catalan(RANK + 1)
+    assert results["path_map_injective"].detail == (
+        f"distinct={expected - 1} of {expected}"
+    )
 
 
 def test_orbit_missing_one_member_fails(monkeypatch):

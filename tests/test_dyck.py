@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from dyckfrieze import (
     DyckPath,
+    Triangulation,
     all_paths,
     catalan,
     enumerate_all,
@@ -13,6 +14,7 @@ from dyckfrieze import (
     path_to_triangulation,
     path_to_vector,
     peaks,
+    quiddity,
     reduce_coordinate,
     support,
     to_lambda,
@@ -21,11 +23,14 @@ from dyckfrieze import (
     vector_to_path,
     vector_to_triangulation,
 )
+from dyckfrieze.diamond import diagonal
+from dyckfrieze.dyck import _walk, lambda_diagonals
 from dyckfrieze.errors import (
     BadSymbol,
     IndexOutOfRange,
     InputError,
     InvalidVG,
+    InvariantViolation,
     NotBalanced,
     PrefixViolation,
     TooShort,
@@ -38,6 +43,7 @@ from oracles import (
     path_rank_by_walk,
     path_to_vector_by_table,
     quiddity_by_faces,
+    random_triangulation_diagonals,
     reduce_coordinate_stepwise,
     v_vector_by_walk,
 )
@@ -358,3 +364,37 @@ def test_shift_involution_property(p, data):
 @settings(max_examples=200)
 def test_v_vector_roundtrip_property(p):
     assert from_v_vector(to_v_vector(p)) == p
+
+
+def test_walk_matches_the_public_chain_exhaustive():
+    for n in range(1, 9):
+        for v in enumerate_all(n):
+            p = vector_to_path(v)
+            t = path_to_triangulation(p)
+            rank, diagonals, q = _walk(v)
+            assert rank == path_rank(p)
+            assert diagonals == lambda_diagonals(to_lambda(p))
+            assert frozenset(diagonals) == t.diagonals
+            assert q == quiddity(t)
+
+
+@given(st.integers(4, 60), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_walk_matches_word_walks_property(N, rng):
+    # the column-0 frieze diagonal of t's quiddity is the vector whose path
+    # realizes t
+    t = Triangulation(N, random_triangulation_diagonals(N, rng))
+    q = quiddity_by_faces(t)
+    v = diagonal(q, 0, N - 1)[2:]
+    word = vector_to_path(v).word
+    rank, diagonals, walked_q = _walk(v)
+    assert rank == path_rank_by_walk(word)
+    assert diagonals == lambda_diagonals(lambda_by_walk(word))
+    assert frozenset(diagonals) == t.diagonals
+    assert walked_q == q
+
+
+def test_walk_refuses_a_decreasing_profile():
+    # reduced coordinates 3, 1 give the profile 3, 2, 3
+    with pytest.raises(InvariantViolation, match="encodes no Dyck path"):
+        _walk((3, 1))

@@ -3,11 +3,12 @@ the import graph between the package's modules has no cycle, with
 ``diamond`` at the bottom above ``errors``.  Nothing outside the package
 and the standard library is imported, as ``dependencies = []`` promises.
 The unvalidated construction paths are called only where a theorem
-guarantees the result, one predicate says what an integer is, one guard
-checks a scalar argument's range, messages show values through one
-formatter, and the one cache is the enumeration's, which callers can
-inspect through ``enumerate_all.cache_info``.  Every function the
-benchmark's tracer wraps by name still exists."""
+guarantees the result, the sweep's walk shares each formula with the
+public path chain and builds no Dyck word, one predicate says what an
+integer is, one guard checks a scalar argument's range, messages show
+values through one formatter, and the one cache is the enumeration's,
+which callers can inspect through ``enumerate_all.cache_info``.  Every
+function the benchmark's tracer wraps by name still exists."""
 
 import ast
 import graphlib
@@ -91,15 +92,47 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
         ("triangulation", "rotate"),
         ("diamond", "complete_diamond"),
         ("diamond", "minimal_cycle"),
+        # the walk's diagonals are clipped ears of the (n+3)-gon, as in
+        # realize: n distinct, non-crossing diagonals
+        ("checks", "run_checks"),
     }
     assert _callers("_reduce") == {
         ("dyck", "reduce_coordinate"),
         ("dyck", "vector_to_path"),
+        ("dyck", "_walk"),
     }
+    # the walk does not check its vector, so only the sweep, which built
+    # the vector itself, may call it
+    assert _callers("_walk") == {("checks", "run_checks")}
     assert _callers("_expand") == {
         ("enumeration", "expand"),
         ("enumeration", "_enumerate_all"),
     }
+
+
+def test_walk_and_public_chain_share_each_formula():
+    # the ballot sum, the descent bisect and the ear clipping, once each
+    assert _callers("comb") == {
+        ("dyck", "_ballot_rank"),
+        ("dyck", "catalan"),
+        ("enumeration", "ballot_count"),
+    }
+    assert _callers("_ballot_rank") == {("dyck", "path_rank"), ("dyck", "_walk")}
+    assert _callers("bisect_right") == {("dyck", "_descents")}
+    assert _callers("_descents") == {("dyck", "to_lambda"), ("dyck", "_walk")}
+    assert _callers("_clip") == {("dyck", "lambda_diagonals"), ("dyck", "_walk")}
+
+
+def test_sweep_builds_no_word():
+    imported = {
+        alias.name
+        for node in ast.walk(_trees()["checks"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "_walk" in imported
+    banned = {"vector_to_path", "path_rank", "path_to_triangulation", "DyckPath"}
+    assert not imported & banned
 
 
 def test_only_the_enumeration_is_cached():
