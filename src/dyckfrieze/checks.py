@@ -11,21 +11,24 @@ member u is then walked once by ``dyck._walk``, from its reduced profile
 and with no Dyck word: the rank of its path, the diagonals of the path's
 triangulation and that triangulation's quiddity q.
 ``diagonal(q, 0, n + 2)[2:] == u`` is the round trip, because
-``path_to_vector`` is exactly that composition.  The quiddity must equal
-the cycle heads rotated to the member's offset, and the triangulation of
-member t must be member 0's rotated by -t, with member 0's returning
-after p rotations.  Closure is checked once per quiddity rotated back to
-member 0: ``from_quiddity`` and ``verify`` read columns cyclically, so a
-rotation closes iff it does, and a frieze with the rows of the verified
-cycle frieze needs no second ``verify``.
+``path_to_vector`` is exactly that composition.  Every member t is then
+checked in member 0's frame: its quiddity rotated back by t must be the
+cycle heads repeated N/p times, and its triangulation's key turned by t
+must be member 0's, with member 0's returning after p turns.  Closure is
+checked once per back-rotated quiddity: ``from_quiddity`` and ``verify``
+read columns cyclically, so a rotation closes iff it does, and a frieze
+with the rows of the verified cycle frieze needs no second ``verify``.
 
 Everything built for a cycle is dropped once the cycle is done.  Across
 cycles the sweep keeps only compact keys: a ``bytearray`` over the sorted
 vectors marks the cycle members seen, a ``bytearray`` over path ranks
-(``all_paths`` order) marks the image of the path map, and one int bitmask
-per triangulation, bit ``i * N + j`` for diagonal ``(i, j)``, decides the
-injectivity of the triangulation map.  The same pass tallies the vectors
-by first entry z, a row that must equal ``ballot_count(n, z)``.
+(``all_paths`` order) marks the image of the path map, and one int key
+per triangulation decides the injectivity of the triangulation map.  The
+key has one block of N bits per vertex, and diagonal (i, j) sets bit
+``(j - i) % N`` of block i and bit ``(i - j) % N`` of block j, so adding
+k to every label turns the N² bits cyclically by k·N.  The same pass
+tallies the vectors by first entry z, a row that must equal
+``ballot_count(n, z)``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .dyck import _walk, catalan
 from .enumeration import ballot_count, enumerate_all
 from .errors import InputError, InvariantViolation
 from .frieze import from_cycle, from_quiddity, verify
-from .triangulation import Triangulation, rotate
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,19 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+def _key(diagonals, N: int) -> int:
+    """Key of the triangulation of the N-gon with these diagonals."""
+    return sum(
+        (1 << i * N + (j - i) % N) | (1 << j * N + (i - j) % N) for i, j in diagonals
+    )
+
+
+def _turn(key: int, k: int, N: int) -> int:
+    """Key of the triangulation with every label moved up by k modulo N."""
+    shift = k % N * N
+    return ((key << shift) | (key >> N * N - shift)) & ((1 << N * N) - 1)
 
 
 def run_checks(n: int) -> list[CheckResult]:
@@ -74,10 +89,8 @@ def run_checks(n: int) -> list[CheckResult]:
         except InvariantViolation:
             friezes_ok = False
             cycle_rows = None
-        heads = cycle_heads(c)
-
-        images = []
-        cycle_tri_keys = set()
+        heads = cycle_heads(c) * (N // p)  # member 0's q, by the cycle theorem
+        orbit = []  # the members' triangulation keys
         closing_keys = set()
         for offset, d in enumerate(c.diamonds):
             u = d.col1
@@ -93,18 +106,16 @@ def run_checks(n: int) -> list[CheckResult]:
             walked += 1
 
             roundtrip_ok &= diagonal(q, 0, n + 2)[2:] == u
-            quiddity_ok &= (heads[offset:] + heads[:offset]) * (N // p) == q
-            closing_keys.add(q[-offset:] + q[:-offset])
-            # the clipped ears are a triangulation, as for ``realize``
-            images.append(Triangulation._trusted(N, frozenset(diagonals)))
-            cycle_tri_keys.add(sum(1 << (i * N + j) for i, j in diagonals))
+            back = q[-offset:] + q[:-offset]  # q in member 0's frame
+            quiddity_ok &= back == heads
+            closing_keys.add(back)
+            orbit.append(_key(diagonals, N))
 
-        orbit_ok &= (
-            len(cycle_tri_keys) == p
-            and rotate(images[0], -p) == images[0]
-            and all(images[k] == rotate(images[0], -k) for k in range(1, p))
+        # member t turned by t is member 0, which returns after p turns
+        orbit_ok &= len(set(orbit)) == p and all(
+            _turn(key, t, N) == orbit[0] for t, key in enumerate(orbit + orbit[:1])
         )
-        tri_keys |= cycle_tri_keys
+        tri_keys.update(orbit)
         for key in closing_keys:
             try:
                 fp = from_quiddity(key)

@@ -89,7 +89,7 @@ def _as_path(p) -> DyckPath:
 
 def parse_path(text: str) -> DyckPath:
     """Parse a Dyck word, accepting lowercase and canonicalizing to upper."""
-    return DyckPath(str(text).upper())
+    return DyckPath(expect(text, str).upper())
 
 
 def all_paths(half_length: int):

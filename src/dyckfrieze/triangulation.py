@@ -13,8 +13,6 @@ because a theorem guarantees the result: ``rotate`` (a rotation of a
 triangulation is a triangulation, and it normalizes its own pairs) and
 ``realize`` (each step clips one ear of the active polygon of at least
 four vertices, so the n chords are distinct, non-crossing diagonals).
-The invariant sweep wraps the ears that ``dyck._walk`` clips the same
-way as ``realize``.
 """
 
 from __future__ import annotations

@@ -3,28 +3,34 @@ rank-n invariant suite.
 
 ``run_checks`` builds each coupling cycle once, from the cycle's first
 enumerated member, walks each member's profile once (``dyck._walk``) for its
-path rank, triangulation and quiddity, checks every member's triangulation
-against member 0's rotated, and builds each closing frieze once per quiddity
-rotated back to member 0.  A fault planted on another member must still fail
-its check.
+path rank, triangulation and quiddity, checks every member in member 0's
+frame, and builds each closing frieze once per quiddity rotated back to
+member 0.  A fault planted on another member must still fail its check.  The
+triangulation keys that the orbit check turns are compared with ``rotate``.
 """
 
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckfrieze import (
+    Triangulation,
+    all_paths,
     catalan,
     checks,
     complete_diamond,
     enumerate_all,
     minimal_cycle,
     quiddity,
+    realize,
     rotate,
+    to_lambda,
     vector_to_triangulation,
 )
 from dyckfrieze.errors import InvariantViolation
-from oracles import run_checks_with_global_tables
+from oracles import random_triangulation_diagonals, run_checks_with_global_tables
 
 RANK = 5
 
@@ -55,6 +61,18 @@ def _plant_on_walk(monkeypatch, target, plant):
         if u == target:
             rank, q = plant(rank, q)
         return rank, diagonals, q
+
+    monkeypatch.setattr(checks, "_walk", planted)
+
+
+def _plant_diagonals_on_walk(monkeypatch, reported):
+    """Make the sweep's walk of each vector in ``reported`` report the
+    diagonals given for it in place of its own."""
+    original = checks._walk
+
+    def planted(u):
+        rank, diagonals, q = original(u)
+        return rank, reported.get(u, diagonals), q
 
     monkeypatch.setattr(checks, "_walk", planted)
 
@@ -115,14 +133,73 @@ def test_member_reporting_another_members_path_rank_fails(monkeypatch):
 
 
 def test_orbit_missing_one_member_fails(monkeypatch):
-    target = _non_representative_triangulation()
+    t = _non_representative_triangulation()
+    target = checks._key(t.diagonals, t.polygon_size)
+    original = checks._turn
 
-    def skewed(t, k):
-        moved = rotate(t, k)
-        return rotate(moved, 1) if moved == target else moved
+    def skewed(key, k, N):
+        moved = original(key, k, N)
+        return original(moved, 1, N) if key == target else moved
 
-    monkeypatch.setattr(checks, "rotate", skewed)
+    monkeypatch.setattr(checks, "_turn", skewed)
     assert _failed_checks() == ["cycle_orbit_consistent"]
+
+
+def test_member_reporting_member_0s_triangulation_fails(monkeypatch):
+    # the non-representative member takes its cycle head's diagonals, so
+    # one triangulation is hit twice and the cycle's orbit is one short
+    head = enumerate_all(RANK)[0]
+    _, taken, _ = checks._walk(head)
+    _plant_diagonals_on_walk(monkeypatch, {_non_representative_vector(): taken})
+    results = {r.name: r for r in checks.run_checks(RANK)}
+    assert [name for name, r in results.items() if not r.passed] == [
+        "triangulation_map_injective",
+        "cycle_orbit_consistent",
+    ]
+    expected = catalan(RANK + 1)
+    assert results["triangulation_map_injective"].detail == (
+        f"distinct={expected - 1} expected={expected}"
+    )
+
+
+def test_member_0_not_returning_after_p_turns_fails(monkeypatch):
+    # the members of a cycle of period p < N report the rotations of an
+    # asymmetric triangulation, each turned back to member 0 as the orbit
+    # asks; only the p-th turn of member 0 tells them apart
+    cycles = [minimal_cycle(complete_diamond(v)) for v in enumerate_all(RANK)]
+    short = next(c for c in cycles if c.p < RANK + 3)
+    full = next(c for c in cycles if c.p == RANK + 3)
+    t0 = vector_to_triangulation(full.diamonds[0].col1)
+    reported = {
+        d.col1: sorted(rotate(t0, -t).diagonals) for t, d in enumerate(short.diamonds)
+    }
+    _plant_diagonals_on_walk(monkeypatch, reported)
+    # the reported triangulations are also members of the full cycle
+    assert _failed_checks() == [
+        "triangulation_map_injective",
+        "cycle_orbit_consistent",
+    ]
+
+
+@pytest.mark.parametrize("N", range(4, 11))
+def test_turned_key_is_the_key_of_the_rotation(N):
+    # every triangulation of the N-gon, every turn up to a full one
+    keys = set()
+    for p in all_paths(N - 2):
+        t = realize(to_lambda(p))
+        key = checks._key(t.diagonals, N)
+        keys.add(key)
+        for k in range(N + 1):
+            assert checks._turn(key, k, N) == checks._key(rotate(t, k).diagonals, N)
+    assert len(keys) == catalan(N - 2)
+
+
+@given(st.integers(4, 60), st.integers(-120, 120), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_turned_key_is_the_key_of_the_rotation_property(N, k, rng):
+    t = Triangulation(N, random_triangulation_diagonals(N, rng))
+    key = checks._key(t.diagonals, N)
+    assert checks._turn(key, k, N) == checks._key(rotate(t, k).diagonals, N)
 
 
 def test_cycle_frieze_failing_to_build_fails(monkeypatch):

@@ -292,6 +292,7 @@ TOO_LONG_TO_PRINT_CALLS = {
     ),
     "FriezePattern(B, ())": lambda: FriezePattern(B, ()),
     "all_paths(B)": lambda: next(all_paths(B)),
+    "parse_path(B)": lambda: parse_path(B),
     "all_paths(10**19)": lambda: next(all_paths(10**19)),
     "render_ascii(entry -B)": _tampered_render,
 }

@@ -92,9 +92,6 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
         ("triangulation", "rotate"),
         ("diamond", "complete_diamond"),
         ("diamond", "minimal_cycle"),
-        # the walk's diagonals are clipped ears of the (n+3)-gon, as in
-        # realize: n distinct, non-crossing diagonals
-        ("checks", "run_checks"),
     }
     assert _callers("_reduce") == {
         ("dyck", "reduce_coordinate"),
@@ -124,15 +121,25 @@ def test_walk_and_public_chain_share_each_formula():
 
 
 def test_sweep_builds_no_word():
+    # nor a Triangulation: it compares rotation-aware int keys
+    tree = _trees()["checks"]
     imported = {
         alias.name
-        for node in ast.walk(_trees()["checks"])
+        for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
     assert "_walk" in imported
-    banned = {"vector_to_path", "path_rank", "path_to_triangulation", "DyckPath"}
+    banned = {
+        "vector_to_path",
+        "path_rank",
+        "path_to_triangulation",
+        "DyckPath",
+        "Triangulation",
+        "rotate",
+    }
     assert not imported & banned
+    assert "triangulation" not in _internal_imports(tree)
 
 
 def test_only_the_enumeration_is_cached():
