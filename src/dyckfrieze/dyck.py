@@ -11,12 +11,13 @@ lists, for the first k-1 Ds, the number of Us seen before that D minus its
 position offset; the descent vector of a path of length 2(n+1) lists, for
 i = 1..n, how many Ds occur before the (n+2-i)-th U.  The former drives the
 bijection with diamond vectors, the latter drives polygon triangulations
-through ``lambda_diagonals``.  Both encodings and the rank in ``all_paths``
-order are read off the profile m (the Us before each D) that the
-constructor's validating walk computes, with no walk of their own.
-``_walk`` reads the rank, the triangulation and the quiddity of a diamond
-vector's path off its reduced profile, with no word in between, by the
-same formulas; it is for the vectors that the invariant sweep builds.
+through ``_clip``.  Both encodings and the rank in ``all_paths`` order
+are read off the profile m (the Us before each D) that the constructor's
+validating walk computes, with no walk of their own.  ``_profile_of``
+checks a diamond vector's profile once, for ``vector_to_path`` and for
+the invariant sweep's ``_walk``, which reads the rank, the triangulation
+and the quiddity off it with no word in between.  A descent encoding is
+checked only where it enters, in ``triangulation.realize``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import (
     InvalidVG,
     InvariantViolation,
     NotBalanced,
-    PositionOutOfRange,
     PrefixViolation,
     TooShort,
     as_tuple,
@@ -187,20 +187,21 @@ def from_v_vector(v) -> DyckPath:
     no path."""
     v = as_tuple(v, "vector")
     k = len(v) + 1
-    m_prev = 0
-    parts = []
+    m = [0]
     for i, vi in enumerate(v, start=1):
         if not is_int(vi) or vi < 1:
             raise InvalidVG(f"entry {i}: {format_int(vi)} must be an integer >= 1")
-        m_i = vi + i - 1
-        if m_i < m_prev:
+        m.append(vi + i - 1)
+        if m[i] < m[i - 1]:
             raise InvalidVG(f"entry {i}: U-count profile decreases")
-        if m_i > k:
+        if m[i] > k:
             raise InvalidVG(f"entry {i}: profile exceeds half length {k}")
-        parts.append("U" * (m_i - m_prev) + "D")
-        m_prev = m_i
-    parts.append("U" * (k - m_prev) + "D")
-    return DyckPath("".join(parts))
+    return _path_of(m[1:] + [k])
+
+
+def _path_of(m) -> DyckPath:
+    # the word with m_i Us before its i-th D, for a checked profile m
+    return DyckPath("".join("U" * (b - a) + "D" for a, b in zip([0, *m], m)))
 
 
 def to_lambda(p: DyckPath) -> tuple[int, ...]:
@@ -241,8 +242,8 @@ def _reduce(u: tuple[int, ...], i: int) -> int:
     return r + t
 
 
-def lambda_diagonals(lambda_vector) -> list[tuple[int, int]]:
-    """Diagonals of the (n+3)-gon drawn by a descent encoding of length n.
+def _clip(lam) -> list[tuple[int, int]]:
+    """Diagonals of the (n+3)-gon drawn by a checked descent encoding of length n.
 
     The active polygon is kept as an ordered list of original labels: step
     i joins the vertices at current positions lambda_i and lambda_i + 2 and
@@ -250,19 +251,6 @@ def lambda_diagonals(lambda_vector) -> list[tuple[int, int]]:
     off-by-one drift from relabeling arithmetic, and as the list stays
     sorted each diagonal comes out as ``(low, high)``.
     """
-    lam = as_tuple(lambda_vector, "descent encoding")
-    size = len(lam) + 3
-    for step, li in enumerate(lam, start=1):
-        # the active polygon has size - step + 1 vertices at this step
-        if not is_int(li) or li < 0:
-            raise InputError(f"step {step}: {format_int(li)} is not a valid position")
-        if li + 2 > size - step:
-            raise PositionOutOfRange(step, li, size - step + 1)
-    return _clip(lam)
-
-
-def _clip(lam) -> list[tuple[int, int]]:
-    # the ear clipping of ``lambda_diagonals``, on positions already checked
     active = list(range(len(lam) + 3))
     diagonals = []
     for li in lam:
@@ -287,20 +275,13 @@ def vector_to_path(v) -> DyckPath:
     A vector not associated to a positive integral diamond is rejected by
     ``complete_diamond`` with NonExactDivision or NonPositiveEntry.
     """
-    v = complete_diamond(v).col1
-    profile = tuple(_reduce(v, i) for i in range(1, len(v) + 1))
-    return from_v_vector(profile)
+    return _path_of(_profile_of(complete_diamond(v).col1))
 
 
-def _walk(u: tuple[int, ...]) -> tuple[int, list[tuple[int, int]], tuple[int, ...]]:
-    """``(path_rank, lambda_diagonals, quiddity)`` of the path of a diamond
-    vector ``u`` that the caller built itself, read off the reduced profile
-    with no Dyck word and no re-check of ``u``.
-
-    The profile m is ``vector_to_path``'s reduced coordinates plus their
-    offsets, closed by the last D's m = n + 1.  A profile that encodes no
-    path raises InvariantViolation: the path map's theorem failed.
-    """
+def _profile_of(u: tuple[int, ...]) -> list[int]:
+    """Profile of the path of a checked diamond vector ``u``: its reduced
+    coordinates plus their offsets, closed by n + 1.  One that encodes no
+    path raises InvariantViolation, as the path map's theorem failed."""
     n = len(u)
     m = [_reduce(u, i) + i - 1 for i in range(1, n + 1)] + [n + 1]
     # i <= m_i, non-decreasing, so at most m_{n+1} = n + 1 (``from_v_vector``)
@@ -308,6 +289,14 @@ def _walk(u: tuple[int, ...]) -> tuple[int, list[tuple[int, int]], tuple[int, ..
         if not i <= m[i - 1] <= m[i]:
             shown = f"{format_int(m)} of {format_int(u)}"
             raise InvariantViolation(f"profile {shown} encodes no Dyck path")
+    return m
+
+
+def _walk(u: tuple[int, ...]) -> tuple[int, list[tuple[int, int]], tuple[int, ...]]:
+    """``(path_rank, diagonals, quiddity)`` of the path of a diamond vector
+    ``u`` that the caller built itself, read off ``_profile_of(u)``."""
+    m = _profile_of(u)
+    n = len(u)
     diagonals = _clip(_descents(m, n))
     return _ballot_rank(m), diagonals, degree_quiddity(n + 3, diagonals)
 
@@ -320,5 +309,5 @@ def path_to_vector(p: DyckPath, n: int) -> tuple[int, ...]:
     """
     p = _as_path(p)
     int_in(n, "rank of the path", p.half_length - 1, p.half_length - 1)
-    q = degree_quiddity(n + 3, lambda_diagonals(to_lambda(p)))
+    q = degree_quiddity(n + 3, _clip(to_lambda(p)))
     return diagonal(q, 0, n + 2)[2:]

@@ -5,22 +5,23 @@ is the set of its N-3 pairwise non-crossing diagonals; with that count,
 non-crossing already forces every face to be a triangle.
 
 Realization turns the descent encoding of a Dyck path of length 2(n+1)
-into a triangulation of the (n+3)-gon, with the diagonals that
-``dyck.lambda_diagonals`` draws.
+into a triangulation of the (n+3)-gon by the ear clipping ``dyck._clip``.
 
-The constructor validates in full.  Two constructions skip that check,
+The constructor validates in full.  Three constructions skip that check,
 because a theorem guarantees the result: ``rotate`` (a rotation of a
-triangulation is a triangulation, and it normalizes its own pairs) and
+triangulation is a triangulation, and it normalizes its own pairs),
 ``realize`` (each step clips one ear of the active polygon of at least
-four vertices, so the n chords are distinct, non-crossing diagonals).
+four vertices, so the n chords are distinct, non-crossing diagonals) and
+``path_to_triangulation`` (a validated path's descent encoding always
+clips: entry i is at most n + 1 - i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyck import DyckPath, degree_quiddity, lambda_diagonals, to_lambda, vector_to_path
-from .errors import InputError, SizeMismatch
+from .dyck import DyckPath, _clip, degree_quiddity, to_lambda, vector_to_path
+from .errors import InputError, PositionOutOfRange, SizeMismatch
 from .errors import as_tuple, expect, format_int, int_in, is_int
 
 Diagonal = tuple[int, int]
@@ -82,8 +83,15 @@ class Triangulation:
 
 def realize(lambda_vector) -> Triangulation:
     """Triangulation realized by the descent encoding of a Dyck path."""
-    diagonals = lambda_diagonals(lambda_vector)
-    return Triangulation._trusted(len(diagonals) + 3, frozenset(diagonals))
+    lam = as_tuple(lambda_vector, "descent encoding")
+    size = len(lam) + 3
+    for step, li in enumerate(lam, start=1):
+        # the active polygon has size - step + 1 vertices at this step
+        if not is_int(li) or li < 0:
+            raise InputError(f"step {step}: {format_int(li)} is not a valid position")
+        if li + 2 > size - step:
+            raise PositionOutOfRange(step, li, size - step + 1)
+    return Triangulation._trusted(size, frozenset(_clip(lam)))
 
 
 def triangles(t: Triangulation) -> list[tuple[int, int, int]]:
@@ -140,9 +148,10 @@ def rotation_orbit(t: Triangulation) -> set[Triangulation]:
 def vector_to_triangulation(v) -> Triangulation:
     """Composite map from a rank-n diamond vector to a triangulation of the
     (n+3)-gon, via its Dyck path and descent encoding."""
-    return realize(to_lambda(vector_to_path(v)))
+    return path_to_triangulation(vector_to_path(v))
 
 
 def path_to_triangulation(p: DyckPath) -> Triangulation:
     """Triangulation realized by a Dyck path of length 2(n+1)."""
-    return realize(to_lambda(p))
+    lam = to_lambda(p)
+    return Triangulation._trusted(len(lam) + 3, frozenset(_clip(lam)))

@@ -9,7 +9,8 @@ each vertex's neighbour ring), the quiddity by counting those faces
 (against the degree count), the head relation by searching its parameters
 (against the closed form), and, for the frieze-diagonal recurrence, frieze
 completion by row division, coupling cycles by iterated completion, and
-the path inverse by a table over the whole enumeration; and the rank-n
+the path inverse by a table over the whole enumeration, the path map
+composed through the public profile check ``from_v_vector``; and the rank-n
 invariant suite as it was before it streamed one coupling cycle at a time,
 holding every path, word set and triangulation until the end.  The
 kernel's earlier forms are kept as well: the diagonal recurrence indexing
@@ -35,6 +36,7 @@ from dyckfrieze import (
     enumerate_all,
     from_cycle,
     from_quiddity,
+    from_v_vector,
     minimal_cycle,
     path_to_triangulation,
     path_to_vector,
@@ -191,6 +193,15 @@ def reduce_coordinate_stepwise(u, i):
             return r + t
         r -= u[pick - 1]
         t += 1
+
+
+def vector_to_path_by_v_vector(v):
+    """Dyck path of a diamond vector: each coordinate reduced one
+    subtraction at a time, the reduced vector read as a profile vector by
+    the checking ``from_v_vector``."""
+    return from_v_vector(
+        tuple(reduce_coordinate_stepwise(v, i) for i in range(1, len(v) + 1))
+    )
 
 
 def random_triangulation_diagonals(N, rng):

@@ -7,7 +7,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckfrieze import checks, cli
+from dyckfrieze import checks, cli, dyck
 from dyckfrieze.cli import MAX_VECTOR_ENTRIES, main
 from dyckfrieze.errors import InvariantViolation
 
@@ -162,6 +162,16 @@ def test_verify_exits_2_on_an_invariant_violation(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--n", "3")
     assert (code, out) == (2, "")
     assert err == "internal error: InvariantViolation: planted\n"
+
+
+def test_a_failed_path_map_theorem_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(dyck, "_reduce", lambda u, i: 0)
+    code, out, err = run(capsys, "triangulate", "--vector", "2,1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "internal error: InvariantViolation: "
+        "profile [0, 1, 3] of (2, 1) encodes no Dyck path\n"
+    )
 
 
 def test_output_is_deterministic(capsys):

@@ -7,6 +7,7 @@ from dyckfrieze import (
     Triangulation,
     all_paths,
     catalan,
+    cycle_paths,
     enumerate_all,
     from_v_vector,
     parse_path,
@@ -15,6 +16,7 @@ from dyckfrieze import (
     path_to_vector,
     peaks,
     quiddity,
+    realize,
     reduce_coordinate,
     support,
     to_lambda,
@@ -23,8 +25,9 @@ from dyckfrieze import (
     vector_to_path,
     vector_to_triangulation,
 )
+from dyckfrieze import dyck
 from dyckfrieze.diamond import diagonal
-from dyckfrieze.dyck import _walk, lambda_diagonals
+from dyckfrieze.dyck import _walk
 from dyckfrieze.errors import (
     BadSymbol,
     IndexOutOfRange,
@@ -46,6 +49,7 @@ from oracles import (
     random_triangulation_diagonals,
     reduce_coordinate_stepwise,
     v_vector_by_walk,
+    vector_to_path_by_v_vector,
 )
 
 PATH18 = "UUUUUDDDUDUUUDDDDD"
@@ -367,13 +371,17 @@ def test_v_vector_roundtrip_property(p):
 
 
 def test_walk_matches_the_public_chain_exhaustive():
+    # the oracle's profile goes through from_v_vector's checks and its
+    # descent encoding through realize's; the maps and the walk share
+    # _profile_of's one check and _clip
     for n in range(1, 9):
         for v in enumerate_all(n):
-            p = vector_to_path(v)
-            t = path_to_triangulation(p)
+            p = vector_to_path_by_v_vector(v)
+            t = realize(to_lambda(p))
+            assert vector_to_path(v) == p
+            assert vector_to_triangulation(v) == t
             rank, diagonals, q = _walk(v)
             assert rank == path_rank(p)
-            assert diagonals == lambda_diagonals(to_lambda(p))
             assert frozenset(diagonals) == t.diagonals
             assert q == quiddity(t)
 
@@ -386,12 +394,31 @@ def test_walk_matches_word_walks_property(N, rng):
     t = Triangulation(N, random_triangulation_diagonals(N, rng))
     q = quiddity_by_faces(t)
     v = diagonal(q, 0, N - 1)[2:]
-    word = vector_to_path(v).word
+    p = vector_to_path_by_v_vector(v)
+    assert vector_to_path(v) == p
+    assert vector_to_triangulation(v) == realize(lambda_by_walk(p.word)) == t
     rank, diagonals, walked_q = _walk(v)
-    assert rank == path_rank_by_walk(word)
-    assert diagonals == lambda_diagonals(lambda_by_walk(word))
+    assert rank == path_rank_by_walk(p.word)
     assert frozenset(diagonals) == t.diagonals
     assert walked_q == q
+
+
+def test_path_maps_match_the_realize_route_exhaustive():
+    # both clip the descent encoding of a validated path without realize's
+    # checks; the route through realize checks it
+    for k in range(2, 10):
+        for p in all_paths(k):
+            t = realize(to_lambda(p))
+            assert path_to_triangulation(p) == t
+            assert path_to_vector(p, k - 1) == diagonal(quiddity(t), 0, k + 1)[2:]
+
+
+def test_a_failed_path_map_theorem_is_an_invariant_violation(monkeypatch):
+    # the profile is the package's own, so a bad one is not the caller's fault
+    monkeypatch.setattr(dyck, "_reduce", lambda u, i: 0)
+    for path_map in (vector_to_path, vector_to_triangulation, cycle_paths):
+        with pytest.raises(InvariantViolation, match="encodes no Dyck path"):
+            path_map((2, 1))
 
 
 def test_walk_refuses_a_decreasing_profile():

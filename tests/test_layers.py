@@ -89,15 +89,20 @@ def _callers(name):
 def test_trusted_paths_are_called_only_where_a_theorem_holds():
     assert _callers("_trusted") == {
         ("triangulation", "realize"),
+        ("triangulation", "path_to_triangulation"),
         ("triangulation", "rotate"),
         ("diamond", "complete_diamond"),
         ("diamond", "minimal_cycle"),
     }
+    # one checked profile per diamond vector, for the public map and the walk
     assert _callers("_reduce") == {
         ("dyck", "reduce_coordinate"),
-        ("dyck", "vector_to_path"),
-        ("dyck", "_walk"),
+        ("dyck", "_profile_of"),
     }
+    assert _callers("_profile_of") == {("dyck", "vector_to_path"), ("dyck", "_walk")}
+    # the boundary for a caller's profile vector: the package derives its
+    # own profiles, already checked, so it never goes through it
+    assert _callers("from_v_vector") == set()
     # the walk does not check its vector, so only the sweep, which built
     # the vector itself, may call it
     assert _callers("_walk") == {("checks", "run_checks")}
@@ -117,7 +122,14 @@ def test_walk_and_public_chain_share_each_formula():
     assert _callers("_ballot_rank") == {("dyck", "path_rank"), ("dyck", "_walk")}
     assert _callers("bisect_right") == {("dyck", "_descents")}
     assert _callers("_descents") == {("dyck", "to_lambda"), ("dyck", "_walk")}
-    assert _callers("_clip") == {("dyck", "lambda_diagonals"), ("dyck", "_walk")}
+    # realize checks a descent encoding from outside; the others clip one
+    # derived from a path or a profile already checked
+    assert _callers("_clip") == {
+        ("dyck", "_walk"),
+        ("dyck", "path_to_vector"),
+        ("triangulation", "realize"),
+        ("triangulation", "path_to_triangulation"),
+    }
 
 
 def test_sweep_builds_no_word():
@@ -191,9 +203,9 @@ def test_scalar_arguments_are_checked_by_one_range_guard():
         ("errors", "format_int"),
         ("diamond", "as_vector"),
         ("dyck", "from_v_vector"),
-        ("dyck", "lambda_diagonals"),
         ("frieze", "from_quiddity"),
         ("triangulation", "_normalize_pair"),
+        ("triangulation", "realize"),
         ("triangulation", "rotate"),
     }
 
