@@ -8,8 +8,12 @@ The sweep streams the rank-n vectors one coupling cycle at a time.  The
 first vector of each cycle not yet visited gives its minimal cycle and
 that cycle's frieze, which ``from_cycle`` verifies as it builds it.  Each
 member u is then walked once by ``dyck._walk``, from its reduced profile
-and with no Dyck word: the rank of its path, the diagonals of the path's
-triangulation and that triangulation's quiddity q.
+and with no Dyck word: the rank of its path, the key of the path's
+triangulation and that triangulation's quiddity q.  The walk reads the
+rank and the key through two tables that each ``run_checks`` call builds
+once, before the sweep: the ballot terms of the rank, by position and
+height (``dyck._ballot_rows``), and the key bits of each diagonal
+(``_key_masks``), OR-ed in as the walk clips each ear.
 ``diagonal(q, 0, n + 2)[2:] == u`` is the round trip, because
 ``path_to_vector`` is exactly that composition.  Every member t is then
 checked in member 0's frame: its quiddity rotated back by t must be the
@@ -28,7 +32,8 @@ key has one block of N bits per vertex, and diagonal (i, j) sets bit
 ``(j - i) % N`` of block i and bit ``(i - j) % N`` of block j, so adding
 k to every label turns the N² bits cyclically by k·N.  The same pass
 tallies the vectors by first entry z, a row that must equal
-``ballot_count(n, z)``.
+``ballot_count(n, z)``, and the cycles by period, a histogram that must
+equal the count of rotational symmetries (``_period_counts``).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .diamond import complete_diamond, cycle_heads, diagonal, minimal_cycle
-from .dyck import _walk, catalan
+from .dyck import _ballot_rows, _walk, catalan
 from .enumeration import ballot_count, enumerate_all
 from .errors import InputError, InvariantViolation
 from .frieze import from_cycle, from_quiddity, verify
@@ -51,11 +56,13 @@ class CheckResult:
     detail: str = ""
 
 
-def _key(diagonals, N: int) -> int:
-    """Key of the triangulation of the N-gon with these diagonals."""
-    return sum(
-        (1 << i * N + (j - i) % N) | (1 << j * N + (i - j) % N) for i, j in diagonals
-    )
+def _key_masks(N: int) -> list[list[int]]:
+    """``masks[i][j]``: the key bits of diagonal (i, j) of the N-gon, so a
+    triangulation's key is the OR of its diagonals' masks."""
+    return [
+        [(1 << i * N + (j - i) % N) | (1 << j * N + (i - j) % N) for j in range(N)]
+        for i in range(N)
+    ]
 
 
 def _turn(key: int, k: int, N: int) -> int:
@@ -64,17 +71,36 @@ def _turn(key: int, k: int, N: int) -> int:
     return ((key << shift) | (key >> N * N - shift)) & ((1 << N * N) - 1)
 
 
+def _period_counts(N: int) -> Counter:
+    """Coupling cycles of rank N - 3 by period.  A rotation fixing a
+    triangulation fixes the polygon's centre, which then lies on a diameter
+    (period N/2, the two halves alike) or inside a triangle with a vertex
+    every N/3 (period N/3, the three thirds alike); every other cycle has
+    period N."""
+    counts = Counter()
+    rest = catalan(N - 2)  # triangulations not yet counted
+    for d in (2, 3):
+        if N % d == 0:
+            counts[N // d] = catalan(N // d - 1)
+            rest -= N // d * counts[N // d]
+    counts[N] = rest // N
+    return counts
+
+
 def run_checks(n: int) -> list[CheckResult]:
     """Run every rank-n check and report one result per check."""
     vectors = enumerate_all(n)
     expected = catalan(n + 1)
     N = n + 3
+    rows = _ballot_rows(n + 1)
+    masks = _key_masks(N)
 
     visited = bytearray(len(vectors))
     ranks = bytearray(expected)
     tri_keys = set()
     walked = 0
     firsts = Counter()  # first entry z -> vectors starting with z
+    periods = Counter()  # period -> cycles with that period
     paths_injective = roundtrip_ok = members_ok = True
     friezes_ok = quiddity_ok = orbit_ok = closes_ok = True
 
@@ -84,6 +110,7 @@ def run_checks(n: int) -> list[CheckResult]:
             continue
         c = minimal_cycle(complete_diamond(v))
         p = c.p
+        periods[p] += 1
         try:
             cycle_rows = from_cycle(c).rows
         except InvariantViolation:
@@ -100,7 +127,7 @@ def run_checks(n: int) -> list[CheckResult]:
             else:
                 visited[at] = 1
 
-            rank, diagonals, q = _walk(u)
+            rank, key, q = _walk(u, rows, masks)
             paths_injective &= not ranks[rank]
             ranks[rank] = 1
             walked += 1
@@ -109,16 +136,16 @@ def run_checks(n: int) -> list[CheckResult]:
             back = q[-offset:] + q[:-offset]  # q in member 0's frame
             quiddity_ok &= back == heads
             closing_keys.add(back)
-            orbit.append(_key(diagonals, N))
+            orbit.append(key)
 
         # member t turned by t is member 0, which returns after p turns
         orbit_ok &= len(set(orbit)) == p and all(
             _turn(key, t, N) == orbit[0] for t, key in enumerate(orbit + orbit[:1])
         )
         tri_keys.update(orbit)
-        for key in closing_keys:
+        for back in closing_keys:
             try:
-                fp = from_quiddity(key)
+                fp = from_quiddity(back)
             except InputError:
                 closes_ok = False
                 continue
@@ -127,6 +154,8 @@ def run_checks(n: int) -> list[CheckResult]:
     distinct = expected - ranks.count(0)
     row = Counter({z: ballot_count(n, z) for z in range(1, n + 2)})
     off = min(row - firsts | firsts - row, default=None)  # first z that differs
+    want = _period_counts(N)
+    odd = min(want - periods | periods - want, default=None)  # first that differs
     return [
         CheckResult(
             "enumeration_count",
@@ -145,11 +174,14 @@ def run_checks(n: int) -> list[CheckResult]:
         ),
         CheckResult("path_map_roundtrip", roundtrip_ok),
         # Cycle refuses a period that does not divide N, so what is left to
-        # check is that the cycles partition the enumeration
+        # check is that the cycles partition the enumeration, with as many
+        # of each period as the rotational symmetries allow
         CheckResult(
             "cycle_period_divides",
-            members_ok,
-            f"order={N}",
+            members_ok and odd is None,
+            f"period={odd} cycles={periods[odd]} expected={want[odd]}"
+            if odd
+            else f"order={N}",
         ),
         CheckResult("frieze_from_cycle_valid", friezes_ok),
         CheckResult(

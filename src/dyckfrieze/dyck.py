@@ -14,9 +14,13 @@ bijection with diamond vectors, the latter drives polygon triangulations
 through ``_clip``.  Both encodings and the rank in ``all_paths`` order
 are read off the profile m (the Us before each D) that the constructor's
 validating walk computes, with no walk of their own.  ``_profile_of``
-checks a diamond vector's profile once, for ``vector_to_path`` and for
-the invariant sweep's ``_walk``, which reads the rank, the triangulation
-and the quiddity off it with no word in between.  A descent encoding is
+reduces every coordinate of a diamond vector in one pass, along the chain
+of previous-smaller entries, and checks the profile once, for
+``vector_to_path``, which builds its word unchecked by
+``DyckPath._trusted``, and for the invariant sweep's ``_walk``.  The walk
+reads the rank off a table of ballot terms, and the triangulation's key and
+quiddity inside its ear-clipping loop, with no word in between; the sweep
+builds the tables once per call and passes them in.  A descent encoding is
 checked only where it enters, in ``triangulation.realize``.
 """
 
@@ -26,6 +30,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import comb
+from operator import getitem
 
 from .diamond import as_vector, complete_diamond, diagonal
 from .errors import (
@@ -65,7 +70,9 @@ def _profile(word: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DyckPath:
-    """Validated Dyck word; construction rejects anything else."""
+    """Validated Dyck word; construction rejects anything else.  The
+    package builds the word of a profile it has already checked through
+    ``_trusted``."""
 
     word: str
     # the profile, Us before each D: a function of word, so not compared
@@ -73,6 +80,16 @@ class DyckPath:
 
     def __post_init__(self):
         object.__setattr__(self, "_m", _profile(expect(self.word, str)))
+
+    @classmethod
+    def _trusted(cls, m) -> DyckPath:
+        """Build without validation from a profile ``m`` that encodes a
+        path: non-decreasing, ``i <= m_i`` for the i-th D, closed by k."""
+        word = "".join("U" * (b - a) + "D" for a, b in zip([0, *m], m))
+        p = object.__new__(cls)
+        object.__setattr__(p, "word", word)
+        object.__setattr__(p, "_m", tuple(m))
+        return p
 
     @property
     def half_length(self) -> int:
@@ -129,16 +146,21 @@ def path_rank(p) -> int:
     The i-th D (from 0) with m Us before it leaves 2k - m - i - 1 steps,
     k - i of them Ds once a U takes its place.  No table is kept.
     """
-    return _ballot_rank(_as_path(p)._m)
-
-
-def _ballot_rank(m) -> int:
-    # the ballot sum of ``path_rank`` over a profile m of length k
+    m = _as_path(p)._m
     k = len(m)
-    return sum(
-        comb(2 * k - mi - i - 1, k - i) - comb(2 * k - mi - i - 1, k - i + 1)
-        for i, mi in enumerate(m)
-    )
+    return sum(_ballot_term(k, i, mi) for i, mi in enumerate(m))
+
+
+def _ballot_term(k: int, i: int, mi: int) -> int:
+    # the term of ``path_rank`` for the i-th D of a word of half length k
+    return comb(2 * k - mi - i - 1, k - i) - comb(2 * k - mi - i - 1, k - i + 1)
+
+
+def _ballot_rows(k: int) -> list[list[int]]:
+    """``rows[i][mi]``: ``path_rank``'s term for the i-th D with mi Us
+    before it, so a profile m of length k ranks as the sum of
+    ``rows[i][m[i]]``."""
+    return [[_ballot_term(k, i, mi) for mi in range(k + 1)] for i in range(k)]
 
 
 def catalan(n: int) -> int:
@@ -196,12 +218,7 @@ def from_v_vector(v) -> DyckPath:
             raise InvalidVG(f"entry {i}: U-count profile decreases")
         if m[i] > k:
             raise InvalidVG(f"entry {i}: profile exceeds half length {k}")
-    return _path_of(m[1:] + [k])
-
-
-def _path_of(m) -> DyckPath:
-    # the word with m_i Us before its i-th D, for a checked profile m
-    return DyckPath("".join("U" * (b - a) + "D" for a, b in zip([0, *m], m)))
+    return DyckPath._trusted(m[1:] + [k])
 
 
 def to_lambda(p: DyckPath) -> tuple[int, ...]:
@@ -226,20 +243,34 @@ def reduce_coordinate(u, i: int) -> int:
     ``u`` must be a non-empty vector of positive ints.
     """
     u = as_vector(u)
-    return _reduce(u, int_in(i, "coordinate", 1, len(u), IndexOutOfRange))
+    i = int_in(i, "coordinate", 1, len(u), IndexOutOfRange)
+    return _reduced(u[:i])[-1]
 
 
-def _reduce(u: tuple[int, ...], i: int) -> int:
-    # Once index l stops qualifying it never qualifies again, so each index
-    # is taken as often as it fits in one division: at most i steps.
-    r = u[i - 1]
-    t = 0
-    for l in range(i, 0, -1):
-        if u[l - 1] < r:
-            k = (r - 1) // u[l - 1]
-            r -= k * u[l - 1]
-            t += k
-    return r + t
+def _reduced(u: tuple[int, ...]) -> list[int]:
+    """Every reduced coordinate of ``u``, in one pass.
+
+    Once index l stops qualifying it never qualifies again, so each index
+    is taken as often as it fits in one division.  After a subtraction at
+    index j the remainder is at most u_j, and the entries between j and
+    the nearest smaller one before it are at least u_j, so only the chain
+    of previous-smaller entries can qualify: it is the stack kept below.
+    """
+    reduced = []
+    chain = []  # earlier entries, each smaller than every entry after it
+    for x in u:
+        while chain and chain[-1] >= x:
+            chain.pop()
+        r = x
+        t = 0
+        for s in reversed(chain):
+            if s < r:
+                k = (r - 1) // s
+                r -= k * s
+                t += k
+        reduced.append(r + t)
+        chain.append(x)
+    return reduced
 
 
 def _clip(lam) -> list[tuple[int, int]]:
@@ -275,7 +306,7 @@ def vector_to_path(v) -> DyckPath:
     A vector not associated to a positive integral diamond is rejected by
     ``complete_diamond`` with NonExactDivision or NonPositiveEntry.
     """
-    return _path_of(_profile_of(complete_diamond(v).col1))
+    return DyckPath._trusted(_profile_of(complete_diamond(v).col1))
 
 
 def _profile_of(u: tuple[int, ...]) -> list[int]:
@@ -283,7 +314,7 @@ def _profile_of(u: tuple[int, ...]) -> list[int]:
     coordinates plus their offsets, closed by n + 1.  One that encodes no
     path raises InvariantViolation, as the path map's theorem failed."""
     n = len(u)
-    m = [_reduce(u, i) + i - 1 for i in range(1, n + 1)] + [n + 1]
+    m = [r + i for i, r in enumerate(_reduced(u))] + [n + 1]
     # i <= m_i, non-decreasing, so at most m_{n+1} = n + 1 (``from_v_vector``)
     for i in range(1, n + 1):
         if not i <= m[i - 1] <= m[i]:
@@ -292,13 +323,29 @@ def _profile_of(u: tuple[int, ...]) -> list[int]:
     return m
 
 
-def _walk(u: tuple[int, ...]) -> tuple[int, list[tuple[int, int]], tuple[int, ...]]:
-    """``(path_rank, diagonals, quiddity)`` of the path of a diamond vector
-    ``u`` that the caller built itself, read off ``_profile_of(u)``."""
+def _walk(u: tuple[int, ...], rows, masks) -> tuple[int, int, tuple[int, ...]]:
+    """``(path_rank, key, quiddity)`` of the path of a diamond vector ``u``
+    that the caller built itself, read off ``_profile_of(u)``.
+
+    ``rows`` is ``_ballot_rows(n + 1)``, so the rank is the sum of
+    ``rows[i][m_i]``.  ``masks[a][b]`` holds the key bits of diagonal
+    (a, b), distinct from every other diagonal's.  The descent encoding is
+    clipped as in ``_clip``, and each ear (a, b) adds 1 to q_a and q_b and
+    ORs in its mask, so the key is the OR over the ears.
+    """
     m = _profile_of(u)
     n = len(u)
-    diagonals = _clip(_descents(m, n))
-    return _ballot_rank(m), diagonals, degree_quiddity(n + 3, diagonals)
+    active = list(range(n + 3))
+    q = [1] * (n + 3)
+    key = 0
+    for li in _descents(m, n):
+        a = active[li]
+        b = active[li + 2]
+        del active[li + 1]
+        q[a] += 1
+        q[b] += 1
+        key |= masks[a][b]
+    return sum(map(getitem, rows, m)), key, tuple(q)
 
 
 def path_to_vector(p: DyckPath, n: int) -> tuple[int, ...]:

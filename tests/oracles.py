@@ -18,7 +18,9 @@ kernel's earlier forms are kept as well: the diagonal recurrence indexing
 member as a ``Diamond``, and the frieze checks walked entry by entry.  So
 are the word walks that read each of the two encodings and the rank off a
 Dyck word, one walk per answer, and ballot numbers by their recursion over
-the rank.
+the rank.  So are the sweep's per-vector formulas before they became table
+lookups: each coordinate reduced by its own scan over every earlier index,
+and a triangulation's key summed from its diagonals.
 """
 
 import functools
@@ -193,6 +195,36 @@ def reduce_coordinate_stepwise(u, i):
             return r + t
         r -= u[pick - 1]
         t += 1
+
+
+def reduce_coordinate_by_scan(u, i):
+    """Greedy residue scanning every index l <= i from the right, each taken
+    as often as it fits in one division: one coordinate per call."""
+    r = u[i - 1]
+    t = 0
+    for l in range(i, 0, -1):
+        if u[l - 1] < r:
+            k = (r - 1) // u[l - 1]
+            r -= k * u[l - 1]
+            t += k
+    return r + t
+
+
+def profile_by_coordinate(u):
+    """Profile of the path of a diamond vector ``u``, each coordinate
+    reduced on its own: reduced coordinates plus their offsets, closed by
+    n + 1."""
+    n = len(u)
+    return [reduce_coordinate_by_scan(u, i) + i - 1 for i in range(1, n + 1)] + [n + 1]
+
+
+def triangulation_key(diagonals, N):
+    """The sweep's key of the triangulation of the N-gon with these
+    diagonals, summed one diagonal at a time: (i, j) sets bit (j - i) % N of
+    block i and bit (i - j) % N of block j, each block N bits wide."""
+    return sum(
+        (1 << i * N + (j - i) % N) | (1 << j * N + (i - j) % N) for i, j in diagonals
+    )
 
 
 def vector_to_path_by_v_vector(v):

@@ -1,15 +1,19 @@
-"""Fault injection, a differential oracle and a memory bound for the
+"""Fault injection, differential oracles and a memory bound for the
 rank-n invariant suite.
 
 ``run_checks`` builds each coupling cycle once, from the cycle's first
 enumerated member, walks each member's profile once (``dyck._walk``) for its
-path rank, triangulation and quiddity, checks every member in member 0's
+path rank, triangulation key and quiddity, checks every member in member 0's
 frame, and builds each closing frieze once per quiddity rotated back to
 member 0.  A fault planted on another member must still fail its check.  The
-triangulation keys that the orbit check turns are compared with ``rotate``.
+walk reads rank and key from tables; both are compared with ``path_rank``
+and with the key summed diagonal by diagonal, and the keys that the orbit
+check turns are compared with ``rotate``.  The cycles' period histogram is
+compared with a count of each triangulation's stabiliser.
 """
 
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +27,22 @@ from dyckfrieze import (
     complete_diamond,
     enumerate_all,
     minimal_cycle,
+    path_rank,
+    path_to_vector,
     quiddity,
     realize,
     rotate,
     to_lambda,
+    vector_to_path,
     vector_to_triangulation,
 )
+from dyckfrieze.dyck import _ballot_rows
 from dyckfrieze.errors import InvariantViolation
-from oracles import random_triangulation_diagonals, run_checks_with_global_tables
+from oracles import (
+    random_triangulation_diagonals,
+    run_checks_with_global_tables,
+    triangulation_key,
+)
 
 RANK = 5
 
@@ -51,30 +63,24 @@ def _non_representative_triangulation():
     return vector_to_triangulation(_non_representative_vector())
 
 
-def _plant_on_walk(monkeypatch, target, plant):
-    """Make the sweep's walk of vector ``target`` report ``plant(rank, q)``
-    in place of its path rank and quiddity."""
+def _plant_on_walk(monkeypatch, plants):
+    """Make the sweep's walk of each vector u in ``plants`` report
+    ``plants[u](rank, key, q)`` in place of its path rank, triangulation key
+    and quiddity."""
     original = checks._walk
 
-    def planted(u):
-        rank, diagonals, q = original(u)
-        if u == target:
-            rank, q = plant(rank, q)
-        return rank, diagonals, q
+    def planted(u, rows, masks):
+        found = original(u, rows, masks)
+        return plants[u](*found) if u in plants else found
 
     monkeypatch.setattr(checks, "_walk", planted)
 
 
-def _plant_diagonals_on_walk(monkeypatch, reported):
-    """Make the sweep's walk of each vector in ``reported`` report the
-    diagonals given for it in place of its own."""
-    original = checks._walk
-
-    def planted(u):
-        rank, diagonals, q = original(u)
-        return rank, reported.get(u, diagonals), q
-
-    monkeypatch.setattr(checks, "_walk", planted)
+def _reporting(diagonals):
+    # a plant reporting the triangulation with these diagonals, keyed by
+    # the oracle
+    N = len(diagonals) + 3
+    return lambda rank, key, q: (rank, triangulation_key(diagonals, N), q)
 
 
 def test_unplanted_suite_passes():
@@ -83,7 +89,9 @@ def test_unplanted_suite_passes():
 
 def test_corrupt_quiddity_of_one_member_fails(monkeypatch):
     target = _non_representative_vector()
-    _plant_on_walk(monkeypatch, target, lambda rank, q: (rank, (q[0] + 1,) + q[1:]))
+    _plant_on_walk(
+        monkeypatch, {target: lambda rank, key, q: (rank, key, (q[0] + 1,) + q[1:])}
+    )
     # the round trip reads the member's vector off that quiddity
     assert _failed_checks() == [
         "path_map_roundtrip",
@@ -103,7 +111,9 @@ def test_closing_frieze_unlike_the_cycle_frieze_is_verified(monkeypatch):
         verified.append(fp.quiddity)
         return False
 
-    _plant_on_walk(monkeypatch, member, lambda rank, q: (rank, q[1:] + q[:1]))
+    _plant_on_walk(
+        monkeypatch, {member: lambda rank, key, q: (rank, key, q[1:] + q[:1])}
+    )
     monkeypatch.setattr(checks, "verify", rejecting)
     assert _failed_checks() == [
         "path_map_roundtrip",
@@ -118,9 +128,9 @@ def test_member_reporting_another_members_path_rank_fails(monkeypatch):
     # the non-representative member takes its cycle head's rank, so one
     # rank is hit twice and one is never hit
     head = enumerate_all(RANK)[0]
-    taken, _, _ = checks._walk(head)
+    taken = path_rank(vector_to_path(head))
     target = _non_representative_vector()
-    _plant_on_walk(monkeypatch, target, lambda rank, q: (taken, q))
+    _plant_on_walk(monkeypatch, {target: lambda rank, key, q: (taken, key, q)})
     results = {r.name: r for r in checks.run_checks(RANK)}
     assert [name for name, r in results.items() if not r.passed] == [
         "path_map_injective",
@@ -134,7 +144,7 @@ def test_member_reporting_another_members_path_rank_fails(monkeypatch):
 
 def test_orbit_missing_one_member_fails(monkeypatch):
     t = _non_representative_triangulation()
-    target = checks._key(t.diagonals, t.polygon_size)
+    target = triangulation_key(t.diagonals, t.polygon_size)
     original = checks._turn
 
     def skewed(key, k, N):
@@ -148,9 +158,8 @@ def test_orbit_missing_one_member_fails(monkeypatch):
 def test_member_reporting_member_0s_triangulation_fails(monkeypatch):
     # the non-representative member takes its cycle head's diagonals, so
     # one triangulation is hit twice and the cycle's orbit is one short
-    head = enumerate_all(RANK)[0]
-    _, taken, _ = checks._walk(head)
-    _plant_diagonals_on_walk(monkeypatch, {_non_representative_vector(): taken})
+    taken = vector_to_triangulation(enumerate_all(RANK)[0]).diagonals
+    _plant_on_walk(monkeypatch, {_non_representative_vector(): _reporting(taken)})
     results = {r.name: r for r in checks.run_checks(RANK)}
     assert [name for name, r in results.items() if not r.passed] == [
         "triangulation_map_injective",
@@ -171,9 +180,10 @@ def test_member_0_not_returning_after_p_turns_fails(monkeypatch):
     full = next(c for c in cycles if c.p == RANK + 3)
     t0 = vector_to_triangulation(full.diamonds[0].col1)
     reported = {
-        d.col1: sorted(rotate(t0, -t).diagonals) for t, d in enumerate(short.diamonds)
+        d.col1: _reporting(rotate(t0, -t).diagonals)
+        for t, d in enumerate(short.diamonds)
     }
-    _plant_diagonals_on_walk(monkeypatch, reported)
+    _plant_on_walk(monkeypatch, reported)
     # the reported triangulations are also members of the full cycle
     assert _failed_checks() == [
         "triangulation_map_injective",
@@ -187,19 +197,32 @@ def test_turned_key_is_the_key_of_the_rotation(N):
     keys = set()
     for p in all_paths(N - 2):
         t = realize(to_lambda(p))
-        key = checks._key(t.diagonals, N)
+        key = triangulation_key(t.diagonals, N)
         keys.add(key)
         for k in range(N + 1):
-            assert checks._turn(key, k, N) == checks._key(rotate(t, k).diagonals, N)
+            turned = triangulation_key(rotate(t, k).diagonals, N)
+            assert checks._turn(key, k, N) == turned
     assert len(keys) == catalan(N - 2)
+
+
+@pytest.mark.parametrize("N", range(4, 11))
+def test_walk_reads_rank_and_key_of_every_path(N):
+    # the walk's table lookups against path_rank and the oracle key
+    n = N - 3
+    rows = _ballot_rows(n + 1)
+    masks = checks._key_masks(N)
+    for p in all_paths(n + 1):
+        rank, key, _ = checks._walk(path_to_vector(p, n), rows, masks)
+        assert rank == path_rank(p)
+        assert key == triangulation_key(realize(to_lambda(p)).diagonals, N)
 
 
 @given(st.integers(4, 60), st.integers(-120, 120), st.randoms(use_true_random=False))
 @settings(max_examples=200)
 def test_turned_key_is_the_key_of_the_rotation_property(N, k, rng):
     t = Triangulation(N, random_triangulation_diagonals(N, rng))
-    key = checks._key(t.diagonals, N)
-    assert checks._turn(key, k, N) == checks._key(rotate(t, k).diagonals, N)
+    key = triangulation_key(t.diagonals, N)
+    assert checks._turn(key, k, N) == triangulation_key(rotate(t, k).diagonals, N)
 
 
 def test_cycle_frieze_failing_to_build_fails(monkeypatch):
@@ -233,6 +256,42 @@ def test_member_outside_the_enumeration_fails(monkeypatch):
     want = sum(v[0] == z for v in vectors)
     ballot = checks.run_checks(RANK)[-1]
     assert ballot.detail == f"z={z} count={want - 1} ballot={want}"
+
+
+def test_missing_symmetric_cycle_fails_the_period_count(monkeypatch):
+    # every member of one half-turn symmetric cycle is gone, so each cycle
+    # still built partitions what is left, but one period-N/2 cycle is short
+    vectors = enumerate_all(RANK)
+    N = RANK + 3
+    cycles = [minimal_cycle(complete_diamond(v)) for v in vectors]
+    gone = {d.col1 for d in next(c for c in cycles if c.p == N // 2).diamonds}
+    kept = tuple(v for v in vectors if v not in gone)
+    monkeypatch.setattr(checks, "enumerate_all", lambda n: kept)
+    results = {r.name: r for r in checks.run_checks(RANK)}
+    assert [name for name, r in results.items() if not r.passed] == [
+        "enumeration_count",
+        "path_map_image_complete",
+        "cycle_period_divides",
+        "triangulation_map_injective",
+        "ballot_row_sum",
+    ]
+    want = catalan(N // 2 - 1)
+    assert results["cycle_period_divides"].detail == (
+        f"period={N // 2} cycles={want - 1} expected={want}"
+    )
+
+
+@pytest.mark.parametrize("N", range(4, 11))
+def test_period_counts_match_stabilisers_by_rotation(N):
+    # a triangulation's period is its first turn that fixes it, and a
+    # cycle of period p holds p triangulations
+    periods = Counter()
+    for p in all_paths(N - 2):
+        t = realize(to_lambda(p))
+        periods[next(k for k in range(1, N + 1) if rotate(t, k) == t)] += 1
+    assert periods == Counter(
+        {k: k * cycles for k, cycles in checks._period_counts(N).items()}
+    )
 
 
 def test_closing_frieze_built_once_per_cycle(monkeypatch):

@@ -165,7 +165,7 @@ def test_verify_exits_2_on_an_invariant_violation(capsys, monkeypatch):
 
 
 def test_a_failed_path_map_theorem_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(dyck, "_reduce", lambda u, i: 0)
+    monkeypatch.setattr(dyck, "_reduced", lambda u: [0] * len(u))
     code, out, err = run(capsys, "triangulate", "--vector", "2,1")
     assert (code, out) == (2, "")
     assert err == (

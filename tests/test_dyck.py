@@ -1,3 +1,7 @@
+import functools
+import itertools
+from operator import getitem
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +30,9 @@ from dyckfrieze import (
     vector_to_triangulation,
 )
 from dyckfrieze import dyck
+from dyckfrieze.checks import _key_masks
 from dyckfrieze.diamond import diagonal
-from dyckfrieze.dyck import _walk
+from dyckfrieze.dyck import _ballot_rows
 from dyckfrieze.errors import (
     BadSymbol,
     IndexOutOfRange,
@@ -45,9 +50,12 @@ from oracles import (
     lambda_by_walk,
     path_rank_by_walk,
     path_to_vector_by_table,
+    profile_by_coordinate,
     quiddity_by_faces,
     random_triangulation_diagonals,
+    reduce_coordinate_by_scan,
     reduce_coordinate_stepwise,
+    triangulation_key,
     v_vector_by_walk,
     vector_to_path_by_v_vector,
 )
@@ -268,6 +276,27 @@ def test_reduce_coordinate_matches_stepwise_oracle(u, data):
     assert reduce_coordinate(u, i) == reduce_coordinate_stepwise(u, i)
 
 
+def _vectors_up_to(top, length):
+    for k in range(1, length + 1):
+        yield from itertools.product(range(1, top + 1), repeat=k)
+
+
+def test_one_pass_reduction_matches_per_coordinate_scan_exhaustive():
+    # every vector over {1..5} of length at most 6
+    for u in _vectors_up_to(5, 6):
+        expected = [reduce_coordinate_by_scan(u, i) for i in range(1, len(u) + 1)]
+        assert dyck._reduced(u) == expected
+
+
+@given(
+    st.lists(st.integers(1, 9) | st.integers(1, 10**30), min_size=1, max_size=40)
+)
+@settings(max_examples=100)
+def test_reduce_coordinate_matches_per_coordinate_scan_property(u):
+    for i in range(1, len(u) + 1):
+        assert reduce_coordinate(u, i) == reduce_coordinate_by_scan(u, i)
+
+
 def test_reduce_coordinate_huge_entries_return_at_once():
     assert reduce_coordinate((1, 10**12), 2) == 10**12
     assert reduce_coordinate((7, 5, 10**12), 3) == 5 + (10**12 - 5) // 5
@@ -370,20 +399,39 @@ def test_v_vector_roundtrip_property(p):
     assert from_v_vector(to_v_vector(p)) == p
 
 
+@functools.cache
+def _tables(N):
+    # the tables the sweep builds once for the rank of the N-gon
+    return _ballot_rows(N - 2), _key_masks(N)
+
+
+def _walk(v):
+    return dyck._walk(v, *_tables(len(v) + 3))
+
+
 def test_walk_matches_the_public_chain_exhaustive():
     # the oracle's profile goes through from_v_vector's checks and its
     # descent encoding through realize's; the maps and the walk share
-    # _profile_of's one check and _clip
+    # _profile_of's one check
     for n in range(1, 9):
         for v in enumerate_all(n):
             p = vector_to_path_by_v_vector(v)
             t = realize(to_lambda(p))
+            assert dyck._profile_of(v) == profile_by_coordinate(v)
             assert vector_to_path(v) == p
             assert vector_to_triangulation(v) == t
-            rank, diagonals, q = _walk(v)
+            rank, key, q = _walk(v)
             assert rank == path_rank(p)
-            assert frozenset(diagonals) == t.diagonals
+            assert key == triangulation_key(t.diagonals, n + 3)
             assert q == quiddity(t)
+
+
+def test_ballot_rows_rank_every_path():
+    # the table the sweep ranks by, against all_paths order and path_rank
+    for k in range(10):
+        rows = _ballot_rows(k)
+        for r, p in enumerate(all_paths(k)):
+            assert sum(map(getitem, rows, p._m)) == path_rank(p) == r
 
 
 @given(st.integers(4, 60), st.randoms(use_true_random=False))
@@ -397,9 +445,9 @@ def test_walk_matches_word_walks_property(N, rng):
     p = vector_to_path_by_v_vector(v)
     assert vector_to_path(v) == p
     assert vector_to_triangulation(v) == realize(lambda_by_walk(p.word)) == t
-    rank, diagonals, walked_q = _walk(v)
+    rank, key, walked_q = _walk(v)
     assert rank == path_rank_by_walk(p.word)
-    assert frozenset(diagonals) == t.diagonals
+    assert key == triangulation_key(t.diagonals, N)
     assert walked_q == q
 
 
@@ -415,7 +463,7 @@ def test_path_maps_match_the_realize_route_exhaustive():
 
 def test_a_failed_path_map_theorem_is_an_invariant_violation(monkeypatch):
     # the profile is the package's own, so a bad one is not the caller's fault
-    monkeypatch.setattr(dyck, "_reduce", lambda u, i: 0)
+    monkeypatch.setattr(dyck, "_reduced", lambda u: [0] * len(u))
     for path_map in (vector_to_path, vector_to_triangulation, cycle_paths):
         with pytest.raises(InvariantViolation, match="encodes no Dyck path"):
             path_map((2, 1))

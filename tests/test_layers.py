@@ -3,12 +3,14 @@ the import graph between the package's modules has no cycle, with
 ``diamond`` at the bottom above ``errors``.  Nothing outside the package
 and the standard library is imported, as ``dependencies = []`` promises.
 The unvalidated construction paths are called only where a theorem
-guarantees the result, the sweep's walk shares each formula with the
-public path chain and builds no Dyck word, one predicate says what an
-integer is, one guard checks a scalar argument's range, messages show
-values through one formatter, and the one cache is the enumeration's,
-which callers can inspect through ``enumerate_all.cache_info``.  Every
-function the benchmark's tracer wraps by name still exists."""
+guarantees the result.  The sweep's walk shares each formula with the
+public path chain but the ear clipping, which it folds together with the
+key and the quiddity; it gets its tables only from the sweep, which builds
+them, and it builds no Dyck word.  One predicate says what an integer is,
+one guard checks a scalar argument's range, messages show values through
+one formatter, and the one cache is the enumeration's, which callers can
+inspect through ``enumerate_all.cache_info``.  Every function the
+benchmark's tracer wraps by name still exists."""
 
 import ast
 import graphlib
@@ -93,9 +95,11 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
         ("triangulation", "rotate"),
         ("diamond", "complete_diamond"),
         ("diamond", "minimal_cycle"),
+        ("dyck", "from_v_vector"),
+        ("dyck", "vector_to_path"),
     }
     # one checked profile per diamond vector, for the public map and the walk
-    assert _callers("_reduce") == {
+    assert _callers("_reduced") == {
         ("dyck", "reduce_coordinate"),
         ("dyck", "_profile_of"),
     }
@@ -104,8 +108,10 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
     # own profiles, already checked, so it never goes through it
     assert _callers("from_v_vector") == set()
     # the walk does not check its vector, so only the sweep, which built
-    # the vector itself, may call it
+    # the vector itself, may call it, with tables it builds once per call
     assert _callers("_walk") == {("checks", "run_checks")}
+    assert _callers("_ballot_rows") == {("checks", "run_checks")}
+    assert _callers("_key_masks") == {("checks", "run_checks")}
     assert _callers("_expand") == {
         ("enumeration", "expand"),
         ("enumeration", "_enumerate_all"),
@@ -113,19 +119,20 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
 
 
 def test_walk_and_public_chain_share_each_formula():
-    # the ballot sum, the descent bisect and the ear clipping, once each
+    # the ballot term and the descent bisect, once each; the walk reads the
+    # terms from a table
     assert _callers("comb") == {
-        ("dyck", "_ballot_rank"),
+        ("dyck", "_ballot_term"),
         ("dyck", "catalan"),
         ("enumeration", "ballot_count"),
     }
-    assert _callers("_ballot_rank") == {("dyck", "path_rank"), ("dyck", "_walk")}
+    assert _callers("_ballot_term") == {("dyck", "path_rank"), ("dyck", "_ballot_rows")}
     assert _callers("bisect_right") == {("dyck", "_descents")}
     assert _callers("_descents") == {("dyck", "to_lambda"), ("dyck", "_walk")}
     # realize checks a descent encoding from outside; the others clip one
-    # derived from a path or a profile already checked
+    # derived from a path already checked.  The walk clips in its own loop,
+    # which folds in the key and the quiddity
     assert _callers("_clip") == {
-        ("dyck", "_walk"),
         ("dyck", "path_to_vector"),
         ("triangulation", "realize"),
         ("triangulation", "path_to_triangulation"),
