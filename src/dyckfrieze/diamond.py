@@ -206,8 +206,14 @@ def diagonal(q, c: int, length: int) -> Vector:
 
 
 def rotation_period(seq: tuple) -> int:
-    """Least ``p >= 1`` with ``seq[p:] + seq[:p] == seq``; divides len(seq)."""
-    return next(p for p in range(1, len(seq) + 1) if seq[p:] + seq[:p] == seq)
+    """Least ``p >= 1`` with ``seq[p:] + seq[:p] == seq``; divides len(seq).
+
+    The shifts that fix ``seq`` form a subgroup of the cyclic group of
+    order ``len(seq)``, so its least positive member divides ``len(seq)``
+    and only the divisors are tried.
+    """
+    N = len(seq)
+    return next(p for p in range(1, N + 1) if N % p == 0 and seq[p:] + seq[:p] == seq)
 
 
 def minimal_cycle(d0: Diamond) -> Cycle:

@@ -7,13 +7,13 @@ non-crossing already forces every face to be a triangle.
 Realization turns the descent encoding of a Dyck path of length 2(n+1)
 into a triangulation of the (n+3)-gon by the ear clipping ``dyck._clip``.
 
-The constructor validates in full.  Three constructions skip that check,
-because a theorem guarantees the result: ``rotate`` (a rotation of a
-triangulation is a triangulation, and it normalizes its own pairs),
-``realize`` (each step clips one ear of the active polygon of at least
-four vertices, so the n chords are distinct, non-crossing diagonals) and
-``path_to_triangulation`` (a validated path's descent encoding always
-clips: entry i is at most n + 1 - i).
+The constructor validates in full.  Four constructions skip that check,
+because a theorem guarantees the result: ``rotate`` and ``rotation_orbit``
+(a rotation of a triangulation is a triangulation, and each normalizes
+its own pairs), ``realize`` (each step clips one ear of the active
+polygon of at least four vertices, so the n chords are distinct,
+non-crossing diagonals) and ``path_to_triangulation`` (a validated path's
+descent encoding always clips: entry i is at most n + 1 - i).
 """
 
 from __future__ import annotations
@@ -141,8 +141,24 @@ def same_rotation_orbit(t1: Triangulation, t2: Triangulation) -> bool:
 
 
 def rotation_orbit(t: Triangulation) -> set[Triangulation]:
-    """All distinct label rotations of ``t``; size divides the polygon size."""
-    return {rotate(t, k) for k in range(expect(t, Triangulation).polygon_size)}
+    """All distinct label rotations of ``t``; size divides the polygon size.
+
+    Rotation by k carries a diagonal (i, i + d) to the image of (0, d)
+    under rotation by i + k.  So each length d present gets one list of
+    the N normalized images of (0, d), written out twice, and diagonal
+    (i, j) reads its N images as the slice of length N at i.  Rotation k
+    is column k of those slices.  A polygon with no diagonals (N = 3) is
+    its own orbit.
+    """
+    N = expect(t, Triangulation).polygon_size
+    if not t.diagonals:
+        return {t}
+    tables = {}
+    for d in {j - i for i, j in t.diagonals}:
+        images = [(s, s + d) if s + d < N else (s + d - N, s) for s in range(N)]
+        tables[d] = images + images
+    moved = [tables[j - i][i : i + N] for i, j in t.diagonals]
+    return {Triangulation._trusted(N, frozenset(turned)) for turned in zip(*moved)}
 
 
 def vector_to_triangulation(v) -> Triangulation:

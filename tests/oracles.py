@@ -20,7 +20,9 @@ are the word walks that read each of the two encodings and the rank off a
 Dyck word, one walk per answer, and ballot numbers by their recursion over
 the rank.  So are the sweep's per-vector formulas before they became table
 lookups: each coordinate reduced by its own scan over every earlier index,
-and a triangulation's key summed from its diagonals.
+and a triangulation's key summed from its diagonals.  So are the symmetry
+checks before they used the group structure: a rotation orbit made of one
+``rotate`` per shift, and a rotation period found by trying every shift.
 """
 
 import functools
@@ -43,6 +45,7 @@ from dyckfrieze import (
     path_to_triangulation,
     path_to_vector,
     quiddity,
+    rotate,
     rotation_orbit,
     vector_to_path,
     verify,
@@ -545,3 +548,13 @@ def ballot_count_by_recursion(n, z):
         return 1
     lo = 1 if z == 1 else z - 1
     return sum(ballot_count_by_recursion(n - 1, i) for i in range(lo, n + 1))
+
+
+def rotation_orbit_by_rotate(t):
+    """Every label rotation of ``t``, one ``rotate`` call per shift."""
+    return {rotate(t, k) for k in range(t.polygon_size)}
+
+
+def rotation_period_by_scan(seq):
+    """Least ``p >= 1`` with ``seq[p:] + seq[:p] == seq``, trying every p."""
+    return next(p for p in range(1, len(seq) + 1) if seq[p:] + seq[:p] == seq)

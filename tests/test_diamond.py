@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from oracles import (
     minimal_cycle_validated,
     quiddity_by_faces,
     random_triangulation_diagonals,
+    rotation_period_by_scan,
     unimodular_holds,
 )
 
@@ -241,6 +244,22 @@ def test_cycle_period_divides_order():
         for v in enumerate_all(n):
             c = minimal_cycle(complete_diamond(v))
             assert (n + 3) % c.p == 0
+
+
+def test_rotation_period_matches_full_scan_on_planted_periods():
+    # at every length 1..60 (primes and 60 among them), a block of each
+    # length p repeated and cut to length: a divisor p with a primitive
+    # block plants period p exactly; random blocks over three letters, at
+    # divisors and non-divisors alike, give whatever period they happen to
+    rng = random.Random(17)
+    for N in range(1, 61):
+        for p in range(1, N + 1):
+            if N % p == 0:
+                seq = ((1,) + (0,) * (p - 1)) * (N // p)
+                assert diamond.rotation_period(seq) == p
+            block = tuple(rng.randrange(3) for _ in range(p))
+            seq = (block * (N // p + 1))[:N]
+            assert diamond.rotation_period(seq) == rotation_period_by_scan(seq)
 
 
 def test_coupling_power_is_identity_on_cycle():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,6 +261,33 @@ def tampered_friezes(draw):
 @settings(max_examples=150)
 def test_violations_match_the_entry_by_entry_oracle(fp):
     assert violations(fp) == violations_by_entry(fp)
+
+
+@pytest.mark.parametrize("N,r", [(8, 4), (7, 3), (7, 4)])
+def test_a_mirrored_edit_in_the_middle_breaks_the_rule_not_the_glide(N, r):
+    # the glide maps row r onto row N - r, and row N/2 onto itself at even N
+    t = Triangulation(N, random_triangulation_diagonals(N, random.Random(N)))
+    for c in range(N):
+        rows = [list(row) for row in from_quiddity(quiddity_by_faces(t)).rows]
+        rows[r][c] = rows[N - r][(c + r) % N] = rows[r][c] + 1
+        fp = FriezePattern(N, rows)
+        problems = violations(fp)
+        assert problems == violations_by_entry(fp)
+        assert problems and not any("glide" in p for p in problems)
+
+
+@pytest.mark.parametrize("N", range(4, 13))
+def test_glide_symmetric_rows_failing_only_in_the_middle(N):
+    # row r holds min(r, N - r) throughout: the rule holds on each row but
+    # the middle one (even N) or two (odd N), and the glide holds
+    rows = [(min(r, N - r),) * N for r in range(N + 1)]
+    fp = FriezePattern(N, rows)
+    problems = violations(fp)
+    assert problems == violations_by_entry(fp)
+    middle = {N // 2, (N + 1) // 2}
+    assert [p.split(",")[0] for p in problems] == [
+        f"rule fails at rows {r - 1}..{r + 1}" for r in sorted(middle) for _ in range(N)
+    ]
 
 
 def test_period_divides_order():

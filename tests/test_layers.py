@@ -93,6 +93,7 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
         ("triangulation", "realize"),
         ("triangulation", "path_to_triangulation"),
         ("triangulation", "rotate"),
+        ("triangulation", "rotation_orbit"),
         ("diamond", "complete_diamond"),
         ("diamond", "minimal_cycle"),
         ("dyck", "from_v_vector"),

@@ -21,6 +21,7 @@ from dyckfrieze import (
     triangles,
     vector_to_triangulation,
 )
+from dyckfrieze.diamond import rotation_period
 from dyckfrieze.errors import InputError, PositionOutOfRange, SizeMismatch
 from oracles import (
     brute_triangulation_diagonal_sets,
@@ -28,6 +29,7 @@ from oracles import (
     polygon_chords,
     quiddity_by_faces,
     random_triangulation_diagonals,
+    rotation_orbit_by_rotate,
     triangles_by_ear_clipping,
 )
 
@@ -252,6 +254,59 @@ def test_orbit_size_divides_polygon_size():
         for v in enumerate_all(n):
             t = vector_to_triangulation(v)
             assert t.polygon_size % len(rotation_orbit(t)) == 0
+
+
+def assert_orbit_matches_rotate(t):
+    orbit = rotation_orbit(t)
+    assert orbit == rotation_orbit_by_rotate(t)
+    assert len(orbit) == rotation_period(quiddity(t))
+    assert t in orbit
+
+
+def test_orbit_matches_rotate_oracle_exhaustive():
+    # every triangulation of the N-gon, N = 3..10; the triangle has none
+    # to realize from a path, and its orbit is itself
+    for N in range(3, 11):
+        lams = [()] if N == 3 else [to_lambda(p) for p in all_paths(N - 2)]
+        assert len(lams) == catalan(N - 2)
+        for lam in lams:
+            assert_orbit_matches_rotate(realize(lam))
+
+
+def test_orbit_of_the_triangle_is_itself():
+    t = Triangulation(3, ())
+    assert rotation_orbit(t) == {t}
+    assert same_rotation_orbit(t, t)
+
+
+@given(st.integers(3, 80), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_orbit_matches_rotate_oracle_property(N, rng):
+    assert_orbit_matches_rotate(Triangulation(N, random_triangulation_diagonals(N, rng)))
+
+
+def _symmetric(N, s):
+    """A triangulation of the N-gon fixed by rotation through N/s: the
+    polygon on vertices 0, N/s, 2N/s, ... (a diameter when s = 2), and
+    each of the s pieces outside it fanned from its lowest vertex."""
+    m = N // s
+    base = [(0, k) for k in range(2, m)] + [(k * m, (k + 1) * m) for k in range(s)]
+    pairs = {
+        tuple(sorted(((i + k * m) % N, (j + k * m) % N)))
+        for i, j in base
+        for k in range(s)
+    }
+    return Triangulation(N, pairs)
+
+
+@pytest.mark.parametrize(
+    "N,s", [(4, 2), (6, 2), (8, 2), (12, 2), (30, 2), (6, 3), (9, 3), (12, 3), (30, 3)]
+)
+def test_orbit_of_a_symmetric_triangulation(N, s):
+    t = _symmetric(N, s)
+    assert rotate(t, N // s) == t
+    assert len(rotation_orbit(t)) == N // s
+    assert_orbit_matches_rotate(t)
 
 
 def test_text_form():
