@@ -40,20 +40,32 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 
 from .diamond import complete_diamond, cycle_heads, diagonal, minimal_cycle
 from .dyck import _ballot_rows, _walk, catalan
 from .enumeration import ballot_count, enumerate_all
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, Record
 from .frieze import from_cycle, from_quiddity, verify
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    """The outcome of one named check, with a diagnostic when it has one."""
+
+    __match_args__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            mine = (self.name, self.passed, self.detail)
+            return mine == (other.name, other.passed, other.detail)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.passed, self.detail))
 
 
 def _key_masks(N: int) -> list[list[int]]:

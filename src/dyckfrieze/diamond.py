@@ -33,12 +33,17 @@ arithmetic.  ``minimal_cycle`` does the same once each diagonal ``d_t`` of its
 frieze closes, ``d_t[N-1] == 1``, and is positive, ``min(d_t[2:N-1]) >= 1``
 (the paper's claim, checked, not assumed).  This is exact: consecutive
 diagonals have Casoratian 1 for any integer q, so with positive entries the
-rule can fail only at the border ``a[1,n+1] = 1``.
+rule can fail only at the border ``a[1,n+1] = 1``.  It then builds its
+``Cycle`` unchecked too: its members are coupled, distinct and of a period
+dividing N by construction, as its docstring shows.
+
+Five value types have such a trusted constructor, ``_trusted``:
+``Diamond`` and ``Cycle`` here, ``DyckPath``, ``FriezePattern`` and
+``Triangulation``.  Each is called only where a theorem guarantees the
+result, and the public constructors still validate in full.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     InputError,
@@ -46,6 +51,7 @@ from .errors import (
     NonExactDivision,
     NonPositiveEntry,
     RangeError,
+    Record,
     as_tuple,
     expect,
     format_int,
@@ -68,8 +74,7 @@ def as_vector(entries) -> Vector:
     return v
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(Record):
     """A rank-n diamond, validated by completing ``col1`` and comparing ``col2``.
 
     ``col1`` and ``col2`` hold ``a[1,1..n]`` and ``a[2,1..n]``; the boundary
@@ -77,19 +82,18 @@ class Diamond:
     ``minimal_cycle`` skip the check, since the rule holds by construction.
     """
 
-    col1: Vector
-    col2: Vector
+    __match_args__ = ("col1", "col2")
 
-    def __post_init__(self):
-        want = complete_diamond(self.col1)
-        c2 = as_vector(self.col2)
-        object.__setattr__(self, "col1", want.col1)
-        object.__setattr__(self, "col2", c2)
+    def __init__(self, col1: Vector, col2: Vector):
+        want = complete_diamond(col1)
+        c2 = as_vector(col2)
         if len(c2) != want.n:
             raise InputError("columns must be of equal length")
         for j, (x, y) in enumerate(zip(c2, want.col2), start=1):
             if x != y:
                 raise InputError(f"unimodular rule fails at position {j}")
+        object.__setattr__(self, "col1", want.col1)
+        object.__setattr__(self, "col2", c2)
 
     @classmethod
     def _trusted(cls, col1: Vector, col2: Vector):
@@ -99,6 +103,14 @@ class Diamond:
         object.__setattr__(d, "col1", col1)
         object.__setattr__(d, "col2", col2)
         return d
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.col1, self.col2) == (other.col1, other.col2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.col1, self.col2))
 
     @property
     def n(self) -> int:
@@ -155,16 +167,14 @@ def couple_next(d: Diamond) -> Diamond:
         ) from exc
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """A minimal coupling cycle: p distinct diamonds, consecutive members
     coupled, wrapping around, with p dividing n + 3."""
 
-    diamonds: tuple[Diamond, ...]
+    __match_args__ = ("diamonds",)
 
-    def __post_init__(self):
-        ds = tuple(expect(d, Diamond) for d in as_tuple(self.diamonds, "cycle"))
-        object.__setattr__(self, "diamonds", ds)
+    def __init__(self, diamonds: tuple[Diamond, ...]):
+        ds = tuple(expect(d, Diamond) for d in as_tuple(diamonds, "cycle"))
         p = int_in(len(ds), "cycle length", 1)
         n = ds[0].n
         if len(set(ds)) != p:
@@ -175,6 +185,22 @@ class Cycle:
                 raise InputError(f"members {t} and {(t + 1) % p} are not coupled")
         if (n + 3) % p:
             raise InvariantViolation(f"period {p} does not divide {n + 3}")
+        object.__setattr__(self, "diamonds", ds)
+
+    @classmethod
+    def _trusted(cls, diamonds: tuple[Diamond, ...]):
+        """Build without validation, for ``minimal_cycle``'s members."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "diamonds", diamonds)
+        return c
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.diamonds == other.diamonds
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.diamonds)
 
     @property
     def p(self) -> int:
@@ -225,6 +251,16 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     and shifted to solve the same recurrence, so
     ``q_k = m_k * w_{k+2} - m_{k+2} * w_k``.  The period of ``q`` is the
     cycle length p, and member t pairs diagonals t and t + 1.
+
+    Once every member is checked to be a positive diamond, the cycle is
+    built without ``Cycle``'s check, because it holds by construction.
+    Members are coupled: member t's second column is member t + 1's first,
+    and member p - 1's second is diagonal p, which is diagonal 0 since q has
+    period p.  ``p = rotation_period(q)`` divides N.  Members are distinct:
+    if members s < t were equal, diagonals s, s + 1 would equal diagonals
+    t, t + 1, so N - 1 consecutive entries of q, read off those diagonals by
+    the recurrence, would agree under a shift by t - s, and so would the
+    last one, because q sums to 3N - 6; p would then divide t - s < p.
     """
     N = expect(d0, Diamond).n + 3
     m = (0, 1, *d0.col1, 1, 0, -1)
@@ -239,7 +275,8 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     for t in range(p):
         if diags[t][N - 1] != 1 or min(cols[t]) < 1:
             raise InvariantViolation(f"cycle member {t} is not a positive diamond")
-    return Cycle(tuple(Diamond._trusted(cols[t], cols[t + 1]) for t in range(p)))
+    members = tuple(Diamond._trusted(cols[t], cols[t + 1]) for t in range(p))
+    return Cycle._trusted(members)
 
 
 def cycle_heads(c: Cycle) -> Vector:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from math import comb
 from operator import getitem
 
@@ -41,6 +40,7 @@ from .errors import (
     InvariantViolation,
     NotBalanced,
     PrefixViolation,
+    Record,
     TooShort,
     as_tuple,
     expect,
@@ -68,18 +68,18 @@ def _profile(word: str) -> tuple[int, ...]:
     return tuple(m)
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Record):
     """Validated Dyck word; construction rejects anything else.  The
     package builds the word of a profile it has already checked through
     ``_trusted``."""
 
-    word: str
-    # the profile, Us before each D: a function of word, so not compared
-    _m: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __match_args__ = ("word",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_m", _profile(expect(self.word, str)))
+    def __init__(self, word: str):
+        # _m, the profile (Us before each D), is a function of word, so it
+        # is neither shown nor compared
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "_m", _profile(expect(word, str)))
 
     @classmethod
     def _trusted(cls, m) -> DyckPath:
@@ -90,6 +90,14 @@ class DyckPath:
         object.__setattr__(p, "word", word)
         object.__setattr__(p, "_m", tuple(m))
         return p
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.word)
 
     @property
     def half_length(self) -> int:

@@ -9,6 +9,19 @@ The guards are ``is_int``, ``as_tuple``, ``expect``, ``int_in`` (an integer
 in a range) and ``format_int``.  Messages echo a value only through
 ``format_int``, so that an int too long to print (Python refuses ``str``
 past 4,300 digits) reads as its digit count instead of raising.
+
+``Record`` is the base of the package's immutable values (diamonds, cycles,
+Dyck paths, friezes, triangulations, check results).  A subclass names its
+fields in ``__match_args__``, in constructor order, and its constructors set
+each once with ``object.__setattr__`` (reading ``__dict__`` instead would
+make CPython give up the instance's inline values and slow every later
+attribute read); it shows as its constructor call, and assigning or
+deleting an attribute raises ``AttributeError``.  Copies and
+pickles restore the instance ``__dict__`` directly.  Each subclass compares
+and hashes its field tuple in its own ``__eq__`` and ``__hash__``, equal
+only to instances of its own class: built directly, the tuple costs no
+method call or ``getattr`` per field, and sets of triangulations hash it
+on every rotation orbit.
 """
 
 MAX_SHOWN_DIGITS = 100
@@ -20,6 +33,22 @@ class InputError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A property guaranteed by construction failed; always a bug."""
+
+
+class Record:
+    """Immutable value with the fields its subclass names in ``__match_args__``."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={repr(getattr(self, f))}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
 
 
 def is_int(x) -> bool:

@@ -23,11 +23,15 @@ is the determinant identity of those diagonals.  ``from_quiddity`` builds
 the columns by that recurrence, with no division, so every entry is an
 integer and a sequence that is not a quiddity shows up as a nonpositive
 entry or as a band that misses the closing row of ones.
+
+``from_quiddity`` and ``from_cycle`` build their pattern with
+``FriezePattern._trusted``, skipping the constructor's shape check: both
+make N + 1 tuples of N ints by construction.  ``from_cycle`` still runs
+``violations`` on what it built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .diamond import Cycle, complete_diamond, diagonal, minimal_cycle, rotation_period
@@ -37,6 +41,7 @@ from .errors import (
     InvariantViolation,
     NonPositiveEntry,
     RangeError,
+    Record,
     as_tuple,
     expect,
     format_int,
@@ -47,24 +52,39 @@ from .errors import (
 Row = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FriezePattern:
+class FriezePattern(Record):
     """Order-N pattern as an (N+1) x N fundamental domain.
 
     Construction checks shape only; content is the business of ``verify``,
     so that tampered patterns can be built and diagnosed in tests.
     """
 
-    order: int
-    rows: tuple[Row, ...]
+    __match_args__ = ("order", "rows")
 
-    def __post_init__(self):
-        rows = tuple(as_tuple(row, "row") for row in as_tuple(self.rows, "rows"))
-        object.__setattr__(self, "rows", rows)
-        N = int_in(self.order, "frieze order", 3)
+    def __init__(self, order: int, rows: tuple[Row, ...]):
+        rows = tuple(as_tuple(row, "row") for row in as_tuple(rows, "rows"))
+        N = int_in(order, "frieze order", 3)
         if len(rows) != N + 1 or any(len(row) != N for row in rows):
             shown = f"{format_int(N + 1)} rows of width {format_int(N)}"
             raise InputError(f"expected {shown}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _trusted(cls, order: int, rows: tuple[Row, ...]):
+        """Build without the shape check, for N + 1 int tuples of width N."""
+        fp = object.__new__(cls)
+        object.__setattr__(fp, "order", order)
+        object.__setattr__(fp, "rows", rows)
+        return fp
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.order, self.rows) == (other.order, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.order, self.rows))
 
     @property
     def quiddity(self) -> Row:
@@ -106,7 +126,7 @@ def from_quiddity(q) -> FriezePattern:
         shown = ", ".join(map(format_int, rows[N - 1]))
         raise FailsToClose(f"row {N - 1} is ({shown}), not all ones")
     rows.append((0,) * N)
-    return FriezePattern(N, tuple(rows))
+    return FriezePattern._trusted(N, tuple(rows))
 
 
 def from_cycle(c: Cycle) -> FriezePattern:
@@ -121,7 +141,7 @@ def from_cycle(c: Cycle) -> FriezePattern:
     zeros = (0,) * N
     ones = (1,) * N
     band = zip(*(c.diamonds[col % c.p].col1 for col in range(N)))
-    fp = FriezePattern(N, tuple([zeros, ones, *band, ones, zeros]))
+    fp = FriezePattern._trusted(N, (zeros, ones, *band, ones, zeros))
     problems = violations(fp)
     if problems:
         raise InvariantViolation(

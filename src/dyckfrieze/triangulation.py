@@ -13,15 +13,15 @@ because a theorem guarantees the result: ``rotate`` and ``rotation_orbit``
 its own pairs), ``realize`` (each step clips one ear of the active
 polygon of at least four vertices, so the n chords are distinct,
 non-crossing diagonals) and ``path_to_triangulation`` (a validated path's
-descent encoding always clips: entry i is at most n + 1 - i).
+descent encoding always clips: entry i is at most n + 1 - i).  They call
+``Triangulation._trusted``, one of the package's five trusted constructors
+with those of ``Diamond``, ``Cycle``, ``DyckPath`` and ``FriezePattern``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dyck import DyckPath, _clip, degree_quiddity, to_lambda, vector_to_path
-from .errors import InputError, PositionOutOfRange, SizeMismatch
+from .errors import InputError, PositionOutOfRange, Record, SizeMismatch
 from .errors import as_tuple, expect, format_int, int_in, is_int
 
 Diagonal = tuple[int, int]
@@ -37,17 +37,14 @@ def _normalize_pair(pair) -> Diagonal:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(Record):
     """N-3 non-crossing diagonals of the labeled N-gon."""
 
-    polygon_size: int
-    diagonals: frozenset[Diagonal]
+    __match_args__ = ("polygon_size", "diagonals")
 
-    def __post_init__(self):
-        N = int_in(self.polygon_size, "polygon size", 3)
-        diags = frozenset(map(_normalize_pair, as_tuple(self.diagonals, "diagonals")))
-        object.__setattr__(self, "diagonals", diags)
+    def __init__(self, polygon_size: int, diagonals: frozenset[Diagonal]):
+        N = int_in(polygon_size, "polygon size", 3)
+        diags = frozenset(map(_normalize_pair, as_tuple(diagonals, "diagonals")))
         if len(diags) != N - 3:
             raise InputError(f"expected {format_int(N - 3)} diagonals, got {len(diags)}")
         for i, j in diags:
@@ -65,6 +62,8 @@ class Triangulation:
             if open_chords and j > open_chords[-1][1]:
                 raise InputError(f"diagonals {open_chords[-1]} and {(i, j)} cross")
             open_chords.append((i, j))
+        object.__setattr__(self, "polygon_size", polygon_size)
+        object.__setattr__(self, "diagonals", diags)
 
     @classmethod
     def _trusted(cls, polygon_size: int, diagonals: frozenset[Diagonal]):
@@ -74,6 +73,15 @@ class Triangulation:
         object.__setattr__(t, "polygon_size", polygon_size)
         object.__setattr__(t, "diagonals", diagonals)
         return t
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            mine = (self.polygon_size, self.diagonals)
+            return mine == (other.polygon_size, other.diagonals)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.polygon_size, self.diagonals))
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``N=6; 1-5,2-4,2-5``."""

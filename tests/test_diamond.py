@@ -369,3 +369,14 @@ def test_cycle_constructor_rejects_uncoupled_members():
         Cycle((a,))  # not coupled to itself: col2 != col1
     with pytest.raises(InputError, match="cycle length is 0"):
         Cycle(())
+
+
+def test_validating_constructor_accepts_every_minimal_cycle_exhaustive():
+    # minimal_cycle builds its Cycle without the check, which agrees
+    for n in range(1, 8):
+        seen = set()
+        for v in enumerate_all(n):
+            if v not in seen:
+                c = minimal_cycle(complete_diamond(v))
+                seen.update(d.col1 for d in c.diamonds)
+                assert Cycle(c.diamonds) == c

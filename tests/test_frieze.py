@@ -170,11 +170,13 @@ def test_from_cycle_all_ones_vector():
 
 
 def test_from_cycle_equals_from_quiddity():
+    # both build the pattern without the shape check, which accepts it as is
     for n in range(1, 6):
         for v in enumerate_all(n):
             c = minimal_cycle(complete_diamond(v))
             heads = cycle_heads(c) * ((n + 3) // c.p)
-            assert from_cycle(c) == from_quiddity(heads)
+            fp = from_cycle(c)
+            assert fp == from_quiddity(heads) == FriezePattern(fp.order, fp.rows)
 
 
 def test_member_friezes_are_column_rotations():

@@ -1,9 +1,10 @@
 """The package's modules form layers: imports run at module level only, and
 the import graph between the package's modules has no cycle, with
 ``diamond`` at the bottom above ``errors``.  Nothing outside the package
-and the standard library is imported, as ``dependencies = []`` promises.
-The unvalidated construction paths are called only where a theorem
-guarantees the result.  The sweep's walk shares each formula with the
+and the standard library is imported, as ``dependencies = []`` promises,
+and no module imports ``dataclasses``, so the CLI starts without it or
+``inspect``.  The unvalidated construction paths are called only where a
+theorem guarantees the result.  The sweep's walk shares each formula with the
 public path chain but the ear clipping, which it folds together with the
 key and the quiddity; it gets its tables only from the sweep, which builds
 them, and it builds no Dyck word.  One predicate says what an integer is,
@@ -16,6 +17,7 @@ import ast
 import graphlib
 import importlib
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,9 +71,27 @@ def test_only_package_and_standard_library_imports():
                 continue
             for module in modules:
                 top = module.partition(".")[0]
-                assert top in sys.stdlib_module_names, (
+                # the value types are plain records: dataclasses would load
+                # inspect, ast, dis and tokenize on every start
+                assert top in sys.stdlib_module_names - {"dataclasses"}, (
                     f"{name} imports {module} at line {node.lineno}"
                 )
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    # -I -S: a fresh interpreter that loads nothing the site would add
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import dyckfrieze.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def _callers(name):
@@ -88,16 +108,33 @@ def _callers(name):
     return found
 
 
+def _trusted_builders():
+    """For each receiver ``X`` of a call ``X._trusted(...)``, the (module,
+    function) pairs that make it."""
+    found = {}
+    for module, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    f = getattr(node, "func", None)
+                    if getattr(f, "attr", None) == "_trusted":
+                        receiver = ast.unparse(f.value)
+                        found.setdefault(receiver, set()).add((module, fn.name))
+    return found
+
+
 def test_trusted_paths_are_called_only_where_a_theorem_holds():
-    assert _callers("_trusted") == {
-        ("triangulation", "realize"),
-        ("triangulation", "path_to_triangulation"),
-        ("triangulation", "rotate"),
-        ("triangulation", "rotation_orbit"),
-        ("diamond", "complete_diamond"),
-        ("diamond", "minimal_cycle"),
-        ("dyck", "from_v_vector"),
-        ("dyck", "vector_to_path"),
+    assert _trusted_builders() == {
+        "Diamond": {("diamond", "complete_diamond"), ("diamond", "minimal_cycle")},
+        "Cycle": {("diamond", "minimal_cycle")},
+        "DyckPath": {("dyck", "from_v_vector"), ("dyck", "vector_to_path")},
+        "FriezePattern": {("frieze", "from_quiddity"), ("frieze", "from_cycle")},
+        "Triangulation": {
+            ("triangulation", "realize"),
+            ("triangulation", "path_to_triangulation"),
+            ("triangulation", "rotate"),
+            ("triangulation", "rotation_orbit"),
+        },
     }
     # one checked profile per diamond vector, for the public map and the walk
     assert _callers("_reduced") == {
