@@ -54,18 +54,7 @@ class CheckResult(Record):
     __match_args__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            mine = (self.name, self.passed, self.detail)
-            return mine == (other.name, other.passed, other.detail)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.passed, self.detail))
+        self._fill(name, passed, detail)
 
 
 def _key_masks(N: int) -> list[list[int]]:

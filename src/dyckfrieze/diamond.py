@@ -37,9 +37,9 @@ rule can fail only at the border ``a[1,n+1] = 1``.  It then builds its
 ``Cycle`` unchecked too: its members are coupled, distinct and of a period
 dividing N by construction, as its docstring shows.
 
-Five value types have such a trusted constructor, ``_trusted``:
-``Diamond`` and ``Cycle`` here, ``DyckPath``, ``FriezePattern`` and
-``Triangulation``.  Each is called only where a theorem guarantees the
+Both build through ``_trusted``, the one unchecked constructor, which every
+value type inherits from ``errors.Record`` (``DyckPath``'s takes a profile
+instead of its word).  It is called only where a theorem guarantees the
 result, and the public constructors still validate in full.
 """
 
@@ -92,25 +92,7 @@ class Diamond(Record):
         for j, (x, y) in enumerate(zip(c2, want.col2), start=1):
             if x != y:
                 raise InputError(f"unimodular rule fails at position {j}")
-        object.__setattr__(self, "col1", want.col1)
-        object.__setattr__(self, "col2", c2)
-
-    @classmethod
-    def _trusted(cls, col1: Vector, col2: Vector):
-        """Build without validation, for columns that satisfy the rule by
-        construction and are already tuples of positive ints."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "col1", col1)
-        object.__setattr__(d, "col2", col2)
-        return d
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.col1, self.col2) == (other.col1, other.col2)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.col1, self.col2))
+        self._fill(want.col1, c2)
 
     @property
     def n(self) -> int:
@@ -185,22 +167,7 @@ class Cycle(Record):
                 raise InputError(f"members {t} and {(t + 1) % p} are not coupled")
         if (n + 3) % p:
             raise InvariantViolation(f"period {p} does not divide {n + 3}")
-        object.__setattr__(self, "diamonds", ds)
-
-    @classmethod
-    def _trusted(cls, diamonds: tuple[Diamond, ...]):
-        """Build without validation, for ``minimal_cycle``'s members."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "diamonds", diamonds)
-        return c
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.diamonds == other.diamonds
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.diamonds)
+        self._fill(ds)
 
     @property
     def p(self) -> int:

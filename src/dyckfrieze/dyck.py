@@ -78,26 +78,18 @@ class DyckPath(Record):
     def __init__(self, word: str):
         # _m, the profile (Us before each D), is a function of word, so it
         # is neither shown nor compared
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "_m", _profile(expect(word, str)))
+        m = _profile(expect(word, str))
+        self._fill(word)
+        object.__setattr__(self, "_m", m)
 
     @classmethod
     def _trusted(cls, m) -> DyckPath:
         """Build without validation from a profile ``m`` that encodes a
         path: non-decreasing, ``i <= m_i`` for the i-th D, closed by k."""
         word = "".join("U" * (b - a) + "D" for a, b in zip([0, *m], m))
-        p = object.__new__(cls)
-        object.__setattr__(p, "word", word)
+        p = object.__new__(cls)._fill(word)
         object.__setattr__(p, "_m", tuple(m))
         return p
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.word)
 
     @property
     def half_length(self) -> int:

@@ -11,20 +11,24 @@ in a range) and ``format_int``.  Messages echo a value only through
 past 4,300 digits) reads as its digit count instead of raising.
 
 ``Record`` is the base of the package's immutable values (diamonds, cycles,
-Dyck paths, friezes, triangulations, check results).  A subclass names its
-fields in ``__match_args__``, in constructor order, and its constructors set
-each once with ``object.__setattr__`` (reading ``__dict__`` instead would
-make CPython give up the instance's inline values and slow every later
-attribute read); it shows as its constructor call, and assigning or
-deleting an attribute raises ``AttributeError``.  Copies and
-pickles restore the instance ``__dict__`` directly.  Each subclass compares
-and hashes its field tuple in its own ``__eq__`` and ``__hash__``, equal
-only to instances of its own class: built directly, the tuple costs no
-method call or ``getattr`` per field, and sets of triangulations hash it
-on every rotation orbit.
+Dyck paths, friezes, triangulations, check results), and it alone holds
+their protocol.  A subclass names its fields in ``__match_args__``, in
+constructor order.  Its validating constructor checks its arguments and
+calls ``_fill`` last; ``_trusted`` builds an instance without any check,
+for values a theorem guarantees.  Both set each field once with
+``object.__setattr__`` (reading ``__dict__`` instead would make CPython
+give up the instance's inline values and slow every later attribute read).
+A record shows as its constructor call, assigning or deleting an attribute
+raises ``AttributeError``, and copies and pickles restore the instance
+``__dict__`` directly.  It compares and hashes the value of one
+``operator.attrgetter`` over its fields, equal only to instances of its own
+class: the field tuple, or the field itself for a one-field type.
 """
 
+from operator import attrgetter
+
 MAX_SHOWN_DIGITS = 100
+_set = object.__setattr__
 
 
 class InputError(ValueError):
@@ -40,8 +44,41 @@ class Record:
 
     __match_args__: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = attrgetter(*cls.__match_args__)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return fields(self) == fields(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(fields(self))
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
+
+    @classmethod
+    def _trusted(cls, *values):
+        """Build without validation, for fields a theorem guarantees."""
+        return object.__new__(cls)._fill(*values)
+
+    def _fill(self, *values):
+        """Set the fields to ``values``, one per name in ``__match_args__``."""
+        # a length check, not zip(strict=True): on CPython 3.11 that keyword
+        # argument doubles the cost of the zip on every trusted build
+        names = self.__match_args__
+        if len(values) != len(names):
+            kind = type(self).__name__
+            raise TypeError(f"{kind} takes {len(names)} fields, got {len(values)}")
+        for name, value in zip(names, values):
+            _set(self, name, value)
+        return self
+
     def __repr__(self):
-        shown = ", ".join(f"{f}={repr(getattr(self, f))}" for f in self.__match_args__)
+        fields = self.__match_args__
+        shown = ", ".join(f"{f}={_field_text(getattr(self, f))}" for f in fields)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):
@@ -49,6 +86,15 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field '{name}'")
+
+
+def _field_text(value) -> str:
+    """``repr(value)``, or ``format_int(value)`` when the repr holds an int too
+    long to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return format_int(value)
 
 
 def is_int(x) -> bool:

@@ -25,9 +25,9 @@ integer and a sequence that is not a quiddity shows up as a nonpositive
 entry or as a band that misses the closing row of ones.
 
 ``from_quiddity`` and ``from_cycle`` build their pattern with
-``FriezePattern._trusted``, skipping the constructor's shape check: both
-make N + 1 tuples of N ints by construction.  ``from_cycle`` still runs
-``violations`` on what it built.
+``FriezePattern._trusted``, inherited from ``errors.Record``, skipping the
+constructor's shape check: both make N + 1 tuples of N ints by
+construction.  ``from_cycle`` still runs ``violations`` on what it built.
 """
 
 from __future__ import annotations
@@ -67,24 +67,7 @@ class FriezePattern(Record):
         if len(rows) != N + 1 or any(len(row) != N for row in rows):
             shown = f"{format_int(N + 1)} rows of width {format_int(N)}"
             raise InputError(f"expected {shown}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def _trusted(cls, order: int, rows: tuple[Row, ...]):
-        """Build without the shape check, for N + 1 int tuples of width N."""
-        fp = object.__new__(cls)
-        object.__setattr__(fp, "order", order)
-        object.__setattr__(fp, "rows", rows)
-        return fp
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.order, self.rows) == (other.order, other.rows)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, self.rows))
+        self._fill(order, rows)
 
     @property
     def quiddity(self) -> Row:

@@ -14,8 +14,8 @@ its own pairs), ``realize`` (each step clips one ear of the active
 polygon of at least four vertices, so the n chords are distinct,
 non-crossing diagonals) and ``path_to_triangulation`` (a validated path's
 descent encoding always clips: entry i is at most n + 1 - i).  They call
-``Triangulation._trusted``, one of the package's five trusted constructors
-with those of ``Diamond``, ``Cycle``, ``DyckPath`` and ``FriezePattern``.
+``Triangulation._trusted``, inherited from ``errors.Record``, with
+diagonals already normalized to ``(low, high)`` int pairs.
 """
 
 from __future__ import annotations
@@ -62,26 +62,7 @@ class Triangulation(Record):
             if open_chords and j > open_chords[-1][1]:
                 raise InputError(f"diagonals {open_chords[-1]} and {(i, j)} cross")
             open_chords.append((i, j))
-        object.__setattr__(self, "polygon_size", polygon_size)
-        object.__setattr__(self, "diagonals", diags)
-
-    @classmethod
-    def _trusted(cls, polygon_size: int, diagonals: frozenset[Diagonal]):
-        """Build without validation, for diagonals that a theorem makes a
-        triangulation, already normalized to ``(low, high)`` int pairs."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "polygon_size", polygon_size)
-        object.__setattr__(t, "diagonals", diagonals)
-        return t
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            mine = (self.polygon_size, self.diagonals)
-            return mine == (other.polygon_size, other.diagonals)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.polygon_size, self.diagonals))
+        self._fill(polygon_size, diags)
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``N=6; 1-5,2-4,2-5``."""

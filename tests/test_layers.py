@@ -3,8 +3,9 @@ the import graph between the package's modules has no cycle, with
 ``diamond`` at the bottom above ``errors``.  Nothing outside the package
 and the standard library is imported, as ``dependencies = []`` promises,
 and no module imports ``dataclasses``, so the CLI starts without it or
-``inspect``.  The unvalidated construction paths are called only where a
-theorem guarantees the result.  The sweep's walk shares each formula with the
+``inspect``.  Only ``errors.Record`` defines equality, hashing and the
+unvalidated construction path, which is called only where a theorem
+guarantees the result.  The sweep's walk shares each formula with the
 public path chain but the ear clipping, which it folds together with the
 key and the quiddity; it gets its tables only from the sweep, which builds
 them, and it builds no Dyck word.  One predicate says what an integer is,
@@ -20,6 +21,11 @@ import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from dyckfrieze import Diamond
+from dyckfrieze.checks import CheckResult
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dyckfrieze"
@@ -154,6 +160,37 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
         ("enumeration", "expand"),
         ("enumeration", "_enumerate_all"),
     }
+
+
+def test_only_record_defines_the_value_protocol():
+    # equality, hashing and unchecked construction are written once, in
+    # errors.Record; DyckPath's builder takes a profile instead of its word
+    protocol = {"__eq__", "__hash__", "_trusted"}
+    defined = set()
+    for module, tree in _trees().items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        names = {node.name}
+                    elif isinstance(node, ast.Assign):
+                        names = {getattr(t, "id", None) for t in node.targets}
+                    else:
+                        continue
+                    defined |= {(module, cls.name, name) for name in names & protocol}
+    assert defined == {
+        ("errors", "Record", "_trusted"),
+        ("dyck", "DyckPath", "_trusted"),
+    }
+
+
+def test_trusted_construction_takes_one_value_per_field():
+    assert Diamond._trusted((1,), (2,)) == Diamond((1,), (2,))
+    for values in [((1,),), ((1,), (2,), (3,))]:
+        with pytest.raises(TypeError):
+            Diamond._trusted(*values)
+    with pytest.raises(TypeError):
+        CheckResult._trusted("counts", True)
 
 
 def test_walk_and_public_chain_share_each_formula():

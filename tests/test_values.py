@@ -1,7 +1,8 @@
 """The contract of the package's value types: each is built from the same
 keyword arguments as its constructor's parameters, shows as its
-constructor call, compares and hashes by its fields and only with its own
-class, cannot be changed, and survives copying and pickling."""
+constructor call (an int too long to print by its length), compares and
+hashes by its fields and only with its own class, cannot be changed, and
+survives copying and pickling."""
 
 import copy
 import pickle
@@ -10,6 +11,8 @@ import pytest
 
 from dyckfrieze import Cycle, Diamond, DyckPath, FriezePattern, Triangulation
 from dyckfrieze.checks import CheckResult
+
+HUGE = 10**5000  # past the 4,300 digits Python's str will print
 
 SQUARE_ROWS = ((0, 0, 0, 0), (1, 1, 1, 1), (1, 2, 1, 2), (1, 1, 1, 1), (0, 0, 0, 0))
 
@@ -62,6 +65,19 @@ def test_repr_is_the_constructor_call(cls, kwargs, text):
     assert repr(cls(**kwargs)) == text
 
 
+def test_repr_shows_an_int_too_long_to_print_by_its_length():
+    rows = ((0,) * 3, (1,) * 3, (HUGE,) * 3, (0,) * 3)
+    assert repr(FriezePattern(3, rows)) == "FriezePattern(order=3, rows=<tuple>)"
+    diamond = Diamond._trusted((HUGE,), (1,))
+    assert repr(diamond) == "Diamond(col1=<tuple>, col2=(1,))"
+    assert repr(Cycle._trusted((diamond,))) == (
+        "Cycle(diamonds=(Diamond(col1=<tuple>, col2=(1,)),))"
+    )
+    assert repr(Triangulation._trusted(HUGE, frozenset())) == (
+        "Triangulation(polygon_size=<5001 digits>, diagonals=frozenset())"
+    )
+
+
 @pytest.mark.parametrize("cls, kwargs, text", VALUES, ids=IDS)
 def test_keyword_and_positional_construction_agree(cls, kwargs, text):
     assert cls(**kwargs) == cls(*kwargs.values())
@@ -79,6 +95,13 @@ def test_equal_values_hash_equal(cls, kwargs, text):
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls, kwargs, text", VALUES, ids=IDS)
+def test_hash_is_the_hash_of_the_fields(cls, kwargs, text):
+    # set orders, and so every output, depend on these values
+    fields = tuple(kwargs.values())
+    assert hash(cls(**kwargs)) == hash(fields[0] if len(fields) == 1 else fields)
 
 
 @pytest.mark.parametrize("cls, kwargs, text", VALUES, ids=IDS)
