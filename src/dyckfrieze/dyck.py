@@ -17,11 +17,12 @@ validating walk computes, with no walk of their own.  ``_profile_of``
 reduces every coordinate of a diamond vector in one pass, along the chain
 of previous-smaller entries, and checks the profile once, for
 ``vector_to_path``, which builds its word unchecked by
-``DyckPath._trusted``, and for the invariant sweep's ``_walk``.  The walk
-reads the rank off a table of ballot terms, and the triangulation's key and
-quiddity inside its ear-clipping loop, with no word in between; the sweep
-builds the tables once per call and passes them in.  A descent encoding is
-checked only where it enters, in ``triangulation.realize``.
+``DyckPath._trusted``, as ``all_paths`` does from the profiles it steps
+through, and for the invariant sweep's ``_walk``.  The walk reads the rank
+off a table of ballot terms, and the triangulation's key and quiddity
+inside its ear-clipping loop, with no word in between; the sweep builds the
+tables once per call and passes them in.  A descent encoding is checked
+only where it enters, in ``triangulation.realize``.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class DyckPath(Record):
     def _trusted(cls, m) -> DyckPath:
         """Build without validation from a profile ``m`` that encodes a
         path: non-decreasing, ``i <= m_i`` for the i-th D, closed by k."""
-        word = "".join("U" * (b - a) + "D" for a, b in zip([0, *m], m))
+        word = "".join(["U" * (b - a) + "D" for a, b in zip([0, *m], m)])
         p = object.__new__(cls)._fill(word)
         object.__setattr__(p, "_m", tuple(m))
         return p
@@ -114,24 +115,20 @@ def all_paths(half_length: int):
     order with U < D."""
     # turns a list's OverflowError past sys.maxsize into an InputError; a
     # shorter word that memory cannot hold still raises MemoryError
-    int_in(half_length, "half length", 0, sys.maxsize)
-    word = ["U"] * half_length + ["D"] * half_length
+    k = int_in(half_length, "half length", 0, sys.maxsize)
+    m = [0] + [k] * k  # m[j]: the Us before the j-th D, after a sentinel 0
     while True:
-        yield DyckPath("".join(word))
-        # The successor turns the rightmost U entered at height >= 1 into a
-        # D, then completes with the smallest suffix: its Us, then its Ds.
-        height = 0
-        ups = downs = 0
-        for pos in range(len(word) - 1, -1, -1):
-            if word[pos] == "U":
-                height -= 1
-                ups += 1
-                if height >= 1:
-                    word[pos:] = ["D"] + ["U"] * ups + ["D"] * (downs - 1)
-                    break
-            else:
-                height += 1
-                downs += 1
+        yield DyckPath._trusted(m[1:])
+        # Two words first differ at a D of one and a U of the other, so the
+        # smaller word has more Us before that D: word order is reverse
+        # lexicographic order of profiles.  The successor lowers the
+        # rightmost entry that stays at least j and its left neighbour, and
+        # raises every later entry to k, the largest suffix; m[k] stays k.
+        for j in range(k - 1, 0, -1):
+            if m[j] > j and m[j] > m[j - 1]:
+                m[j] -= 1
+                m[j + 1 : k] = [k] * (k - 1 - j)
+                break
         else:
             return
 
@@ -165,7 +162,8 @@ def _ballot_rows(k: int) -> list[list[int]]:
 
 def catalan(n: int) -> int:
     """Exact n-th Catalan number."""
-    int_in(n, "catalan index", 0)
+    # past sys.maxsize math.comb raises OverflowError, not InputError
+    int_in(n, "catalan index", 0, sys.maxsize)
     return comb(2 * n, n) // (n + 1)
 
 

@@ -11,6 +11,7 @@ paths of half length n+1 whose first D comes after exactly z Us.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from functools import lru_cache
 from math import comb
@@ -34,7 +35,8 @@ def companion_vector(n: int, z: int) -> Vector:
 
 
 def _check_range(n: int, z: int) -> None:
-    int_in(n, "rank", 1, error=RangeError)
+    # past sys.maxsize math.comb raises OverflowError, not InputError
+    int_in(n, "rank", 1, sys.maxsize, RangeError)
     int_in(z, "z", 1, n + 1, RangeError)
 
 

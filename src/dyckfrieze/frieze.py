@@ -24,15 +24,14 @@ the columns by that recurrence, with no division, so every entry is an
 integer and a sequence that is not a quiddity shows up as a nonpositive
 entry or as a band that misses the closing row of ones.
 
-``from_quiddity`` and ``from_cycle`` build their pattern with
-``FriezePattern._trusted``, inherited from ``errors.Record``, skipping the
-constructor's shape check: both make N + 1 tuples of N ints by
-construction.  ``from_cycle`` still runs ``violations`` on what it built.
+The constructor refuses any entry that is not an integer, so ``violations``
+checks only the arithmetic.  ``from_quiddity`` and ``from_cycle`` skip the
+shape and integer checks through ``FriezePattern._trusted`` (from
+``errors.Record``): both make N + 1 tuples of N ints by construction.
+``from_cycle`` still runs ``violations`` on what it built.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .diamond import Cycle, complete_diamond, diagonal, minimal_cycle, rotation_period
 from .errors import (
@@ -55,8 +54,9 @@ Row = tuple[int, ...]
 class FriezePattern(Record):
     """Order-N pattern as an (N+1) x N fundamental domain.
 
-    Construction checks shape only; content is the business of ``verify``,
-    so that tampered patterns can be built and diagnosed in tests.
+    Construction checks shape and integer entries; the arithmetic is
+    ``verify``'s business, so tampered int patterns can still be built and
+    diagnosed in tests.
     """
 
     __match_args__ = ("order", "rows")
@@ -67,6 +67,11 @@ class FriezePattern(Record):
         if len(rows) != N + 1 or any(len(row) != N for row in rows):
             shown = f"{format_int(N + 1)} rows of width {format_int(N)}"
             raise InputError(f"expected {shown}")
+        for r, row in enumerate(rows):
+            for c, x in enumerate(row):
+                if not is_int(x):
+                    shown = f"row {r}, column {c} is {format_int(x)}"
+                    raise InputError(f"entry at {shown}, not an integer")
         self._fill(order, rows)
 
     @property
@@ -141,8 +146,8 @@ def violations(fp: FriezePattern) -> list[str]:
     glide reflection.  Each check scans a whole row first (its ``min``, its
     quadruples zipped with rotated rows, its rotated glide image), and only
     a failing row is walked entry by entry.  Row periodicity is inherent to
-    the storage.  A pattern holding a non-integer entry is reported by
-    those entries alone, since the arithmetic checks cannot run on it.
+    the storage, and the constructor has checked that every entry is an
+    integer.
 
     The glide images come first.  The glide carries the quadruple centred
     at (r, c) onto the one centred at (N - r, c + r) with left and right
@@ -155,13 +160,6 @@ def violations(fp: FriezePattern) -> list[str]:
     """
     N = expect(fp, FriezePattern).order
     rows = fp.rows
-    if set(map(type, chain.from_iterable(rows))) != {int}:
-        return [
-            f"entry at row {r}, column {c} is {format_int(x)}, not an integer"
-            for r, row in enumerate(rows)
-            for c, x in enumerate(row)
-            if type(x) is not int
-        ]
     glides = [rows[N - r][r % N :] + rows[N - r][: r % N] for r in range(N + 1)]
     glide_breaks = [r for r in range(N + 1) if rows[r] != glides[r]]
     problems = []

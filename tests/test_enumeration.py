@@ -294,6 +294,10 @@ TOO_LONG_TO_PRINT_CALLS = {
     "all_paths(B)": lambda: next(all_paths(B)),
     "parse_path(B)": lambda: parse_path(B),
     "all_paths(10**19)": lambda: next(all_paths(10**19)),
+    "catalan(10**19)": lambda: catalan(10**19),
+    "catalan(10**5000)": lambda: catalan(10**5000),
+    "ballot_count(10**19, 1)": lambda: ballot_count(10**19, 1),
+    "ballot_count(10**5000, 1)": lambda: ballot_count(10**5000, 1),
     "render_ascii(entry -B)": _tampered_render,
 }
 

@@ -170,13 +170,27 @@ def test_from_cycle_all_ones_vector():
 
 
 def test_from_cycle_equals_from_quiddity():
-    # both build the pattern without the shape check, which accepts it as is
+    # both build the pattern without the constructor's checks, which accept
+    # it as is
     for n in range(1, 6):
         for v in enumerate_all(n):
             c = minimal_cycle(complete_diamond(v))
             heads = cycle_heads(c) * ((n + 3) // c.p)
             fp = from_cycle(c)
             assert fp == from_quiddity(heads) == FriezePattern(fp.order, fp.rows)
+
+
+def test_theorem_built_patterns_pass_the_constructor():
+    # from_cycle and from_quiddity skip the shape and integer checks
+    for n in range(1, 8):
+        for v in enumerate_all(n):
+            fp = frieze_of_vector(v)
+            assert FriezePattern(fp.order, fp.rows) == fp
+    rng = random.Random(20)
+    for N in range(3, 61):
+        t = Triangulation(N, random_triangulation_diagonals(N, rng))
+        fp = from_quiddity(quiddity_by_faces(t))
+        assert FriezePattern(fp.order, fp.rows) == fp
 
 
 def test_member_friezes_are_column_rotations():
@@ -220,22 +234,22 @@ def test_verify_detects_broken_border():
     assert any("zeros" in msg for msg in violations(bad))
 
 
-def test_violations_names_non_integer_entry():
+def test_constructor_names_non_integer_entry():
     fp = from_quiddity((2, 3, 1, 2, 3, 1))
     rows = [list(row) for row in fp.rows]
     rows[3][1] = "5"
-    bad = FriezePattern(fp.order, tuple(tuple(r) for r in rows))
-    assert violations(bad) == ["entry at row 3, column 1 is '5', not an integer"]
-    assert not verify(bad)
+    message = "entry at row 3, column 1 is '5', not an integer"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        FriezePattern(fp.order, tuple(tuple(r) for r in rows))
 
 
 @st.composite
 def tampered_friezes(draw):
-    """A valid frieze of order 3..40 with up to four edits: an entry set or
-    shifted (band entries and borders alike, breaking the rule and the
-    glide), an entry set together with its glide image (the rule breaks,
-    the glide holds), a whole row rotated, a non-int entry, or an entry set
-    to +-10**4500, past the 4,300-digit limit of ``str``."""
+    """Order and rows of a valid frieze of order 3..40 with up to four
+    edits: an entry set or shifted (band entries and borders alike, breaking
+    the rule and the glide), an entry set together with its glide image (the
+    rule breaks, the glide holds), a whole row rotated, a non-int entry, or
+    an entry set to +-10**4500, past the 4,300-digit limit of ``str``."""
     N = draw(st.integers(3, 40))
     rng = draw(st.randoms(use_true_random=False))
     t = Triangulation(N, random_triangulation_diagonals(N, rng))
@@ -256,13 +270,30 @@ def tampered_friezes(draw):
             rows[r][c] = draw(st.sampled_from(["5", 2.0, None, True]))
         elif edit == "huge":
             rows[r][c] = draw(st.sampled_from([10**4500, -(10**4500)]))
-    return FriezePattern(N, rows)
+    return N, rows
 
 
 @given(tampered_friezes())
 @settings(max_examples=150)
-def test_violations_match_the_entry_by_entry_oracle(fp):
-    assert violations(fp) == violations_by_entry(fp)
+def test_violations_match_the_entry_by_entry_oracle(frieze):
+    # the constructor refuses the first non-integer entry in row-major
+    # order, so violations only ever sees int patterns
+    N, rows = frieze
+    bad = [
+        (r, c, x)
+        for r, row in enumerate(rows)
+        for c, x in enumerate(row)
+        if type(x) is not int
+    ]
+    if bad:
+        r, c, x = bad[0]
+        message = f"entry at row {r}, column {c} is {x!r}, not an integer"
+        with pytest.raises(InputError) as caught:
+            FriezePattern(N, rows)
+        assert str(caught.value) == message
+    else:
+        fp = FriezePattern(N, rows)
+        assert violations(fp) == violations_by_entry(fp)
 
 
 @pytest.mark.parametrize("N,r", [(8, 4), (7, 3), (7, 4)])

@@ -9,7 +9,8 @@ guarantees the result.  The sweep's walk shares each formula with the
 public path chain but the ear clipping, which it folds together with the
 key and the quiddity; it gets its tables only from the sweep, which builds
 them, and it builds no Dyck word.  One predicate says what an integer is,
-one guard checks a scalar argument's range, messages show values through
+one guard checks a scalar argument's range, a frieze's entries are typed
+by its constructor alone, messages show values through
 one formatter, and the one cache is the enumeration's, which callers can
 inspect through ``enumerate_all.cache_info``.  Every function the
 benchmark's tracer wraps by name still exists."""
@@ -133,7 +134,11 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
     assert _trusted_builders() == {
         "Diamond": {("diamond", "complete_diamond"), ("diamond", "minimal_cycle")},
         "Cycle": {("diamond", "minimal_cycle")},
-        "DyckPath": {("dyck", "from_v_vector"), ("dyck", "vector_to_path")},
+        "DyckPath": {
+            ("dyck", "all_paths"),
+            ("dyck", "from_v_vector"),
+            ("dyck", "vector_to_path"),
+        },
         "FriezePattern": {("frieze", "from_quiddity"), ("frieze", "from_cycle")},
         "Triangulation": {
             ("triangulation", "realize"),
@@ -278,18 +283,31 @@ def test_one_integer_predicate_refuses_bool():
 
 def test_scalar_arguments_are_checked_by_one_range_guard():
     # a hand-written scalar check would call is_int outside these: the
-    # guard, the formatter, the loops that check each entry of a sequence,
-    # and rotate, whose shift may be any int
+    # guard, the formatter, the loops that check each entry of a sequence
+    # or a frieze's rows, and rotate, whose shift may be any int
     assert _callers("is_int") == {
         ("errors", "int_in"),
         ("errors", "format_int"),
         ("diamond", "as_vector"),
         ("dyck", "from_v_vector"),
+        ("frieze", "__init__"),
         ("frieze", "from_quiddity"),
         ("triangulation", "_normalize_pair"),
         ("triangulation", "realize"),
         ("triangulation", "rotate"),
     }
+
+
+def test_frieze_entries_are_typed_by_the_constructor_alone():
+    # FriezePattern refuses non-integers, so violations checks arithmetic:
+    # its body neither calls nor passes on type or isinstance
+    violations = next(
+        fn
+        for fn in ast.walk(_trees()["frieze"])
+        if isinstance(fn, ast.FunctionDef) and fn.name == "violations"
+    )
+    names = {node.id for node in ast.walk(violations) if isinstance(node, ast.Name)}
+    assert not names & {"type", "isinstance"}
 
 
 def test_messages_show_values_only_through_format_int():
