@@ -13,9 +13,16 @@ whose length always divides n + 3; those cycles are the diagonals of a
 closed integral frieze pattern.
 
 Every such diagonal solves one three-term recurrence on the quiddity
-``q`` of its frieze (Conway & Coxeter, 1973), computed by ``diagonal``
-without division.  Frieze completion, coupling cycles and the inverse
-path map are all built on it, and ``rotation_period`` finds the period of q.
+``q`` of its frieze (Conway & Coxeter, 1973), without division.
+``_frieze_rows`` runs it a whole row at a time and is the one frieze
+kernel: frieze completion, the frieze check and coupling cycles read their
+rows and columns off it.  When the monodromy of q, the product of the N
+step matrices ``[[q_i, -1], [1, 0]]``, is -I, it computes rows up to the
+middle only and reads the rest off the glide reflection, which the
+Casoratian of the recurrence makes exact.  ``diagonal`` computes one
+column, for the inverse path map and the sweep's round trip, and
+``rotation_period`` finds the period of q.
+
 ``check_head_form`` is closed-form: with ``a <= b`` the sorted top entries
 ``(a[1,1], a[2,1])`` of rank n, ``a[1,2] = a*b - 1``, and ``2 <= b <= n+1``
 if ``a = 1``, else ``a >= 2`` and ``a + b <= n + 2``.
@@ -29,8 +36,8 @@ entries, the rule at j is the division step of ``complete_diamond`` at j.
 without re-checking it: ``as_vector`` has validated the first column, and each
 second-column entry is the exact, positive quotient
 ``(1 + a[2,j-1] * a[1,j+1]) / a[1,j]``, so the unimodular rule holds by
-arithmetic.  ``minimal_cycle`` does the same once each diagonal ``d_t`` of its
-frieze closes, ``d_t[N-1] == 1``, and is positive, ``min(d_t[2:N-1]) >= 1``
+arithmetic.  ``minimal_cycle`` does the same once each column ``d_t`` of its
+frieze rows closes, ``d_t[N-1] == 1``, and is positive, ``min(d_t[2:N-1]) >= 1``
 (the paper's claim, checked, not assumed).  This is exact: consecutive
 diagonals have Casoratian 1 for any integer q, so with positive entries the
 rule can fail only at the border ``a[1,n+1] = 1``.  It then builds its
@@ -44,6 +51,8 @@ result, and the public constructors still validate in full.
 """
 
 from __future__ import annotations
+
+from operator import mul, sub
 
 from .errors import (
     InputError,
@@ -209,6 +218,51 @@ def rotation_period(seq: tuple) -> int:
     return next(p for p in range(1, N + 1) if N % p == 0 and seq[p:] + seq[:p] == seq)
 
 
+def _monodromy_is_minus_identity(q) -> bool:
+    """True iff ``M_{N-1} ... M_1 M_0 == -I`` for ``M_i = [[q_i, -1], [1, 0]]``.
+
+    The product carries ``(x_j, x_{j-1})`` to ``(x_{j+N}, x_{j+N-1})`` for
+    every solution x of the frieze recurrence, so it is -I exactly when
+    every solution changes sign over N steps; then each diagonal closes,
+    ``d_{N-1} = 1`` and ``d_N = 0``, and conversely.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for x in q:
+        a, b, c, d = x * a - c, x * b - d, a, b
+    return a == d == -1 and b == c == 0
+
+
+def _frieze_rows(q) -> tuple[Vector, ...]:
+    """Rows 0..N-1 of the frieze of the integer sequence ``q`` of length
+    N >= 2: entry (r, c) is ``diagonal(q, c, N)[r]``.
+
+    Row 0 is zeros, row 1 ones, and row r is ``q`` turned by r - 2 times
+    row r - 1, minus row r - 2, one C-level map per row.  When the
+    monodromy of ``q`` is -I, only rows 0..N//2 are computed and row r > N//2
+    is row N - r turned by r, the glide.  That is exact for any integer q.
+    Read with an absolute index j, column c is the solution D_c of
+    ``x_{j+1} = q_j x_j - x_{j-1}`` with ``D_c(c-1) = 0``, ``D_c(c) = 1``, and
+    entry (r, c) is ``D_c(c+r-1)``.  The Casoratian
+    ``x_{j+1} y_j - x_j y_{j+1}`` of two solutions does not depend on j,
+    since each step matrix has determinant 1.  So for two solutions A, B of
+    Casoratian 1, ``D_c(j) = A(j) B(c-1) - A(c-1) B(j)``: both sides solve the
+    recurrence and agree at j = c - 1 and c.  Swapping j and c - 1 flips the
+    sign, ``D_c(j) = -D_{j+1}(c-1)``, and monodromy -I makes every solution
+    N-antiperiodic, so ``D_c(j) = D_{j+1}(c-1+N)``: entry (r, c) equals entry
+    (N - r, c + r).  Otherwise the recurrence runs through row N - 1.
+    """
+    N = len(q)
+    rows = [(0,) * N, (1,) * N]
+    last = N // 2 if _monodromy_is_minus_identity(q) else N - 1
+    for r in range(2, last + 1):
+        turned = q[r - 2 :] + q[: r - 2]
+        rows.append(tuple(map(sub, map(mul, turned, rows[r - 1]), rows[r - 2])))
+    for r in range(last + 1, N):
+        image = rows[N - r]
+        rows.append(image[r:] + image[:r])
+    return tuple(rows)
+
+
 def minimal_cycle(d0: Diamond) -> Cycle:
     """The coupling cycle through ``d0``, read off the frieze it generates.
 
@@ -217,12 +271,13 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     and ``w`` the one through ``col2``, both framed by the frieze borders
     and shifted to solve the same recurrence, so
     ``q_k = m_k * w_{k+2} - m_{k+2} * w_k``.  The period of ``q`` is the
-    cycle length p, and member t pairs diagonals t and t + 1.
+    cycle length p, and member t pairs band columns t and t + 1 of the
+    frieze rows ``_frieze_rows(q)``.
 
     Once every member is checked to be a positive diamond, the cycle is
     built without ``Cycle``'s check, because it holds by construction.
     Members are coupled: member t's second column is member t + 1's first,
-    and member p - 1's second is diagonal p, which is diagonal 0 since q has
+    and member p - 1's second is column p, which is column 0 since q has
     period p.  ``p = rotation_period(q)`` divides N.  Members are distinct:
     if members s < t were equal, diagonals s, s + 1 would equal diagonals
     t, t + 1, so N - 1 consecutive entries of q, read off those diagonals by
@@ -234,15 +289,15 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     w = (-1, 0, 1, *d0.col2, 1, 0)
     q = tuple(m[k] * w[k + 2] - m[k + 2] * w[k] for k in range(N))
     p = rotation_period(q)
-    diags = [diagonal(q, t, N) for t in range(p + 1)]
-    cols = [d[2 : N - 1] for d in diags]
+    rows = _frieze_rows(q)
+    cols = list(zip(*rows[2 : N - 1]))
     if (cols[0], cols[1]) != (d0.col1, d0.col2):
         shown = format_int(d0.col1)
         raise InvariantViolation(f"frieze of {shown} does not reproduce it")
     for t in range(p):
-        if diags[t][N - 1] != 1 or min(cols[t]) < 1:
+        if rows[N - 1][t] != 1 or min(cols[t]) < 1:
             raise InvariantViolation(f"cycle member {t} is not a positive diamond")
-    members = tuple(Diamond._trusted(cols[t], cols[t + 1]) for t in range(p))
+    members = tuple(Diamond._trusted(cols[t], cols[(t + 1) % p]) for t in range(p))
     return Cycle._trusted(members)
 
 

@@ -87,7 +87,10 @@ class DyckPath(Record):
     def _trusted(cls, m) -> DyckPath:
         """Build without validation from a profile ``m`` that encodes a
         path: non-decreasing, ``i <= m_i`` for the i-th D, closed by k."""
-        word = "".join(["U" * (b - a) + "D" for a, b in zip([0, *m], m)])
+        # the runs of Us between Ds, joined by D: faster than one
+        # concatenation per D
+        ups = ["U" * (b - a) for a, b in zip([0, *m], m)]
+        word = "D".join(ups) + "D" if ups else ""
         p = object.__new__(cls)._fill(word)
         object.__setattr__(p, "_m", tuple(m))
         return p

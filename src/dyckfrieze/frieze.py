@@ -19,21 +19,32 @@ first column of one diamond in the generating cycle.
 
 Each column c is the diagonal ``diamond.diagonal(q, c, N)`` of the
 quiddity q, a three-term recurrence (Conway & Coxeter, 1973), and the rule
-is the determinant identity of those diagonals.  ``from_quiddity`` builds
-the columns by that recurrence, with no division, so every entry is an
-integer and a sequence that is not a quiddity shows up as a nonpositive
-entry or as a band that misses the closing row of ones.
+is the determinant identity of those diagonals.  ``from_quiddity`` takes
+its rows 0..N-1 from the one frieze kernel, ``diamond._frieze_rows``, which
+runs that recurrence a row at a time, with no division, and past the
+middle row reads the rows off the glide when the monodromy of q is -I.
+So every entry is an integer and a sequence that is not a quiddity shows
+up as a nonpositive entry or as a band that misses the closing row of ones.
 
 The constructor refuses any entry that is not an integer, so ``violations``
-checks only the arithmetic.  ``from_quiddity`` and ``from_cycle`` skip the
-shape and integer checks through ``FriezePattern._trusted`` (from
+checks only the arithmetic.  It accepts a closed positive frieze by
+comparing it with the kernel's rows of its own quiddity row, and scans
+only a pattern that differs.  ``from_quiddity`` and ``from_cycle`` skip
+the shape and integer checks through ``FriezePattern._trusted`` (from
 ``errors.Record``): both make N + 1 tuples of N ints by construction.
 ``from_cycle`` still runs ``violations`` on what it built.
 """
 
 from __future__ import annotations
 
-from .diamond import Cycle, complete_diamond, diagonal, minimal_cycle, rotation_period
+from .diamond import (
+    Cycle,
+    _frieze_rows,
+    _monodromy_is_minus_identity,
+    complete_diamond,
+    minimal_cycle,
+    rotation_period,
+)
 from .errors import (
     FailsToClose,
     InputError,
@@ -105,7 +116,7 @@ def from_quiddity(q) -> FriezePattern:
     if sum(q) != 3 * (N - 2):
         raise FailsToClose(f"entries do not sum to 3(N - 2) = {3 * (N - 2)}")
 
-    rows = list(zip(*(diagonal(q, c, N) for c in range(N))))
+    rows = _frieze_rows(q)
     for r in range(3, N):
         if min(rows[r]) < 1:
             c = next(c for c, x in enumerate(rows[r]) if x < 1)
@@ -113,8 +124,7 @@ def from_quiddity(q) -> FriezePattern:
     if rows[N - 1] != (1,) * N:
         shown = ", ".join(map(format_int, rows[N - 1]))
         raise FailsToClose(f"row {N - 1} is ({shown}), not all ones")
-    rows.append((0,) * N)
-    return FriezePattern._trusted(N, tuple(rows))
+    return FriezePattern._trusted(N, (*rows, (0,) * N))
 
 
 def from_cycle(c: Cycle) -> FriezePattern:
@@ -143,27 +153,46 @@ def violations(fp: FriezePattern) -> list[str]:
 
     Checks the zero and one borders, band positivity, the unimodular rule
     on every quadruple of the fundamental domain, and invariance under
-    glide reflection.  Each check scans a whole row first (its ``min``, its
-    quadruples zipped with rotated rows, its rotated glide image), and only
-    a failing row is walked entry by entry.  Row periodicity is inherent to
-    the storage, and the constructor has checked that every entry is an
-    integer.
+    glide reflection.  Row periodicity is inherent to the storage, and the
+    constructor has checked that every entry is an integer.
 
-    The glide images come first.  The glide carries the quadruple centred
-    at (r, c) onto the one centred at (N - r, c + r) with left and right
-    swapped and top and bottom swapped, so ``left*right - top*bottom`` is
-    the same number at both.  When every row equals its image, the rule
-    holds on rows 1..N-1 if it holds on rows 1..N // 2, which reach the
-    middle row N/2 at even N.  If the glide breaks anywhere, or one of
-    those rows fails, every row 1..N-1 is scanned, so the diagnostics and
-    their order do not depend on the shortcut.
+    A closed frieze is found without a scan.  Take its quiddity row q
+    within ``from_quiddity``'s bounds (entries in 1..N-2, summing to
+    3(N - 2)) and of monodromy -I, row N all zeros, rows 0..N-1 equal to
+    ``diamond._frieze_rows(q)``, and a positive band.  Then nothing is
+    broken.  Entry (r, c) of those rows is ``D_c(c+r-1) = K(c-1, c+r-1)``,
+    with ``K(i, j) = A(j) B(i) - A(i) B(j)`` for two solutions A, B of the
+    recurrence with Casoratian 1 (see ``_frieze_rows``).  For such 2x2
+    determinants, ``K(i, j) K(i+1, j+1) - K(i+1, j) K(i, j+1)`` is
+    ``K(i, i+1) K(j, j+1) = 1``: that is the rule at every quadruple.  Row N
+    is the zero row the recurrence continues with, since monodromy -I gives
+    ``D_c(c+N-1) = -D_c(c-1) = 0``, and every diagonal closes, so row N - 1
+    is all ones.  The glide is the identity the kernel fills its rows by.
+    The band rows past N // 2 are glide images of rows 2..N // 2, so those
+    are the ones checked.
+
+    Any other pattern is scanned in full, so its diagnostics and their
+    order are those of the full check.  Each check scans a whole row first
+    (its ``min``, its quadruples zipped with rotated rows, its rotated glide
+    image), and only a failing row is walked entry by entry.
     """
     N = expect(fp, FriezePattern).order
     rows = fp.rows
+    q = rows[2]
+    zeros = (0,) * N
+    if (
+        rows[N] == zeros
+        and min(q) >= 1
+        and max(q) <= N - 2
+        and sum(q) == 3 * (N - 2)
+        and _monodromy_is_minus_identity(q)
+        and rows[:N] == _frieze_rows(q)
+        and all(min(row) >= 1 for row in rows[3 : N // 2 + 1])
+    ):
+        return []
     glides = [rows[N - r][r % N :] + rows[N - r][: r % N] for r in range(N + 1)]
     glide_breaks = [r for r in range(N + 1) if rows[r] != glides[r]]
     problems = []
-    zeros = (0,) * N
     ones = (1,) * N
     if rows[0] != zeros or rows[N] != zeros:
         problems.append("border rows 0 and N must be all zeros")
@@ -173,10 +202,7 @@ def violations(fp: FriezePattern) -> list[str]:
         for c, x in enumerate(rows[r]):
             if x < 1:
                 problems.append(f"band entry at row {r}, column {c} is {format_int(x)}")
-    rule_rows = range(1, N)
-    if not glide_breaks and all(_rule_holds(rows, r) for r in range(1, N // 2 + 1)):
-        rule_rows = ()
-    for r in [r for r in rule_rows if not _rule_holds(rows, r)]:
+    for r in [r for r in range(1, N) if not _rule_holds(rows, r)]:
         for c, (left, right, top, bottom) in enumerate(_quadruples(rows, r)):
             if left * right - top * bottom != 1:
                 problems.append(

@@ -15,7 +15,8 @@ invariant suite as it was before it streamed one coupling cycle at a time,
 holding every path, word set and triangulation until the end.  The
 kernel's earlier forms are kept as well: the diagonal recurrence indexing
 ``q`` modulo its length at every step, coupling cycles that validate each
-member as a ``Diamond``, and the frieze checks walked entry by entry.  So
+member as a ``Diamond`` or read each member off its own diagonal, and the
+frieze checks walked entry by entry.  So
 are the word walks that read each of the two encodings and the rank off a
 Dyck word, one walk per answer, and ballot numbers by their recursion over
 the rank.  So are the sweep's per-vector formulas before they became table
@@ -51,7 +52,7 @@ from dyckfrieze import (
     verify,
 )
 from dyckfrieze.checks import CheckResult
-from dyckfrieze.diamond import Cycle, Diamond, rotation_period
+from dyckfrieze.diamond import Cycle, Diamond, diagonal, rotation_period
 from dyckfrieze.errors import (
     FailsToClose,
     InputError,
@@ -450,6 +451,27 @@ def minimal_cycle_validated(d0):
     if (cols[0], cols[1]) != (d0.col1, d0.col2):
         raise InvariantViolation(f"frieze of {d0.col1} does not reproduce it")
     return Cycle(tuple(Diamond(cols[t], cols[t + 1]) for t in range(p)))
+
+
+def minimal_cycle_by_diagonals(d0):
+    """The coupling cycle through ``d0`` with one ``diagonal`` per member,
+    t = 0..p, each member checked to close and be positive, then built
+    unchecked, with the same messages as ``minimal_cycle``."""
+    N = d0.n + 3
+    m = (0, 1, *d0.col1, 1, 0, -1)
+    w = (-1, 0, 1, *d0.col2, 1, 0)
+    q = tuple(m[k] * w[k + 2] - m[k + 2] * w[k] for k in range(N))
+    p = rotation_period(q)
+    diags = [diagonal(q, t, N) for t in range(p + 1)]
+    cols = [d[2 : N - 1] for d in diags]
+    if (cols[0], cols[1]) != (d0.col1, d0.col2):
+        shown = format_int(d0.col1)
+        raise InvariantViolation(f"frieze of {shown} does not reproduce it")
+    for t in range(p):
+        if diags[t][N - 1] != 1 or min(cols[t]) < 1:
+            raise InvariantViolation(f"cycle member {t} is not a positive diamond")
+    members = tuple(Diamond._trusted(cols[t], cols[t + 1]) for t in range(p))
+    return Cycle._trusted(members)
 
 
 def violations_by_entry(fp):

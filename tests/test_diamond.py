@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from dyckfrieze import (
     minimal_cycle,
 )
 from dyckfrieze import diamond
-from dyckfrieze.diamond import diagonal
+from dyckfrieze.diamond import _frieze_rows, _monodromy_is_minus_identity, diagonal
 from dyckfrieze.errors import (
     InputError,
     InvariantViolation,
@@ -29,6 +30,7 @@ from oracles import (
     frieze_rows_by_division,
     head_form_by_search,
     minimal_cycle_by_coupling,
+    minimal_cycle_by_diagonals,
     minimal_cycle_validated,
     quiddity_by_faces,
     random_triangulation_diagonals,
@@ -308,6 +310,54 @@ def test_minimal_cycle_matches_coupling_oracle_past_enumeration_cap(N, rng):
     d = complete_diamond(tuple(rows[r][0] for r in range(2, N - 1)))
     assert minimal_cycle(d) == minimal_cycle_by_coupling(d)
     assert minimal_cycle(d) == minimal_cycle_validated(d)
+    assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
+
+
+def test_minimal_cycle_matches_one_diagonal_per_member_exhaustive():
+    for n in range(1, 8):
+        for v in enumerate_all(n):
+            d = complete_diamond(v)
+            assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
+
+
+def _rows_by_diagonals(q):
+    N = len(q)
+    return tuple(zip(*(diagonal(q, c, N) for c in range(N))))
+
+
+def test_frieze_rows_are_the_diagonals_exhaustive():
+    # every integer sequence, closing or not: 59 of them have monodromy -I,
+    # 43 of those with an entry below 1, so the glide fill runs on
+    # non-positive friezes too
+    glide_filled = 0
+    for N in range(2, 7):
+        for q in itertools.product(range(-1, 4), repeat=N):
+            assert _frieze_rows(q) == _rows_by_diagonals(q), q
+            glide_filled += _monodromy_is_minus_identity(q)
+    assert glide_filled == 59
+
+
+@given(st.integers(3, 120), st.randoms(use_true_random=False))
+@settings(max_examples=40)
+def test_frieze_rows_are_the_diagonals_past_enumeration_cap(N, rng):
+    q = quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
+    assert _monodromy_is_minus_identity(q)
+    assert _frieze_rows(q) == _rows_by_diagonals(q)
+
+
+def test_monodromy_minus_identity_iff_every_diagonal_closes():
+    for N in range(1, 7):
+        for q in itertools.product(range(-1, 4), repeat=N):
+            ds = [diagonal(q, c, N + 1) for c in range(N)]
+            closes = all(d[N - 1] == 1 and d[N] == 0 for d in ds)
+            assert _monodromy_is_minus_identity(q) == closes, q
+
+
+def _outcome(build, d):
+    try:
+        return build(d)
+    except InvariantViolation as exc:
+        return str(exc)
 
 
 @st.composite
@@ -332,8 +382,10 @@ def test_diagonal_matches_indexed_recurrence(args):
 @settings(max_examples=300)
 def test_minimal_cycle_refuses_trusted_non_diamonds_like_the_oracle(cols):
     # Columns set without the rule check: a true diamond gives both versions
-    # the same cycle, anything else makes both raise.
+    # the same cycle, anything else makes both raise.  One diagonal per
+    # member gives the same cycle or the same message.
     d = Diamond._trusted(tuple(cols[0]), tuple(cols[1]))
+    assert _outcome(minimal_cycle, d) == _outcome(minimal_cycle_by_diagonals, d)
     if min(cols[0] + cols[1]) >= 1 and unimodular_holds(*cols):
         assert minimal_cycle(d) == minimal_cycle_validated(d)
         return
@@ -344,19 +396,19 @@ def test_minimal_cycle_refuses_trusted_non_diamonds_like_the_oracle(cols):
 
 
 @pytest.mark.parametrize(
-    "position, value", [(2, 0), (-1, 2)], ids=["non-positive", "not-closing"]
+    "row, value", [(2, 0), (-1, 2)], ids=["non-positive", "not-closing"]
 )
-def test_minimal_cycle_rejects_a_later_member(monkeypatch, position, value):
-    # A valid d0 cannot give a bad member, so diagonal 2 is corrupted in
-    # place: an entry of its column set to 0, or its closing entry to 2.
-    def corrupted(q, c, length):
-        d = list(diagonal(q, c, length))
-        if c == 2:
-            d[position] = value
-        return tuple(d)
+def test_minimal_cycle_rejects_a_later_member(monkeypatch, row, value):
+    # A valid d0 cannot give a bad member, so column 2 of the frieze rows is
+    # corrupted in place: an entry of its band set to 0, or its closing
+    # entry, in row N - 1, to 2.
+    def corrupted(q):
+        rows = [list(r) for r in _frieze_rows(q)]
+        rows[row][2] = value
+        return tuple(map(tuple, rows))
 
     d0 = complete_diamond((1, 2, 3))  # a cycle of three members
-    monkeypatch.setattr(diamond, "diagonal", corrupted)
+    monkeypatch.setattr(diamond, "_frieze_rows", corrupted)
     with pytest.raises(InvariantViolation, match="member 2"):
         minimal_cycle(d0)
 

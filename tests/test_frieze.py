@@ -20,6 +20,7 @@ from dyckfrieze import (
     verify,
     violations,
 )
+from dyckfrieze.diamond import _frieze_rows, _monodromy_is_minus_identity
 from dyckfrieze.errors import (
     FailsToClose,
     InputError,
@@ -321,6 +322,19 @@ def test_glide_symmetric_rows_failing_only_in_the_middle(N):
     assert [p.split(",")[0] for p in problems] == [
         f"rule fails at rows {r - 1}..{r + 1}" for r in sorted(middle) for _ in range(N)
     ]
+
+
+def test_closed_recurrence_frieze_that_is_not_positive_is_scanned():
+    # the all-zero quiddity has monodromy -I at order 6, so its recurrence
+    # rows close, keep the rule and the glide, and end in a row of zeros:
+    # only the band, rows of 0 and -1, tells it from a frieze
+    q = (0,) * 6
+    assert _monodromy_is_minus_identity(q)
+    fp = FriezePattern(6, (*_frieze_rows(q), (0,) * 6))
+    problems = violations(fp)
+    assert problems == violations_by_entry(fp)
+    assert problems and all(p.startswith("band entry at row") for p in problems)
+    assert len(problems) == 3 * 6
 
 
 def test_period_divides_order():

@@ -12,7 +12,9 @@ them, and it builds no Dyck word.  One predicate says what an integer is,
 one guard checks a scalar argument's range, a frieze's entries are typed
 by its constructor alone, messages show values through
 one formatter, and the one cache is the enumeration's, which callers can
-inspect through ``enumerate_all.cache_info``.  Every function the
+inspect through ``enumerate_all.cache_info``.  The frieze's row recurrence
+is written once, in ``diamond._frieze_rows``, which builds, cycles and
+checks friezes; ``diagonal`` computes single columns only.  Every function the
 benchmark's tracer wraps by name still exists."""
 
 import ast
@@ -164,6 +166,43 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
     assert _callers("_expand") == {
         ("enumeration", "expand"),
         ("enumeration", "_enumerate_all"),
+    }
+
+
+def test_the_row_recurrence_is_written_once():
+    # the frieze's rows come from one kernel, which alone maps the product
+    # and the difference over a row; diagonal is left for single columns
+    trees = _trees()
+    importers = {
+        (module, alias.name)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name == "operator"
+        or getattr(node, "module", None) == "operator" and alias.name in ("mul", "sub")
+    }
+    assert importers == {("diamond", "mul"), ("diamond", "sub")}
+    users = {
+        fn.name
+        for fn in ast.walk(trees["diamond"])
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id in ("mul", "sub")
+    }
+    assert users == {"_frieze_rows"}
+    assert _callers("_frieze_rows") == {
+        ("diamond", "minimal_cycle"),
+        ("frieze", "from_quiddity"),
+        ("frieze", "violations"),
+    }
+    assert _callers("_monodromy_is_minus_identity") == {
+        ("diamond", "_frieze_rows"),
+        ("frieze", "violations"),
+    }
+    assert _callers("diagonal") == {
+        ("dyck", "path_to_vector"),
+        ("checks", "run_checks"),
     }
 
 
