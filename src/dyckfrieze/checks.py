@@ -10,10 +10,10 @@ that cycle's frieze, which ``from_cycle`` verifies as it builds it.  Each
 member u is then walked once by ``dyck._walk``, from its reduced profile
 and with no Dyck word: the rank of its path, the key of the path's
 triangulation and that triangulation's quiddity q.  The walk reads the
-rank and the key through two tables that each ``run_checks`` call builds
-once, before the sweep: the ballot terms of the rank, by position and
-height (``dyck._ballot_rows``), and the key bits of each diagonal
-(``_key_masks``), OR-ed in as the walk clips each ear.
+rank off a table of ballot terms by position and height
+(``dyck._ballot_rows``), which each ``run_checks`` call builds once, before
+the sweep, and ORs in the two key bits of each ear as it clips it, with no
+table.
 ``diagonal(q, 0, n + 2)[2:] == u`` is the round trip, because
 ``path_to_vector`` is exactly that composition.  Every member t is then
 checked in member 0's frame: its quiddity rotated back by t must be the
@@ -57,15 +57,6 @@ class CheckResult(Record):
         self._fill(name, passed, detail)
 
 
-def _key_masks(N: int) -> list[list[int]]:
-    """``masks[i][j]``: the key bits of diagonal (i, j) of the N-gon, so a
-    triangulation's key is the OR of its diagonals' masks."""
-    return [
-        [(1 << i * N + (j - i) % N) | (1 << j * N + (i - j) % N) for j in range(N)]
-        for i in range(N)
-    ]
-
-
 def _turn(key: int, k: int, N: int) -> int:
     """Key of the triangulation with every label moved up by k modulo N."""
     shift = k % N * N
@@ -94,7 +85,6 @@ def run_checks(n: int) -> list[CheckResult]:
     expected = catalan(n + 1)
     N = n + 3
     rows = _ballot_rows(n + 1)
-    masks = _key_masks(N)
 
     visited = bytearray(len(vectors))
     ranks = bytearray(expected)
@@ -128,7 +118,7 @@ def run_checks(n: int) -> list[CheckResult]:
             else:
                 visited[at] = 1
 
-            rank, key, q = _walk(u, rows, masks)
+            rank, key, q = _walk(u, rows)
             paths_injective &= not ranks[rank]
             ranks[rank] = 1
             walked += 1

@@ -15,13 +15,14 @@ closed integral frieze pattern.
 Every such diagonal solves one three-term recurrence on the quiddity
 ``q`` of its frieze (Conway & Coxeter, 1973), without division.
 ``_frieze_rows`` runs it a whole row at a time and is the one frieze
-kernel: frieze completion, the frieze check and coupling cycles read their
-rows and columns off it.  When the monodromy of q, the product of the N
-step matrices ``[[q_i, -1], [1, 0]]``, is -I, it computes rows up to the
-middle only and reads the rest off the glide reflection, which the
-Casoratian of the recurrence makes exact.  ``diagonal`` computes one
-column, for the inverse path map and the sweep's round trip, and
-``rotation_period`` finds the period of q.
+kernel: frieze completion and coupling cycles read their rows and columns
+off it, and the frieze check compares a pattern with the completion of its
+quiddity row.  When the monodromy of q, the product of the N step matrices
+``[[q_i, -1], [1, 0]]``, is -I, it computes rows up to the middle only and
+reads the rest off the glide reflection, which the Casoratian of the
+recurrence makes exact.  ``diagonal`` computes one column, for the
+inverse path map and the sweep's round trip, and ``rotation_period`` finds
+the period of q.
 
 ``check_head_form`` is closed-form: with ``a <= b`` the sorted top entries
 ``(a[1,1], a[2,1])`` of rank n, ``a[1,2] = a*b - 1``, and ``2 <= b <= n+1``

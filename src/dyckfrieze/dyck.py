@@ -21,7 +21,7 @@ of previous-smaller entries, and checks the profile once, for
 through, and for the invariant sweep's ``_walk``.  The walk reads the rank
 off a table of ballot terms, and the triangulation's key and quiddity
 inside its ear-clipping loop, with no word in between; the sweep builds the
-tables once per call and passes them in.  A descent encoding is checked
+table once per call and passes it in.  A descent encoding is checked
 only where it enters, in ``triangulation.realize``.
 """
 
@@ -324,28 +324,28 @@ def _profile_of(u: tuple[int, ...]) -> list[int]:
     return m
 
 
-def _walk(u: tuple[int, ...], rows, masks) -> tuple[int, int, tuple[int, ...]]:
+def _walk(u: tuple[int, ...], rows) -> tuple[int, int, tuple[int, ...]]:
     """``(path_rank, key, quiddity)`` of the path of a diamond vector ``u``
     that the caller built itself, read off ``_profile_of(u)``.
 
     ``rows`` is ``_ballot_rows(n + 1)``, so the rank is the sum of
-    ``rows[i][m_i]``.  ``masks[a][b]`` holds the key bits of diagonal
-    (a, b), distinct from every other diagonal's.  The descent encoding is
-    clipped as in ``_clip``, and each ear (a, b) adds 1 to q_a and q_b and
-    ORs in its mask, so the key is the OR over the ears.
+    ``rows[i][m_i]``.  The descent encoding is clipped as in ``_clip``, and
+    each ear (a, b), a < b, adds 1 to q_a and q_b and sets the key bits of
+    diagonal (a, b) in the N-gon: bit b - a of block a and bit N + a - b of
+    block b, blocks of N bits.  So the key is the OR over the ears.
     """
     m = _profile_of(u)
-    n = len(u)
-    active = list(range(n + 3))
-    q = [1] * (n + 3)
+    N = len(u) + 3
+    active = list(range(N))
+    q = [1] * N
     key = 0
-    for li in _descents(m, n):
+    for li in _descents(m, N - 3):
         a = active[li]
         b = active[li + 2]
         del active[li + 1]
         q[a] += 1
         q[b] += 1
-        key |= masks[a][b]
+        key |= 1 << a * N + b - a | 1 << b * N + N + a - b
     return sum(map(getitem, rows, m)), key, tuple(q)
 
 

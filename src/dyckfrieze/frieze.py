@@ -26,13 +26,15 @@ middle row reads the rows off the glide when the monodromy of q is -I.
 So every entry is an integer and a sequence that is not a quiddity shows
 up as a nonpositive entry or as a band that misses the closing row of ones.
 
-The constructor refuses any entry that is not an integer, so ``violations``
-checks only the arithmetic.  It accepts a closed positive frieze by
-comparing it with the kernel's rows of its own quiddity row, and scans
-only a pattern that differs.  ``from_quiddity`` and ``from_cycle`` skip
-the shape and integer checks through ``FriezePattern._trusted`` (from
-``errors.Record``): both make N + 1 tuples of N ints by construction.
-``from_cycle`` still runs ``violations`` on what it built.
+A frieze is fixed by its quiddity row, so ``from_quiddity`` is the one
+test of a closed positive frieze: a pattern is one exactly when it equals
+``from_quiddity`` of its own row 2.  ``violations`` accepts by that
+comparison and scans only a pattern that differs; the constructor refuses
+any entry that is not an integer, so the scan checks only the arithmetic.
+``from_cycle`` builds its frieze by ``from_quiddity`` and compares the
+band with its members, and ``from_quiddity`` alone skips the shape and
+integer checks through ``FriezePattern._trusted`` (from ``errors.Record``):
+it makes N + 1 tuples of N ints by construction.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 from .diamond import (
     Cycle,
     _frieze_rows,
-    _monodromy_is_minus_identity,
     complete_diamond,
     minimal_cycle,
     rotation_period,
@@ -102,6 +103,22 @@ def from_quiddity(q) -> FriezePattern:
     close a frieze of order m + 1 (Conway & Coxeter, 1973), so q would have
     a period g dividing N and m + 1; with s the sum of g consecutive
     entries, 3(m + 1) - 6 = (m + 1)s/g and 3N - 6 = Ns/g give m + 1 = N.
+
+    What it returns is a frieze.  Let R be the recurrence rows 0..N of q:
+    entry (r, c) is ``D_c(c+r-1) = K(c-1, c+r-1)``, with
+    ``K(i, j) = A(j) B(i) - A(i) B(j)`` for two solutions A, B of Casoratian
+    1 (see ``diamond._frieze_rows``).  For such 2x2 determinants
+    ``K(i, j) K(i+1, j+1) - K(i+1, j) K(i, j+1) = K(i, i+1) K(j, j+1) = 1``,
+    so the rule holds on R at every quadruple, for any integer q.  At row
+    N - 1 it reads ``1 - R[N-2][c+1] R[N][c] = 1`` once row N - 1 is all
+    ones, and row N - 2 is positive, so row N of R is zeros.  Each column
+    then reads 0, 1 at rows 0, 1 and 0, -1 at rows N, N + 1: N steps negate
+    it, and two adjacent columns span the solutions, so the monodromy is -I.
+    The kernel's glide fill is then exact, the appended zero row is row N of
+    R, and R keeps the borders, the positive band, the rule and the glide.
+    Conversely the rule fixes each row of a frieze from the two above it,
+    dividing by positive entries, so a frieze is R for its row 2, a
+    quiddity: every frieze is ``from_quiddity`` of its own row 2.
     """
     q = as_tuple(q, "quiddity")
     N = len(q)
@@ -130,20 +147,25 @@ def from_quiddity(q) -> FriezePattern:
 def from_cycle(c: Cycle) -> FriezePattern:
     """Frieze pattern generated by a coupling cycle.
 
-    Column t of the band is the first column of cycle member t mod p; the
-    result equals ``from_quiddity`` on the repeated head sequence.  The
-    construction is theorem-backed, so a verification failure is an
-    internal error rather than bad input.
+    Column t of the band is the first column of cycle member t mod p, and
+    row 2 of that band, the repeated heads, fixes the frieze: the result is
+    ``from_quiddity`` on it, provided every band column is the diagonal of
+    that quiddity row.  The construction is theorem-backed, so a failure is
+    an internal error rather than bad input.
     """
     N = expect(c, Cycle).n + 3
-    zeros = (0,) * N
-    ones = (1,) * N
-    band = zip(*(c.diamonds[col % c.p].col1 for col in range(N)))
-    fp = FriezePattern._trusted(N, (zeros, ones, *band, ones, zeros))
-    problems = violations(fp)
-    if problems:
+    columns = [c.diamonds[col % c.p].col1 for col in range(N)]
+    band = tuple(zip(*columns))
+    try:
+        fp = from_quiddity(band[0])
+    except InputError as exc:
+        raise InvariantViolation(f"cycle produced an invalid pattern: {exc}") from exc
+    if fp.rows[2 : N - 1] != band:
+        built = list(zip(*fp.rows[2 : N - 1]))
+        col = next(col for col in range(N) if built[col] != columns[col])
         raise InvariantViolation(
-            "cycle produced an invalid pattern: " + "; ".join(problems)
+            f"cycle produced an invalid pattern: column {col}, of member "
+            f"{col % c.p}, is not a diagonal of the quiddity row"
         )
     return fp
 
@@ -156,43 +178,24 @@ def violations(fp: FriezePattern) -> list[str]:
     glide reflection.  Row periodicity is inherent to the storage, and the
     constructor has checked that every entry is an integer.
 
-    A closed frieze is found without a scan.  Take its quiddity row q
-    within ``from_quiddity``'s bounds (entries in 1..N-2, summing to
-    3(N - 2)) and of monodromy -I, row N all zeros, rows 0..N-1 equal to
-    ``diamond._frieze_rows(q)``, and a positive band.  Then nothing is
-    broken.  Entry (r, c) of those rows is ``D_c(c+r-1) = K(c-1, c+r-1)``,
-    with ``K(i, j) = A(j) B(i) - A(i) B(j)`` for two solutions A, B of the
-    recurrence with Casoratian 1 (see ``_frieze_rows``).  For such 2x2
-    determinants, ``K(i, j) K(i+1, j+1) - K(i+1, j) K(i, j+1)`` is
-    ``K(i, i+1) K(j, j+1) = 1``: that is the rule at every quadruple.  Row N
-    is the zero row the recurrence continues with, since monodromy -I gives
-    ``D_c(c+N-1) = -D_c(c-1) = 0``, and every diagonal closes, so row N - 1
-    is all ones.  The glide is the identity the kernel fills its rows by.
-    The band rows past N // 2 are glide images of rows 2..N // 2, so those
-    are the ones checked.
-
-    Any other pattern is scanned in full, so its diagnostics and their
-    order are those of the full check.  Each check scans a whole row first
-    (its ``min``, its quadruples zipped with rotated rows, its rotated glide
+    A closed frieze is found without a scan: it is the one pattern equal to
+    ``from_quiddity`` of its own row 2, as that docstring shows.  Any other
+    pattern is scanned in full, so its diagnostics and their order are
+    those of the full check.  Each check scans a whole row first (its
+    ``min``, its quadruples zipped with rotated rows, its rotated glide
     image), and only a failing row is walked entry by entry.
     """
     N = expect(fp, FriezePattern).order
     rows = fp.rows
-    q = rows[2]
-    zeros = (0,) * N
-    if (
-        rows[N] == zeros
-        and min(q) >= 1
-        and max(q) <= N - 2
-        and sum(q) == 3 * (N - 2)
-        and _monodromy_is_minus_identity(q)
-        and rows[:N] == _frieze_rows(q)
-        and all(min(row) >= 1 for row in rows[3 : N // 2 + 1])
-    ):
-        return []
+    try:
+        if rows == from_quiddity(rows[2]).rows:
+            return []
+    except InputError:
+        pass
     glides = [rows[N - r][r % N :] + rows[N - r][: r % N] for r in range(N + 1)]
     glide_breaks = [r for r in range(N + 1) if rows[r] != glides[r]]
     problems = []
+    zeros = (0,) * N
     ones = (1,) * N
     if rows[0] != zeros or rows[N] != zeros:
         problems.append("border rows 0 and N must be all zeros")

@@ -16,14 +16,16 @@ holding every path, word set and triangulation until the end.  The
 kernel's earlier forms are kept as well: the diagonal recurrence indexing
 ``q`` modulo its length at every step, coupling cycles that validate each
 member as a ``Diamond`` or read each member off its own diagonal, and the
-frieze checks walked entry by entry.  So
-are the word walks that read each of the two encodings and the rank off a
-Dyck word, one walk per answer, and ballot numbers by their recursion over
-the rank.  So are the sweep's per-vector formulas before they became table
-lookups: each coordinate reduced by its own scan over every earlier index,
-and a triangulation's key summed from its diagonals.  So are the symmetry
-checks before they used the group structure: a rotation orbit made of one
-``rotate`` per shift, and a rotation period found by trying every shift.
+frieze checks walked entry by entry, the check's shortcut by the
+monodromy and the kernel's rows, and the cycle frieze built from the
+members and then scanned.  So are the word walks that read each of the two
+encodings and the rank off a Dyck word, one walk per answer, and ballot
+numbers by their recursion over the rank.  So are the sweep's per-vector
+formulas before they became table lookups: each coordinate reduced by its
+own scan over every earlier index, and a triangulation's key summed from
+its diagonals.  So are the symmetry checks before they used the group
+structure: a rotation orbit made of one ``rotate`` per shift, and a
+rotation period found by trying every shift.
 """
 
 import functools
@@ -32,6 +34,7 @@ import math
 from collections import Counter
 
 from dyckfrieze import (
+    FriezePattern,
     all_paths,
     ballot_count,
     catalan,
@@ -50,9 +53,17 @@ from dyckfrieze import (
     rotation_orbit,
     vector_to_path,
     verify,
+    violations,
 )
 from dyckfrieze.checks import CheckResult
-from dyckfrieze.diamond import Cycle, Diamond, diagonal, rotation_period
+from dyckfrieze.diamond import (
+    Cycle,
+    Diamond,
+    _frieze_rows,
+    _monodromy_is_minus_identity,
+    diagonal,
+    rotation_period,
+)
 from dyckfrieze.errors import (
     FailsToClose,
     InputError,
@@ -514,6 +525,41 @@ def violations_by_entry(fp):
             if rows[r][c] != rows[N - r][(c + r) % N]:
                 problems.append(f"glide reflection fails at row {r}, column {c}")
     return problems
+
+
+def closed_by_monodromy_gate(fp):
+    """Whether ``fp`` passes the frieze check's earlier shortcut: row N all
+    zeros, the quiddity row within ``from_quiddity``'s bounds and of
+    monodromy -I, rows 0..N-1 the kernel's rows of that quiddity, and the
+    band positive down to the middle row (the rest are its glide images)."""
+    N = fp.order
+    rows = fp.rows
+    q = rows[2]
+    return (
+        rows[N] == (0,) * N
+        and min(q) >= 1
+        and max(q) <= N - 2
+        and sum(q) == 3 * (N - 2)
+        and _monodromy_is_minus_identity(q)
+        and rows[:N] == _frieze_rows(q)
+        and all(min(row) >= 1 for row in rows[3 : N // 2 + 1])
+    )
+
+
+def from_cycle_by_scan(c):
+    """The frieze of a coupling cycle, its band read off the members' first
+    columns and the whole pattern checked by ``violations``."""
+    N = c.n + 3
+    zeros = (0,) * N
+    ones = (1,) * N
+    band = zip(*(c.diamonds[col % c.p].col1 for col in range(N)))
+    fp = FriezePattern(N, (zeros, ones, *band, ones, zeros))
+    problems = violations(fp)
+    if problems:
+        raise InvariantViolation(
+            "cycle produced an invalid pattern: " + "; ".join(problems)
+        )
+    return fp
 
 
 def v_vector_by_walk(word):

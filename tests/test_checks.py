@@ -6,10 +6,11 @@ enumerated member, walks each member's profile once (``dyck._walk``) for its
 path rank, triangulation key and quiddity, checks every member in member 0's
 frame, and builds each closing frieze once per quiddity rotated back to
 member 0.  A fault planted on another member must still fail its check.  The
-walk reads rank and key from tables; both are compared with ``path_rank``
-and with the key summed diagonal by diagonal, and the keys that the orbit
-check turns are compared with ``rotate``.  The cycles' period histogram is
-compared with a count of each triangulation's stabiliser.
+walk reads the rank from a table and sets the key bits of each ear it clips;
+both are compared with ``path_rank`` and with the key summed diagonal by
+diagonal, and the keys that the orbit check turns are compared with
+``rotate``.  The cycles' period histogram is compared with a count of each
+triangulation's stabiliser.
 """
 
 import tracemalloc
@@ -69,8 +70,8 @@ def _plant_on_walk(monkeypatch, plants):
     and quiddity."""
     original = checks._walk
 
-    def planted(u, rows, masks):
-        found = original(u, rows, masks)
+    def planted(u, rows):
+        found = original(u, rows)
         return plants[u](*found) if u in plants else found
 
     monkeypatch.setattr(checks, "_walk", planted)
@@ -207,12 +208,11 @@ def test_turned_key_is_the_key_of_the_rotation(N):
 
 @pytest.mark.parametrize("N", range(4, 11))
 def test_walk_reads_rank_and_key_of_every_path(N):
-    # the walk's table lookups against path_rank and the oracle key
+    # the walk's rank lookups and key bits against path_rank and the oracle key
     n = N - 3
     rows = _ballot_rows(n + 1)
-    masks = checks._key_masks(N)
     for p in all_paths(n + 1):
-        rank, key, _ = checks._walk(path_to_vector(p, n), rows, masks)
+        rank, key, _ = checks._walk(path_to_vector(p, n), rows)
         assert rank == path_rank(p)
         assert key == triangulation_key(realize(to_lambda(p)).diagonals, N)
 

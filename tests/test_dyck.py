@@ -30,7 +30,6 @@ from dyckfrieze import (
     vector_to_triangulation,
 )
 from dyckfrieze import dyck
-from dyckfrieze.checks import _key_masks
 from dyckfrieze.diamond import diagonal
 from dyckfrieze.dyck import _ballot_rows
 from dyckfrieze.errors import (
@@ -401,12 +400,12 @@ def test_v_vector_roundtrip_property(p):
 
 @functools.cache
 def _tables(N):
-    # the tables the sweep builds once for the rank of the N-gon
-    return _ballot_rows(N - 2), _key_masks(N)
+    # the table the sweep builds once for the rank of the N-gon
+    return _ballot_rows(N - 2)
 
 
 def _walk(v):
-    return dyck._walk(v, *_tables(len(v) + 3))
+    return dyck._walk(v, _tables(len(v) + 3))
 
 
 def test_walk_matches_the_public_chain_exhaustive():

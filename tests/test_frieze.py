@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,14 +21,17 @@ from dyckfrieze import (
     verify,
     violations,
 )
-from dyckfrieze.diamond import _frieze_rows, _monodromy_is_minus_identity
+from dyckfrieze.diamond import Cycle, _frieze_rows, _monodromy_is_minus_identity
 from dyckfrieze.errors import (
     FailsToClose,
     InputError,
+    InvariantViolation,
     NonPositiveEntry,
     RangeError,
 )
 from oracles import (
+    closed_by_monodromy_gate,
+    from_cycle_by_scan,
     frieze_rows_by_division,
     quiddity_by_faces,
     random_triangulation_diagonals,
@@ -181,8 +185,83 @@ def test_from_cycle_equals_from_quiddity():
             assert fp == from_quiddity(heads) == FriezePattern(fp.order, fp.rows)
 
 
+def test_from_cycle_matches_the_scan_oracle():
+    # the frieze of the repeated heads, compared with the members, against
+    # the pattern built from the members and scanned
+    for n in range(1, 8):
+        for v in enumerate_all(n):
+            c = minimal_cycle(complete_diamond(v))
+            assert from_cycle(c) == from_cycle_by_scan(c)
+
+
+@pytest.mark.parametrize("plant", ["reversed", "last_dropped"])
+def test_from_cycle_refuses_a_planted_non_cycle(plant):
+    # with the last member dropped the heads (1, 3) repeat to a quiddity
+    # that closes, so only the comparison of the band with the members
+    # catches it; reversed, the heads are a rotation of a quiddity
+    members = minimal_cycle(complete_diamond((1, 2, 3))).diamonds
+    assert len(members) == 3
+    members = members[::-1] if plant == "reversed" else members[:2]
+    c = Cycle._trusted(members)
+    N = c.n + 3
+    heads = tuple(d.col1[0] for d in members) * (N // c.p)
+    cols = list(zip(*frieze_rows_by_division(heads)[2 : N - 1]))
+    col = next(t for t in range(N) if cols[t] != members[t % c.p].col1)
+    message = (
+        f"cycle produced an invalid pattern: column {col}, of member "
+        f"{col % c.p}, is not a diagonal of the quiddity row"
+    )
+    with pytest.raises(InvariantViolation) as caught:
+        from_cycle(c)
+    assert str(caught.value) == message
+    with pytest.raises(InvariantViolation, match="^cycle produced an invalid "):
+        from_cycle_by_scan(c)
+
+
+def _small_integer_sequences():
+    # every q with entries -1..3 at N = 3..6
+    for N in range(3, 7):
+        yield from itertools.product(range(-1, 4), repeat=N)
+
+
+def _sequences_within_the_quiddity_bounds():
+    # every q with entries 1..N-2 summing to 3(N - 2) at N = 3..8: cut
+    # 1..3(N - 2) into N runs, and keep the cuts with no run too long
+    for N in range(3, 9):
+        total = 3 * (N - 2)
+        for cuts in itertools.combinations(range(1, total), N - 1):
+            q = tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+            if max(q) <= N - 2:
+                yield q
+
+
+@pytest.mark.parametrize(
+    "sequences", [_small_integer_sequences, _sequences_within_the_quiddity_bounds]
+)
+def test_violations_agree_with_the_monodromy_gate(sequences):
+    # the kernel's rows of q closed by a zero row are a frieze exactly when
+    # they pass the old shortcut, and q completes only with monodromy -I.
+    # Turning q turns every row of its pattern and changes neither answer,
+    # so one q per rotation class is tried: the least of its turns
+    closed = 0
+    for q in sequences():
+        N = len(q)
+        if q != min(q[k:] + q[:k] for k in range(N)):
+            continue
+        fp = FriezePattern._trusted(N, (*_frieze_rows(q), (0,) * N))
+        assert (violations(fp) == []) == closed_by_monodromy_gate(fp)
+        try:
+            from_quiddity(q)
+        except InputError:
+            continue
+        assert _monodromy_is_minus_identity(q)
+        closed += 1
+    assert closed > 0
+
+
 def test_theorem_built_patterns_pass_the_constructor():
-    # from_cycle and from_quiddity skip the shape and integer checks
+    # from_quiddity, and from_cycle through it, skip the shape and integer
+    # checks
     for n in range(1, 8):
         for v in enumerate_all(n):
             fp = frieze_of_vector(v)

@@ -1,21 +1,24 @@
 """The package's modules form layers: imports run at module level only, and
 the import graph between the package's modules has no cycle, with
-``diamond`` at the bottom above ``errors``.  Nothing outside the package
-and the standard library is imported, as ``dependencies = []`` promises,
-and no module imports ``dataclasses``, so the CLI starts without it or
+``diamond`` at the bottom above ``errors``.  Nothing outside the package and
+the standard library is imported, as ``dependencies = []`` promises, and no
+module imports ``dataclasses``, so the CLI starts without it or
 ``inspect``.  Only ``errors.Record`` defines equality, hashing and the
 unvalidated construction path, which is called only where a theorem
-guarantees the result.  The sweep's walk shares each formula with the
-public path chain but the ear clipping, which it folds together with the
-key and the quiddity; it gets its tables only from the sweep, which builds
-them, and it builds no Dyck word.  One predicate says what an integer is,
-one guard checks a scalar argument's range, a frieze's entries are typed
-by its constructor alone, messages show values through
-one formatter, and the one cache is the enumeration's, which callers can
-inspect through ``enumerate_all.cache_info``.  The frieze's row recurrence
-is written once, in ``diamond._frieze_rows``, which builds, cycles and
-checks friezes; ``diagonal`` computes single columns only.  Every function the
-benchmark's tracer wraps by name still exists."""
+guarantees the result.  The sweep's walk shares each formula with the public
+path chain but the ear clipping, which it folds together with the key and
+the quiddity; it gets its ballot table only from the sweep, which builds
+it, computes each key bit in place, and builds no Dyck word.  One predicate
+says what an integer is, one guard checks a scalar argument's range, a
+frieze's entries are typed by its constructor alone, messages show values
+through one formatter, and the one cache is the enumeration's, which
+callers can inspect through ``enumerate_all.cache_info``.  The frieze's row
+recurrence is written once, in ``diamond._frieze_rows``, which builds
+friezes and cycles; ``diagonal`` computes single columns only.  A closed
+frieze is decided in one place, ``from_quiddity``, the one trusted frieze
+builder: the frieze check and ``from_cycle`` compare with it and read no
+rows or monodromy of their own.  Every function the benchmark's tracer wraps
+by name still exists."""
 
 import ast
 import graphlib
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from dyckfrieze import Diamond
+from dyckfrieze import Diamond, dyck
 from dyckfrieze.checks import CheckResult
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,7 +144,7 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
             ("dyck", "from_v_vector"),
             ("dyck", "vector_to_path"),
         },
-        "FriezePattern": {("frieze", "from_quiddity"), ("frieze", "from_cycle")},
+        "FriezePattern": {("frieze", "from_quiddity")},
         "Triangulation": {
             ("triangulation", "realize"),
             ("triangulation", "path_to_triangulation"),
@@ -159,10 +162,11 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
     # own profiles, already checked, so it never goes through it
     assert _callers("from_v_vector") == set()
     # the walk does not check its vector, so only the sweep, which built
-    # the vector itself, may call it, with tables it builds once per call
+    # the vector itself, may call it, with a table it builds once per call;
+    # the walk computes each key bit in place, from no key table
     assert _callers("_walk") == {("checks", "run_checks")}
     assert _callers("_ballot_rows") == {("checks", "run_checks")}
-    assert _callers("_key_masks") == {("checks", "run_checks")}
+    assert list(inspect.signature(dyck._walk).parameters) == ["u", "rows"]
     assert _callers("_expand") == {
         ("enumeration", "expand"),
         ("enumeration", "_enumerate_all"),
@@ -194,16 +198,29 @@ def test_the_row_recurrence_is_written_once():
     assert _callers("_frieze_rows") == {
         ("diamond", "minimal_cycle"),
         ("frieze", "from_quiddity"),
-        ("frieze", "violations"),
     }
-    assert _callers("_monodromy_is_minus_identity") == {
-        ("diamond", "_frieze_rows"),
-        ("frieze", "violations"),
-    }
+    assert _callers("_monodromy_is_minus_identity") == {("diamond", "_frieze_rows")}
     assert _callers("diagonal") == {
         ("dyck", "path_to_vector"),
         ("checks", "run_checks"),
     }
+
+
+def test_a_closed_frieze_is_decided_by_from_quiddity_alone():
+    # violations and from_cycle defer to from_quiddity: neither reads the
+    # kernel's rows or the monodromy, and from_cycle neither rescans what
+    # it built nor builds it unchecked
+    def names(tree):
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)}
+
+    tree = _trees()["frieze"]
+    assert "_monodromy_is_minus_identity" not in names(tree)
+    fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    for name in ("violations", "from_cycle"):
+        named = names(fns[name])
+        assert "from_quiddity" in named
+        assert not named & {"_frieze_rows", "_monodromy_is_minus_identity"}
+    assert not names(fns["from_cycle"]) & {"violations", "_trusted"}
 
 
 def test_only_record_defines_the_value_protocol():
