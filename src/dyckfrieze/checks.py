@@ -19,9 +19,9 @@ table.
 checked in member 0's frame: its quiddity rotated back by t must be the
 cycle heads repeated N/p times, and its triangulation's key turned by t
 must be member 0's, with member 0's returning after p turns.  Closure is
-checked once per back-rotated quiddity: ``from_quiddity`` and ``verify``
-read columns cyclically, so a rotation closes iff it does, and a frieze
-with the rows of the verified cycle frieze needs no second ``verify``.
+checked once per back-rotated quiddity, by ``from_quiddity`` alone: it
+reads columns cyclically, so a rotation closes iff it does, and what it
+returns is a frieze, as its docstring shows, so nothing checks it again.
 
 Everything built for a cycle is dropped once the cycle is done.  Across
 cycles the sweep keeps only compact keys: a ``bytearray`` over the sorted
@@ -45,7 +45,7 @@ from .diamond import complete_diamond, cycle_heads, diagonal, minimal_cycle
 from .dyck import _ballot_rows, _walk, catalan
 from .enumeration import ballot_count, enumerate_all
 from .errors import InputError, InvariantViolation, Record
-from .frieze import from_cycle, from_quiddity, verify
+from .frieze import from_cycle, from_quiddity
 
 
 class CheckResult(Record):
@@ -103,10 +103,9 @@ def run_checks(n: int) -> list[CheckResult]:
         p = c.p
         periods[p] += 1
         try:
-            cycle_rows = from_cycle(c).rows
+            from_cycle(c)
         except InvariantViolation:
             friezes_ok = False
-            cycle_rows = None
         heads = cycle_heads(c) * (N // p)  # member 0's q, by the cycle theorem
         orbit = []  # the members' triangulation keys
         closing_keys = set()
@@ -136,11 +135,9 @@ def run_checks(n: int) -> list[CheckResult]:
         tri_keys.update(orbit)
         for back in closing_keys:
             try:
-                fp = from_quiddity(back)
+                from_quiddity(back)
             except InputError:
                 closes_ok = False
-                continue
-            closes_ok &= fp.rows == cycle_rows or verify(fp)
 
     distinct = expected - ranks.count(0)
     row = Counter({z: ballot_count(n, z) for z in range(1, n + 2)})

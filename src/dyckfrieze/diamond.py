@@ -17,12 +17,11 @@ Every such diagonal solves one three-term recurrence on the quiddity
 ``_frieze_rows`` runs it a whole row at a time and is the one frieze
 kernel: frieze completion and coupling cycles read their rows and columns
 off it, and the frieze check compares a pattern with the completion of its
-quiddity row.  When the monodromy of q, the product of the N step matrices
-``[[q_i, -1], [1, 0]]``, is -I, it computes rows up to the middle only and
-reads the rest off the glide reflection, which the Casoratian of the
-recurrence makes exact.  ``diagonal`` computes one column, for the
-inverse path map and the sweep's round trip, and ``rotation_period`` finds
-the period of q.
+quiddity row.  When rows N//2 and N//2 + 1 are their own glide images, as
+in every closed frieze, it reads the rest off the glide reflection: the
+Casoratian of the recurrence makes that check exact for any integer q.
+``diagonal`` computes one column, for the inverse path map and the sweep's
+round trip, and ``rotation_period`` finds the period of q.
 
 ``check_head_form`` is closed-form: with ``a <= b`` the sorted top entries
 ``(a[1,1], a[2,1])`` of rank n, ``a[1,2] = a*b - 1``, and ``2 <= b <= n+1``
@@ -219,46 +218,38 @@ def rotation_period(seq: tuple) -> int:
     return next(p for p in range(1, N + 1) if N % p == 0 and seq[p:] + seq[:p] == seq)
 
 
-def _monodromy_is_minus_identity(q) -> bool:
-    """True iff ``M_{N-1} ... M_1 M_0 == -I`` for ``M_i = [[q_i, -1], [1, 0]]``.
-
-    The product carries ``(x_j, x_{j-1})`` to ``(x_{j+N}, x_{j+N-1})`` for
-    every solution x of the frieze recurrence, so it is -I exactly when
-    every solution changes sign over N steps; then each diagonal closes,
-    ``d_{N-1} = 1`` and ``d_N = 0``, and conversely.
-    """
-    a, b, c, d = 1, 0, 0, 1
-    for x in q:
-        a, b, c, d = x * a - c, x * b - d, a, b
-    return a == d == -1 and b == c == 0
-
-
 def _frieze_rows(q) -> tuple[Vector, ...]:
     """Rows 0..N-1 of the frieze of the integer sequence ``q`` of length
     N >= 2: entry (r, c) is ``diagonal(q, c, N)[r]``.
 
     Row 0 is zeros, row 1 ones, and row r is ``q`` turned by r - 2 times
-    row r - 1, minus row r - 2, one C-level map per row.  When the
-    monodromy of ``q`` is -I, only rows 0..N//2 are computed and row r > N//2
-    is row N - r turned by r, the glide.  That is exact for any integer q.
-    Read with an absolute index j, column c is the solution D_c of
-    ``x_{j+1} = q_j x_j - x_{j-1}`` with ``D_c(c-1) = 0``, ``D_c(c) = 1``, and
-    entry (r, c) is ``D_c(c+r-1)``.  The Casoratian
+    row r - 1, minus row r - 2, one C-level map per row.  Once rows
+    m = N//2 and m + 1 are computed, each is compared with its glide image,
+    row N - r turned by r; if both match, row r > m + 1 is read off the
+    glide, and otherwise the recurrence runs through row N - 1.  That is
+    exact for any integer q.  Read with an absolute index j, column c is the
+    solution D_c of ``x_{j+1} = q_j x_j - x_{j-1}`` with ``D_c(c-1) = 0``,
+    ``D_c(c) = 1``, and entry (r, c) is ``D_c(c+r-1)``.  The Casoratian
     ``x_{j+1} y_j - x_j y_{j+1}`` of two solutions does not depend on j,
     since each step matrix has determinant 1.  So for two solutions A, B of
     Casoratian 1, ``D_c(j) = A(j) B(c-1) - A(c-1) B(j)``: both sides solve the
     recurrence and agree at j = c - 1 and c.  Swapping j and c - 1 flips the
-    sign, ``D_c(j) = -D_{j+1}(c-1)``, and monodromy -I makes every solution
-    N-antiperiodic, so ``D_c(j) = D_{j+1}(c-1+N)``: entry (r, c) equals entry
-    (N - r, c + r).  Otherwise the recurrence runs through row N - 1.
+    sign, ``D_c(j) = -D_{j+1}(c-1)``, and q has period N, so the glide image
+    of entry (r, c), entry (N - r, c + r), is ``-D_c(c+r-1-N)``.  For fixed c
+    both sides solve the recurrence in r, so two consecutive rows that
+    match their glide images make every row match.
     """
     N = len(q)
+    m = N // 2
     rows = [(0,) * N, (1,) * N]
-    last = N // 2 if _monodromy_is_minus_identity(q) else N - 1
-    for r in range(2, last + 1):
+    for r in range(2, N):
+        if r == m + 2:
+            a, b = rows[N - m], rows[N - m - 1]
+            if rows[m] == a[m:] + a[:m] and rows[m + 1] == b[m + 1 :] + b[: m + 1]:
+                break
         turned = q[r - 2 :] + q[: r - 2]
         rows.append(tuple(map(sub, map(mul, turned, rows[r - 1]), rows[r - 2])))
-    for r in range(last + 1, N):
+    for r in range(len(rows), N):
         image = rows[N - r]
         rows.append(image[r:] + image[:r])
     return tuple(rows)

@@ -22,9 +22,9 @@ quiddity q, a three-term recurrence (Conway & Coxeter, 1973), and the rule
 is the determinant identity of those diagonals.  ``from_quiddity`` takes
 its rows 0..N-1 from the one frieze kernel, ``diamond._frieze_rows``, which
 runs that recurrence a row at a time, with no division, and past the
-middle row reads the rows off the glide when the monodromy of q is -I.
-So every entry is an integer and a sequence that is not a quiddity shows
-up as a nonpositive entry or as a band that misses the closing row of ones.
+middle reads the rows off the glide once two of them match it.  So every
+entry is an integer and a sequence that is not a quiddity shows up as a
+nonpositive entry or as a band that misses the closing row of ones.
 
 A frieze is fixed by its quiddity row, so ``from_quiddity`` is the one
 test of a closed positive frieze: a pattern is one exactly when it equals
@@ -107,18 +107,19 @@ def from_quiddity(q) -> FriezePattern:
     What it returns is a frieze.  Let R be the recurrence rows 0..N of q:
     entry (r, c) is ``D_c(c+r-1) = K(c-1, c+r-1)``, with
     ``K(i, j) = A(j) B(i) - A(i) B(j)`` for two solutions A, B of Casoratian
-    1 (see ``diamond._frieze_rows``).  For such 2x2 determinants
+    1 (see ``diamond._frieze_rows``, whose rows are rows 0..N-1 of R,
+    glide-filled or not).  For such 2x2 determinants
     ``K(i, j) K(i+1, j+1) - K(i+1, j) K(i, j+1) = K(i, i+1) K(j, j+1) = 1``,
     so the rule holds on R at every quadruple, for any integer q.  At row
     N - 1 it reads ``1 - R[N-2][c+1] R[N][c] = 1`` once row N - 1 is all
-    ones, and row N - 2 is positive, so row N of R is zeros.  Each column
-    then reads 0, 1 at rows 0, 1 and 0, -1 at rows N, N + 1: N steps negate
-    it, and two adjacent columns span the solutions, so the monodromy is -I.
-    The kernel's glide fill is then exact, the appended zero row is row N of
-    R, and R keeps the borders, the positive band, the rule and the glide.
-    Conversely the rule fixes each row of a frieze from the two above it,
-    dividing by positive entries, so a frieze is R for its row 2, a
-    quiddity: every frieze is ``from_quiddity`` of its own row 2.
+    ones, and row N - 2 is positive, so row N of R is zeros: the appended
+    row.  Rows N - 1 and N are then the glide images of rows 1 and 0, and
+    two consecutive rows that match the glide make every row match, as the
+    kernel's docstring shows.  So R keeps the borders, the positive band,
+    the rule and the glide.  Conversely the rule fixes each row of a frieze
+    from the two above it, dividing by positive entries, so a frieze is R
+    for its row 2, a quiddity: every frieze is ``from_quiddity`` of its own
+    row 2.
     """
     q = as_tuple(q, "quiddity")
     N = len(q)
@@ -180,10 +181,8 @@ def violations(fp: FriezePattern) -> list[str]:
 
     A closed frieze is found without a scan: it is the one pattern equal to
     ``from_quiddity`` of its own row 2, as that docstring shows.  Any other
-    pattern is scanned in full, so its diagnostics and their order are
-    those of the full check.  Each check scans a whole row first (its
-    ``min``, its quadruples zipped with rotated rows, its rotated glide
-    image), and only a failing row is walked entry by entry.
+    pattern is walked entry by entry, one invariant after another, with
+    column indices taken modulo N.
     """
     N = expect(fp, FriezePattern).order
     rows = fp.rows
@@ -192,8 +191,6 @@ def violations(fp: FriezePattern) -> list[str]:
             return []
     except InputError:
         pass
-    glides = [rows[N - r][r % N :] + rows[N - r][: r % N] for r in range(N + 1)]
-    glide_breaks = [r for r in range(N + 1) if rows[r] != glides[r]]
     problems = []
     zeros = (0,) * N
     ones = (1,) * N
@@ -201,33 +198,25 @@ def violations(fp: FriezePattern) -> list[str]:
         problems.append("border rows 0 and N must be all zeros")
     if rows[1] != ones or rows[N - 1] != ones:
         problems.append("rows 1 and N-1 must be all ones")
-    for r in [r for r in range(2, N - 1) if min(rows[r]) < 1]:
+    for r in range(2, N - 1):
         for c, x in enumerate(rows[r]):
             if x < 1:
                 problems.append(f"band entry at row {r}, column {c} is {format_int(x)}")
-    for r in [r for r in range(1, N) if not _rule_holds(rows, r)]:
-        for c, (left, right, top, bottom) in enumerate(_quadruples(rows, r)):
+    for r in range(1, N):
+        for c in range(N):
+            left, right = rows[r][c], rows[r][(c + 1) % N]
+            top, bottom = rows[r - 1][(c + 1) % N], rows[r + 1][c]
             if left * right - top * bottom != 1:
                 problems.append(
                     f"rule fails at rows {r - 1}..{r + 1}, column {c}: "
                     f"{format_int(left)}*{format_int(right)} - "
                     f"{format_int(top)}*{format_int(bottom)} != 1"
                 )
-    for r in glide_breaks:
+    for r in range(N + 1):
         for c in range(N):
-            if rows[r][c] != glides[r][c]:
+            if rows[r][c] != rows[N - r][(c + r) % N]:
                 problems.append(f"glide reflection fails at row {r}, column {c}")
     return problems
-
-
-def _quadruples(rows, r: int):
-    """The (left, right, top, bottom) quadruples centred on row r."""
-    row, above = rows[r], rows[r - 1]
-    return zip(row, row[1:] + row[:1], above[1:] + above[:1], rows[r + 1])
-
-
-def _rule_holds(rows, r: int) -> bool:
-    return {w * x - y * z for w, x, y, z in _quadruples(rows, r)} == {1}
 
 
 def verify(fp: FriezePattern) -> bool:

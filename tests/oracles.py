@@ -17,7 +17,8 @@ kernel's earlier forms are kept as well: the diagonal recurrence indexing
 ``q`` modulo its length at every step, coupling cycles that validate each
 member as a ``Diamond`` or read each member off its own diagonal, and the
 frieze checks walked entry by entry, the check's shortcut by the
-monodromy and the kernel's rows, and the cycle frieze built from the
+monodromy and the kernel's rows, the monodromy test that once told the
+kernel when to fill rows by the glide, and the cycle frieze built from the
 members and then scanned.  So are the word walks that read each of the two
 encodings and the rank off a Dyck word, one walk per answer, and ballot
 numbers by their recursion over the rank.  So are the sweep's per-vector
@@ -60,7 +61,6 @@ from dyckfrieze.diamond import (
     Cycle,
     Diamond,
     _frieze_rows,
-    _monodromy_is_minus_identity,
     diagonal,
     rotation_period,
 )
@@ -527,6 +527,20 @@ def violations_by_entry(fp):
     return problems
 
 
+def monodromy_is_minus_identity(q):
+    """True iff ``M_{N-1} ... M_1 M_0 == -I`` for ``M_i = [[q_i, -1], [1, 0]]``.
+
+    The product carries ``(x_j, x_{j-1})`` to ``(x_{j+N}, x_{j+N-1})`` for
+    every solution x of the frieze recurrence, so it is -I exactly when
+    every solution changes sign over N steps; then each diagonal closes,
+    ``d_{N-1} = 1`` and ``d_N = 0``, and conversely.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for x in q:
+        a, b, c, d = x * a - c, x * b - d, a, b
+    return a == d == -1 and b == c == 0
+
+
 def closed_by_monodromy_gate(fp):
     """Whether ``fp`` passes the frieze check's earlier shortcut: row N all
     zeros, the quiddity row within ``from_quiddity``'s bounds and of
@@ -540,7 +554,7 @@ def closed_by_monodromy_gate(fp):
         and min(q) >= 1
         and max(q) <= N - 2
         and sum(q) == 3 * (N - 2)
-        and _monodromy_is_minus_identity(q)
+        and monodromy_is_minus_identity(q)
         and rows[:N] == _frieze_rows(q)
         and all(min(row) >= 1 for row in rows[3 : N // 2 + 1])
     )

@@ -38,7 +38,7 @@ from dyckfrieze import (
     vector_to_triangulation,
 )
 from dyckfrieze.dyck import _ballot_rows
-from dyckfrieze.errors import InvariantViolation
+from dyckfrieze.errors import FailsToClose, InvariantViolation
 from oracles import (
     random_triangulation_diagonals,
     run_checks_with_global_tables,
@@ -103,19 +103,26 @@ def test_corrupt_quiddity_of_one_member_fails(monkeypatch):
 
 def test_closing_frieze_unlike_the_cycle_frieze_is_verified(monkeypatch):
     # a member reporting a rotation of its quiddity, itself a quiddity,
-    # builds a frieze whose rows differ from the verified cycle frieze's
+    # closes a frieze whose rows differ from the cycle frieze's; the sweep
+    # builds it by from_quiddity, which alone decides that it closes
     member = _non_representative_vector()
     target = vector_to_triangulation(member)
+    heads = quiddity(vector_to_triangulation(enumerate_all(RANK)[0]))
+    turns = {heads[k:] + heads[:k] for k in range(1, len(heads))} - {heads}
+    original = checks.from_quiddity
     verified = []
 
-    def rejecting(fp):
-        verified.append(fp.quiddity)
-        return False
+    def rejecting(q):
+        # refuse each quiddity of this cycle but its heads row
+        if q in turns:
+            verified.append(q)
+            raise FailsToClose("planted")
+        return original(q)
 
     _plant_on_walk(
         monkeypatch, {member: lambda rank, key, q: (rank, key, q[1:] + q[:1])}
     )
-    monkeypatch.setattr(checks, "verify", rejecting)
+    monkeypatch.setattr(checks, "from_quiddity", rejecting)
     assert _failed_checks() == [
         "path_map_roundtrip",
         "quiddity_matches_heads",

@@ -17,7 +17,7 @@ from dyckfrieze import (
     minimal_cycle,
 )
 from dyckfrieze import diamond
-from dyckfrieze.diamond import _frieze_rows, _monodromy_is_minus_identity, diagonal
+from dyckfrieze.diamond import _frieze_rows, diagonal
 from dyckfrieze.errors import (
     InputError,
     InvariantViolation,
@@ -32,6 +32,7 @@ from oracles import (
     minimal_cycle_by_coupling,
     minimal_cycle_by_diagonals,
     minimal_cycle_validated,
+    monodromy_is_minus_identity,
     quiddity_by_faces,
     random_triangulation_diagonals,
     rotation_period_by_scan,
@@ -326,22 +327,23 @@ def _rows_by_diagonals(q):
 
 
 def test_frieze_rows_are_the_diagonals_exhaustive():
-    # every integer sequence, closing or not: 59 of them have monodromy -I,
-    # 43 of those with an entry below 1, so the glide fill runs on
-    # non-positive friezes too
+    # every integer sequence, closing or not: the kernel fills rows by the
+    # glide from N = 5 on, for 55 of them, those of monodromy -I, 42 of
+    # those with an entry below 1, so the glide fill runs on non-positive
+    # friezes too
     glide_filled = 0
     for N in range(2, 7):
         for q in itertools.product(range(-1, 4), repeat=N):
             assert _frieze_rows(q) == _rows_by_diagonals(q), q
-            glide_filled += _monodromy_is_minus_identity(q)
-    assert glide_filled == 59
+            glide_filled += N >= 5 and monodromy_is_minus_identity(q)
+    assert glide_filled == 55
 
 
 @given(st.integers(3, 120), st.randoms(use_true_random=False))
 @settings(max_examples=40)
 def test_frieze_rows_are_the_diagonals_past_enumeration_cap(N, rng):
     q = quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
-    assert _monodromy_is_minus_identity(q)
+    assert monodromy_is_minus_identity(q)
     assert _frieze_rows(q) == _rows_by_diagonals(q)
 
 
@@ -350,7 +352,37 @@ def test_monodromy_minus_identity_iff_every_diagonal_closes():
         for q in itertools.product(range(-1, 4), repeat=N):
             ds = [diagonal(q, c, N + 1) for c in range(N)]
             closes = all(d[N - 1] == 1 and d[N] == 0 for d in ds)
-            assert _monodromy_is_minus_identity(q) == closes, q
+            assert monodromy_is_minus_identity(q) == closes, q
+
+
+def test_kernel_glides_exactly_when_the_monodromy_is_minus_identity(monkeypatch):
+    # the kernel runs the recurrence through row N//2 + 1 and reads the
+    # rest off the glide when those rows match it, else runs on to row
+    # N - 1; each recurrence row maps N products.  Turning q turns every
+    # row, so one q per rotation class is tried: the least of its turns
+    products = []
+    monkeypatch.setattr(diamond, "mul", lambda x, y: products.append(1) or x * y)
+
+    def recurrence_rows(q):
+        products.clear()
+        rows = _frieze_rows(q)
+        return rows, len(products) // len(q)
+
+    glided = 0
+    for N in range(5, 8):
+        for q in itertools.product(range(-1, 4), repeat=N):
+            if q != min(q[k:] + q[:k] for k in range(N)):
+                continue
+            closes = monodromy_is_minus_identity(q)
+            rows, computed = recurrence_rows(q)
+            assert computed == (N // 2 if closes else N - 2), q
+            assert rows == _rows_by_diagonals(q), q
+            glided += closes
+    assert glided == 40
+    rng = random.Random(23)
+    for N in range(3, 121):
+        q = quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
+        assert recurrence_rows(q)[1] == N // 2, q
 
 
 def _outcome(build, d):

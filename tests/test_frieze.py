@@ -21,7 +21,7 @@ from dyckfrieze import (
     verify,
     violations,
 )
-from dyckfrieze.diamond import Cycle, _frieze_rows, _monodromy_is_minus_identity
+from dyckfrieze.diamond import Cycle, _frieze_rows
 from dyckfrieze.errors import (
     FailsToClose,
     InputError,
@@ -33,6 +33,7 @@ from oracles import (
     closed_by_monodromy_gate,
     from_cycle_by_scan,
     frieze_rows_by_division,
+    monodromy_is_minus_identity,
     quiddity_by_faces,
     random_triangulation_diagonals,
     violations_by_entry,
@@ -254,7 +255,7 @@ def test_violations_agree_with_the_monodromy_gate(sequences):
             from_quiddity(q)
         except InputError:
             continue
-        assert _monodromy_is_minus_identity(q)
+        assert monodromy_is_minus_identity(q)
         closed += 1
     assert closed > 0
 
@@ -408,7 +409,7 @@ def test_closed_recurrence_frieze_that_is_not_positive_is_scanned():
     # rows close, keep the rule and the glide, and end in a row of zeros:
     # only the band, rows of 0 and -1, tells it from a frieze
     q = (0,) * 6
-    assert _monodromy_is_minus_identity(q)
+    assert monodromy_is_minus_identity(q)
     fp = FriezePattern(6, (*_frieze_rows(q), (0,) * 6))
     problems = violations(fp)
     assert problems == violations_by_entry(fp)

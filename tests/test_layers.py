@@ -14,11 +14,12 @@ frieze's entries are typed by its constructor alone, messages show values
 through one formatter, and the one cache is the enumeration's, which
 callers can inspect through ``enumerate_all.cache_info``.  The frieze's row
 recurrence is written once, in ``diamond._frieze_rows``, which builds
-friezes and cycles; ``diagonal`` computes single columns only.  A closed
+friezes and cycles and decides the glide from its own rows, with no
+monodromy matrix; ``diagonal`` computes single columns only.  A closed
 frieze is decided in one place, ``from_quiddity``, the one trusted frieze
 builder: the frieze check and ``from_cycle`` compare with it and read no
-rows or monodromy of their own.  Every function the benchmark's tracer wraps
-by name still exists."""
+rows of their own, and the sweep's closure check takes its word alone.
+Every function the benchmark's tracer wraps by name still exists."""
 
 import ast
 import graphlib
@@ -199,7 +200,13 @@ def test_the_row_recurrence_is_written_once():
         ("diamond", "minimal_cycle"),
         ("frieze", "from_quiddity"),
     }
-    assert _callers("_monodromy_is_minus_identity") == {("diamond", "_frieze_rows")}
+    # the kernel decides the glide from its own rows, with no step matrix
+    assert _callers("_monodromy_is_minus_identity") == set()
+    assert not any(
+        isinstance(fn, ast.FunctionDef) and fn.name == "_monodromy_is_minus_identity"
+        for tree in trees.values()
+        for fn in ast.walk(tree)
+    )
     assert _callers("diagonal") == {
         ("dyck", "path_to_vector"),
         ("checks", "run_checks"),
@@ -208,19 +215,27 @@ def test_the_row_recurrence_is_written_once():
 
 def test_a_closed_frieze_is_decided_by_from_quiddity_alone():
     # violations and from_cycle defer to from_quiddity: neither reads the
-    # kernel's rows or the monodromy, and from_cycle neither rescans what
-    # it built nor builds it unchecked
+    # kernel's rows, and from_cycle neither rescans what it built nor
+    # builds it unchecked; the sweep checks closure by from_quiddity alone
     def names(tree):
         return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)}
 
-    tree = _trees()["frieze"]
-    assert "_monodromy_is_minus_identity" not in names(tree)
-    fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    trees = _trees()
+    frieze = trees["frieze"]
+    fns = {fn.name: fn for fn in ast.walk(frieze) if isinstance(fn, ast.FunctionDef)}
     for name in ("violations", "from_cycle"):
         named = names(fns[name])
         assert "from_quiddity" in named
-        assert not named & {"_frieze_rows", "_monodromy_is_minus_identity"}
+        assert "_frieze_rows" not in named
     assert not names(fns["from_cycle"]) & {"violations", "_trusted"}
+    imported = {
+        alias.name
+        for node in ast.walk(trees["checks"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "from_quiddity" in imported
+    assert not imported & {"verify", "violations"}
 
 
 def test_only_record_defines_the_value_protocol():
