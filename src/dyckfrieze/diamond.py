@@ -255,6 +255,12 @@ def _frieze_rows(q) -> tuple[Vector, ...]:
     return tuple(rows)
 
 
+def _glides(q, rows) -> bool:
+    """Whether rows N - 1, N - 2 of ``rows = _frieze_rows(q)`` are rows 1, 2
+    turned by the glide; if so, every row is, by the kernel's lemma."""
+    return rows[-1] == rows[1] and rows[-2] == q[-2:] + q[:-2]
+
+
 def minimal_cycle(d0: Diamond) -> Cycle:
     """The coupling cycle through ``d0``, read off the frieze it generates.
 
@@ -266,8 +272,9 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     cycle length p, and member t pairs band columns t and t + 1 of the
     frieze rows ``_frieze_rows(q)``.
 
-    Once every member is checked to be a positive diamond, the cycle is
-    built without ``Cycle``'s check, because it holds by construction.
+    Every member is checked to be a positive diamond (by rows 2..N//2
+    alone when the rows glide, ``_glides``), and the cycle is then built
+    without ``Cycle``'s check, because it holds by construction.
     Members are coupled: member t's second column is member t + 1's first,
     and member p - 1's second is column p, which is column 0 since q has
     period p.  ``p = rotation_period(q)`` divides N.  Members are distinct:
@@ -286,9 +293,10 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     if (cols[0], cols[1]) != (d0.col1, d0.col2):
         shown = format_int(d0.col1)
         raise InvariantViolation(f"frieze of {shown} does not reproduce it")
-    for t in range(p):
-        if rows[N - 1][t] != 1 or min(cols[t]) < 1:
-            raise InvariantViolation(f"cycle member {t} is not a positive diamond")
+    if not _glides(q, rows) or min(map(min, rows[2 : N // 2 + 1])) < 1:
+        for t in range(p):
+            if rows[N - 1][t] != 1 or min(cols[t]) < 1:
+                raise InvariantViolation(f"cycle member {t} is not a positive diamond")
     members = tuple(Diamond._trusted(cols[t], cols[(t + 1) % p]) for t in range(p))
     return Cycle._trusted(members)
 

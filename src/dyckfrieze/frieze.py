@@ -26,15 +26,15 @@ middle reads the rows off the glide once two of them match it.  So every
 entry is an integer and a sequence that is not a quiddity shows up as a
 nonpositive entry or as a band that misses the closing row of ones.
 
-A frieze is fixed by its quiddity row, so ``from_quiddity`` is the one
-test of a closed positive frieze: a pattern is one exactly when it equals
-``from_quiddity`` of its own row 2.  ``violations`` accepts by that
-comparison and scans only a pattern that differs; the constructor refuses
-any entry that is not an integer, so the scan checks only the arithmetic.
-``from_cycle`` builds its frieze by ``from_quiddity`` and compares the
-band with its members, and ``from_quiddity`` alone skips the shape and
-integer checks through ``FriezePattern._trusted`` (from ``errors.Record``):
-it makes N + 1 tuples of N ints by construction.
+A frieze is fixed by its quiddity row, so ``from_quiddity`` is the one test
+of a closed positive frieze: a pattern is one exactly when it equals
+``from_quiddity`` of its own row 2.  It alone builds unchecked, by
+``FriezePattern._trusted``, as it makes N + 1 tuples of N ints, and sets the
+private ``_closed``, its proof, which copies keep and equality ignores; when
+the rows glide it scans positivity to row N//2 only.  ``violations``
+accepts that proof or that equality and scans any other: the constructor
+types every entry, so the scan checks only the arithmetic.  ``from_cycle``
+compares the band of ``from_quiddity`` with its members.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 from .diamond import (
     Cycle,
     _frieze_rows,
+    _glides,
     complete_diamond,
     minimal_cycle,
     rotation_period,
@@ -72,6 +73,7 @@ class FriezePattern(Record):
     """
 
     __match_args__ = ("order", "rows")
+    _closed = False
 
     def __init__(self, order: int, rows: tuple[Row, ...]):
         rows = tuple(as_tuple(row, "row") for row in as_tuple(rows, "rows"))
@@ -96,9 +98,11 @@ def from_quiddity(q) -> FriezePattern:
 
     Succeeds exactly when ``q`` is the quiddity of a polygon triangulation;
     otherwise raises NonPositiveEntry or FailsToClose, reporting rows from
-    the top down.  A vertex of the N-gon meets at most N - 2 triangles and
-    the N - 2 triangles have 3(N - 2) corners, so a sequence outside those
-    bounds fails to close before any row is built.  Within them no row m,
+    the top down.  When the rows glide (``diamond._glides``), row r > N/2
+    is row N - r turned, so only rows 3..N//2 are scanned.  A vertex of the
+    N-gon meets at most N - 2 triangles and the N - 2 triangles have
+    3(N - 2) corners, so a sequence outside those bounds fails to close
+    before any row is built.  Within them no row m,
     2 <= m <= N - 2, is all ones below positive rows: rows 0..m would then
     close a frieze of order m + 1 (Conway & Coxeter, 1973), so q would have
     a period g dividing N and m + 1; with s the sum of g consecutive
@@ -119,7 +123,7 @@ def from_quiddity(q) -> FriezePattern:
     the rule and the glide.  Conversely the rule fixes each row of a frieze
     from the two above it, dividing by positive entries, so a frieze is R
     for its row 2, a quiddity: every frieze is ``from_quiddity`` of its own
-    row 2.
+    row 2.  What it returns carries this proof as ``_closed``.
     """
     q = as_tuple(q, "quiddity")
     N = len(q)
@@ -135,14 +139,16 @@ def from_quiddity(q) -> FriezePattern:
         raise FailsToClose(f"entries do not sum to 3(N - 2) = {3 * (N - 2)}")
 
     rows = _frieze_rows(q)
-    for r in range(3, N):
+    for r in range(3, N // 2 + 1 if _glides(q, rows) else N):
         if min(rows[r]) < 1:
             c = next(c for c, x in enumerate(rows[r]) if x < 1)
             raise NonPositiveEntry(c, rows[r][c], row=r)
     if rows[N - 1] != (1,) * N:
         shown = ", ".join(map(format_int, rows[N - 1]))
         raise FailsToClose(f"row {N - 1} is ({shown}), not all ones")
-    return FriezePattern._trusted(N, (*rows, (0,) * N))
+    fp = FriezePattern._trusted(N, (*rows, (0,) * N))
+    object.__setattr__(fp, "_closed", True)
+    return fp
 
 
 def from_cycle(c: Cycle) -> FriezePattern:
@@ -179,7 +185,8 @@ def violations(fp: FriezePattern) -> list[str]:
     glide reflection.  Row periodicity is inherent to the storage, and the
     constructor has checked that every entry is an integer.
 
-    A closed frieze is found without a scan: it is the one pattern equal to
+    A closed frieze is found without a scan: ``from_quiddity`` marks what
+    it builds with ``_closed``, and a pattern is one exactly when it equals
     ``from_quiddity`` of its own row 2, as that docstring shows.  Any other
     pattern is walked entry by entry, one invariant after another, with
     column indices taken modulo N.
@@ -187,7 +194,7 @@ def violations(fp: FriezePattern) -> list[str]:
     N = expect(fp, FriezePattern).order
     rows = fp.rows
     try:
-        if rows == from_quiddity(rows[2]).rows:
+        if fp._closed or rows == from_quiddity(rows[2]).rows:
             return []
     except InputError:
         pass

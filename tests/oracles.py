@@ -1,8 +1,10 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's own code paths: counting by direct
-filtering, rule checks by literal arithmetic, crossing by comparing every
-pair of chords, greedy reduction one subtraction at a time.  The rest are
+filtering, rule checks by literal arithmetic, frieze invariants by the
+lattice neighbours of each cell of a pattern laid out over two periods,
+crossing by comparing every pair of chords, greedy reduction one
+subtraction at a time.  The rest are
 the library's earlier implementations, kept as differential references:
 the faces of a triangulation by clipping ears (against the faces read off
 each vertex's neighbour ring), the quiddity by counting those faces
@@ -524,6 +526,51 @@ def violations_by_entry(fp):
         for c in range(N):
             if rows[r][c] != rows[N - r][(c + r) % N]:
                 problems.append(f"glide reflection fails at row {r}, column {c}")
+    return problems
+
+
+def violations_by_lattice(fp):
+    """Every broken frieze invariant, read off the pattern laid out as
+    staggered lattice cells over two periods: entry (r, c) is the cell at
+    height r and position 2c + r, in half cells.  The diamond whose left
+    cell is (r, x) has its right cell at (r, x + 2), its top at
+    (r - 1, x + 1) and its bottom at (r + 1, x + 1), and the glide carries
+    cell (r, x) to cell (N - r, x + N), so no index is taken modulo N.
+    Diagnostics as ``violations``, in its order: each invariant over the
+    cells of the fundamental domain, row by row from the left."""
+    N = fp.order
+    cell = {}
+    for r, row in enumerate(fp.rows):
+        for x, value in zip(itertools.count(r, 2), row + row):
+            cell[r, x] = value
+
+    def domain(*heights):
+        # each cell of the fundamental domain at these heights, with its column
+        return [
+            (r, x, (x - r) // 2) for r in heights for x in range(r, r + 2 * N, 2)
+        ]
+
+    problems = []
+    if {cell[r, x] for r, x, _ in domain(0, N)} != {0}:
+        problems.append("border rows 0 and N must be all zeros")
+    if {cell[r, x] for r, x, _ in domain(1, N - 1)} != {1}:
+        problems.append("rows 1 and N-1 must be all ones")
+    for r, x, c in domain(*range(2, N - 1)):
+        if cell[r, x] < 1:
+            shown = format_int(cell[r, x])
+            problems.append(f"band entry at row {r}, column {c} is {shown}")
+    for r, x, c in domain(*range(1, N)):
+        left, right = cell[r, x], cell[r, x + 2]
+        top, bottom = cell[r - 1, x + 1], cell[r + 1, x + 1]
+        if left * right - top * bottom != 1:
+            problems.append(
+                f"rule fails at rows {r - 1}..{r + 1}, column {c}: "
+                f"{format_int(left)}*{format_int(right)} - "
+                f"{format_int(top)}*{format_int(bottom)} != 1"
+            )
+    for r, x, c in domain(*range(N + 1)):
+        if cell[r, x] != cell[N - r, x + N]:
+            problems.append(f"glide reflection fails at row {r}, column {c}")
     return problems
 
 

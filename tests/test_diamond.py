@@ -321,6 +321,23 @@ def test_minimal_cycle_matches_one_diagonal_per_member_exhaustive():
             assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
 
 
+def test_minimal_cycle_checks_positivity_by_half_the_rows(monkeypatch):
+    # a cycle's frieze rows glide, so rows 2..N//2 are its whole band
+    # up to turns: one min per row and one over them, none per member
+    scanned = []
+    monkeypatch.setattr(
+        diamond, "min", lambda xs: scanned.append(xs) or min(xs), raising=False
+    )
+    rng = random.Random(24)
+    for N in range(4, 61):
+        q = quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
+        rows = frieze_rows_by_division(q)
+        d = complete_diamond(tuple(rows[r][0] for r in range(2, N - 1)))
+        scanned.clear()
+        assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
+        assert len(scanned) == N // 2, N
+
+
 def _rows_by_diagonals(q):
     N = len(q)
     return tuple(zip(*(diagonal(q, c, N) for c in range(N))))

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from dyckfrieze import (
     verify,
     violations,
 )
+from dyckfrieze import frieze
 from dyckfrieze.diamond import Cycle, _frieze_rows
 from dyckfrieze.errors import (
     FailsToClose,
@@ -37,6 +40,7 @@ from oracles import (
     quiddity_by_faces,
     random_triangulation_diagonals,
     violations_by_entry,
+    violations_by_lattice,
 )
 
 
@@ -260,6 +264,82 @@ def test_violations_agree_with_the_monodromy_gate(sequences):
     assert closed > 0
 
 
+def test_from_quiddity_matches_division_oracle_within_the_bounds():
+    # every within-bounds q at N = 3..8, one per rotation class, gets the
+    # oracle's rows or its error and message: a q whose rows do not glide
+    # is scanned to row N - 1, and some fail below the middle
+    below = 0
+    for q in _sequences_within_the_quiddity_bounds():
+        N = len(q)
+        if q != min(q[k:] + q[:k] for k in range(N)):
+            continue
+        got = _outcome(lambda q: from_quiddity(q).rows, q)
+        assert got == _outcome(frieze_rows_by_division, q), q
+        try:
+            from_quiddity(q)
+        except NonPositiveEntry as exc:
+            below += exc.row > N // 2
+        except FailsToClose:
+            pass
+    assert below > 0
+
+
+def _triangulation_quiddities(seed, orders):
+    rng = random.Random(seed)
+    for N in orders:
+        yield quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
+
+
+def _counted_kernel(monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return _frieze_rows(q)
+
+    monkeypatch.setattr(frieze, "_frieze_rows", counted)
+    return calls
+
+
+def test_from_quiddity_scans_positivity_to_the_middle(monkeypatch):
+    # the rows of a closed frieze glide, so row r > N/2 is row N - r turned
+    # and only rows 3..N//2 are scanned
+    scanned = []
+    monkeypatch.setattr(
+        frieze, "min", lambda row: scanned.append(row) or min(row), raising=False
+    )
+    for q in _triangulation_quiddities(24, range(3, 61)):
+        scanned.clear()
+        assert from_quiddity(q).rows == frieze_rows_by_division(q)
+        assert len(scanned) == max(len(q) // 2 - 2, 0), q
+
+
+def test_verify_takes_the_proof_of_from_quiddity(monkeypatch):
+    # what from_quiddity builds carries its proof, so checking it runs no
+    # kernel; a public copy of its rows carries none and is checked by one
+    calls = _counted_kernel(monkeypatch)
+    for q in _triangulation_quiddities(25, [3, 4, 5, 8, 19, 45]):
+        calls.clear()
+        fp = from_quiddity(q)
+        assert len(calls) == 1
+        assert verify(fp) and violations(fp) == []
+        assert len(calls) == 1
+        assert verify(FriezePattern(fp.order, fp.rows))
+        assert len(calls) == 2
+
+
+def test_the_proof_is_kept_by_copies_and_neither_shown_nor_compared(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    for q in _triangulation_quiddities(26, [3, 6, 17]):
+        fp = from_quiddity(q)
+        public = FriezePattern(fp.order, fp.rows)
+        assert fp == public and hash(fp) == hash(public) and repr(fp) == repr(public)
+        calls.clear()
+        for twin in (copy.copy(fp), copy.deepcopy(fp), pickle.loads(pickle.dumps(fp))):
+            assert twin == fp and hash(twin) == hash(fp) and verify(twin)
+        assert calls == []
+
+
 def test_theorem_built_patterns_pass_the_constructor():
     # from_quiddity, and from_cycle through it, skip the shape and integer
     # checks
@@ -374,7 +454,7 @@ def test_violations_match_the_entry_by_entry_oracle(frieze):
         assert str(caught.value) == message
     else:
         fp = FriezePattern(N, rows)
-        assert violations(fp) == violations_by_entry(fp)
+        assert violations(fp) == violations_by_entry(fp) == violations_by_lattice(fp)
 
 
 @pytest.mark.parametrize("N,r", [(8, 4), (7, 3), (7, 4)])
@@ -386,7 +466,7 @@ def test_a_mirrored_edit_in_the_middle_breaks_the_rule_not_the_glide(N, r):
         rows[r][c] = rows[N - r][(c + r) % N] = rows[r][c] + 1
         fp = FriezePattern(N, rows)
         problems = violations(fp)
-        assert problems == violations_by_entry(fp)
+        assert problems == violations_by_entry(fp) == violations_by_lattice(fp)
         assert problems and not any("glide" in p for p in problems)
 
 
@@ -397,7 +477,7 @@ def test_glide_symmetric_rows_failing_only_in_the_middle(N):
     rows = [(min(r, N - r),) * N for r in range(N + 1)]
     fp = FriezePattern(N, rows)
     problems = violations(fp)
-    assert problems == violations_by_entry(fp)
+    assert problems == violations_by_entry(fp) == violations_by_lattice(fp)
     middle = {N // 2, (N + 1) // 2}
     assert [p.split(",")[0] for p in problems] == [
         f"rule fails at rows {r - 1}..{r + 1}" for r in sorted(middle) for _ in range(N)
@@ -412,7 +492,7 @@ def test_closed_recurrence_frieze_that_is_not_positive_is_scanned():
     assert monodromy_is_minus_identity(q)
     fp = FriezePattern(6, (*_frieze_rows(q), (0,) * 6))
     problems = violations(fp)
-    assert problems == violations_by_entry(fp)
+    assert problems == violations_by_entry(fp) == violations_by_lattice(fp)
     assert problems and all(p.startswith("band entry at row") for p in problems)
     assert len(problems) == 3 * 6
 

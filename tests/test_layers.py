@@ -18,7 +18,8 @@ friezes and cycles and decides the glide from its own rows, with no
 monodromy matrix; ``diagonal`` computes single columns only.  A closed
 frieze is decided in one place, ``from_quiddity``, the one trusted frieze
 builder: the frieze check and ``from_cycle`` compare with it and read no
-rows of their own, and the sweep's closure check takes its word alone.
+rows of their own, and the sweep's closure check takes its word alone.  It
+alone sets a frieze's proof, ``_closed``, which the frieze check trusts.
 Every function the benchmark's tracer wraps by name still exists."""
 
 import ast
@@ -236,6 +237,35 @@ def test_a_closed_frieze_is_decided_by_from_quiddity_alone():
     }
     assert "from_quiddity" in imported
     assert not imported & {"verify", "violations"}
+
+
+def test_the_frieze_proof_is_set_by_from_quiddity_alone():
+    # violations accepts a pattern marked _closed without a look at its
+    # rows, so only the one trusted frieze builder names the mark, to set
+    # it, and violations reads it; the class default is False
+    trees = _trees()
+    named = set()
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if getattr(node, "value", None) == "_closed":
+                        named.add((module, fn.name, "by name"))
+                    if getattr(node, "attr", None) == "_closed":
+                        named.add((module, fn.name, type(node.ctx).__name__))
+    assert named == {
+        ("frieze", "from_quiddity", "by name"),
+        ("frieze", "violations", "Load"),
+    }
+    defaults = {
+        (cls.name, ast.unparse(node))
+        for tree in trees.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.Assign) and "_closed" in ast.unparse(node.targets[0])
+    }
+    assert defaults == {("FriezePattern", "_closed = False")}
 
 
 def test_only_record_defines_the_value_protocol():
