@@ -6,7 +6,8 @@ and the orbit/quiddity consistency between cycles and triangulations.
 
 The sweep streams the rank-n vectors one coupling cycle at a time.  The
 first vector of each cycle not yet visited gives its minimal cycle and
-that cycle's frieze, which ``from_cycle`` verifies as it builds it.  Each
+that cycle's frieze, which ``from_cycle`` builds from the members unchecked
+and ``verify`` then compares with ``from_quiddity`` of its row 2.  Each
 member u is then walked once by ``dyck._walk``, from its reduced profile
 and with no Dyck word: the rank of its path, the key of the path's
 triangulation and that triangulation's quiddity q.  The walk reads the
@@ -44,8 +45,8 @@ from collections import Counter
 from .diamond import complete_diamond, cycle_heads, diagonal, minimal_cycle
 from .dyck import _ballot_rows, _walk, catalan
 from .enumeration import ballot_count, enumerate_all
-from .errors import InputError, InvariantViolation, Record
-from .frieze import from_cycle, from_quiddity
+from .errors import InputError, Record
+from .frieze import from_cycle, from_quiddity, verify
 
 
 class CheckResult(Record):
@@ -102,10 +103,7 @@ def run_checks(n: int) -> list[CheckResult]:
         c = minimal_cycle(complete_diamond(v))
         p = c.p
         periods[p] += 1
-        try:
-            from_cycle(c)
-        except InvariantViolation:
-            friezes_ok = False
+        friezes_ok &= verify(from_cycle(c))
         heads = cycle_heads(c) * (N // p)  # member 0's q, by the cycle theorem
         orbit = []  # the members' triangulation keys
         closing_keys = set()

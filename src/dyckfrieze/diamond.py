@@ -18,8 +18,9 @@ Every such diagonal solves one three-term recurrence on the quiddity
 kernel: frieze completion and coupling cycles read their rows and columns
 off it, and the frieze check compares a pattern with the completion of its
 quiddity row.  When rows N//2 and N//2 + 1 are their own glide images, as
-in every closed frieze, it reads the rest off the glide reflection: the
-Casoratian of the recurrence makes that check exact for any integer q.
+in every closed frieze, it reads the rest off the glide reflection and says
+so, and its callers scan only the rows above the middle: the Casoratian of
+the recurrence makes that check exact for any integer q.
 ``diagonal`` computes one column, for the inverse path map and the sweep's
 round trip, and ``rotation_period`` finds the period of q.
 
@@ -218,16 +219,18 @@ def rotation_period(seq: tuple) -> int:
     return next(p for p in range(1, N + 1) if N % p == 0 and seq[p:] + seq[:p] == seq)
 
 
-def _frieze_rows(q) -> tuple[Vector, ...]:
+def _frieze_rows(q) -> tuple[tuple[Vector, ...], bool]:
     """Rows 0..N-1 of the frieze of the integer sequence ``q`` of length
-    N >= 2: entry (r, c) is ``diagonal(q, c, N)[r]``.
+    N >= 2, entry (r, c) being ``diagonal(q, c, N)[r]``, and whether rows
+    N//2 and N//2 + 1 match their glide images, row N - r turned by r: for
+    N >= 3, whether every row does.
 
     Row 0 is zeros, row 1 ones, and row r is ``q`` turned by r - 2 times
     row r - 1, minus row r - 2, one C-level map per row.  Once rows
-    m = N//2 and m + 1 are computed, each is compared with its glide image,
-    row N - r turned by r; if both match, row r > m + 1 is read off the
-    glide, and otherwise the recurrence runs through row N - 1.  That is
-    exact for any integer q.  Read with an absolute index j, column c is the
+    m = N//2 and m + 1 are computed, each is compared with its glide image;
+    if both match, every row does and row r > m + 1 is read off the glide,
+    and otherwise the recurrence runs through row N - 1.  That is exact for
+    any integer q.  Read with an absolute index j, column c is the
     solution D_c of ``x_{j+1} = q_j x_j - x_{j-1}`` with ``D_c(c-1) = 0``,
     ``D_c(c) = 1``, and entry (r, c) is ``D_c(c+r-1)``.  The Casoratian
     ``x_{j+1} y_j - x_j y_{j+1}`` of two solutions does not depend on j,
@@ -243,22 +246,18 @@ def _frieze_rows(q) -> tuple[Vector, ...]:
     m = N // 2
     rows = [(0,) * N, (1,) * N]
     for r in range(2, N):
-        if r == m + 2:
+        turned = q[r - 2 :] + q[: r - 2]
+        rows.append(tuple(map(sub, map(mul, turned, rows[r - 1]), rows[r - 2])))
+        if r == m + 1:
             a, b = rows[N - m], rows[N - m - 1]
             if rows[m] == a[m:] + a[:m] and rows[m + 1] == b[m + 1 :] + b[: m + 1]:
                 break
-        turned = q[r - 2 :] + q[: r - 2]
-        rows.append(tuple(map(sub, map(mul, turned, rows[r - 1]), rows[r - 2])))
-    for r in range(len(rows), N):
+    else:
+        return tuple(rows), False
+    for r in range(m + 2, N):
         image = rows[N - r]
         rows.append(image[r:] + image[:r])
-    return tuple(rows)
-
-
-def _glides(q, rows) -> bool:
-    """Whether rows N - 1, N - 2 of ``rows = _frieze_rows(q)`` are rows 1, 2
-    turned by the glide; if so, every row is, by the kernel's lemma."""
-    return rows[-1] == rows[1] and rows[-2] == q[-2:] + q[:-2]
+    return tuple(rows), True
 
 
 def minimal_cycle(d0: Diamond) -> Cycle:
@@ -273,8 +272,8 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     frieze rows ``_frieze_rows(q)``.
 
     Every member is checked to be a positive diamond (by rows 2..N//2
-    alone when the rows glide, ``_glides``), and the cycle is then built
-    without ``Cycle``'s check, because it holds by construction.
+    alone when the kernel reports that the rows glide), and the cycle is
+    then built without ``Cycle``'s check, because it holds by construction.
     Members are coupled: member t's second column is member t + 1's first,
     and member p - 1's second is column p, which is column 0 since q has
     period p.  ``p = rotation_period(q)`` divides N.  Members are distinct:
@@ -288,12 +287,12 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     w = (-1, 0, 1, *d0.col2, 1, 0)
     q = tuple(m[k] * w[k + 2] - m[k + 2] * w[k] for k in range(N))
     p = rotation_period(q)
-    rows = _frieze_rows(q)
+    rows, glided = _frieze_rows(q)
     cols = list(zip(*rows[2 : N - 1]))
     if (cols[0], cols[1]) != (d0.col1, d0.col2):
         shown = format_int(d0.col1)
         raise InvariantViolation(f"frieze of {shown} does not reproduce it")
-    if not _glides(q, rows) or min(map(min, rows[2 : N // 2 + 1])) < 1:
+    if not glided or min(map(min, rows[2 : N // 2 + 1])) < 1:
         for t in range(p):
             if rows[N - 1][t] != 1 or min(cols[t]) < 1:
                 raise InvariantViolation(f"cycle member {t} is not a positive diamond")

@@ -28,13 +28,15 @@ nonpositive entry or as a band that misses the closing row of ones.
 
 A frieze is fixed by its quiddity row, so ``from_quiddity`` is the one test
 of a closed positive frieze: a pattern is one exactly when it equals
-``from_quiddity`` of its own row 2.  It alone builds unchecked, by
+``from_quiddity`` of its own row 2.  It builds unchecked, by
 ``FriezePattern._trusted``, as it makes N + 1 tuples of N ints, and sets the
 private ``_closed``, its proof, which copies keep and equality ignores; when
-the rows glide it scans positivity to row N//2 only.  ``violations``
-accepts that proof or that equality and scans any other: the constructor
-types every entry, so the scan checks only the arithmetic.  ``from_cycle``
-compares the band of ``from_quiddity`` with its members.
+the kernel reports that the rows glide it scans positivity to row N//2
+only.  ``from_cycle`` builds unchecked too, from the members alone, with no
+kernel: a diamond's rule is the frieze's rule on two adjacent diagonals.
+It sets no proof, so ``verify`` of what it builds runs the one test.
+``violations`` accepts that proof or that equality and scans any other:
+the constructor types every entry, so the scan checks only the arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 from .diamond import (
     Cycle,
     _frieze_rows,
-    _glides,
     complete_diamond,
     minimal_cycle,
     rotation_period,
@@ -50,7 +51,6 @@ from .diamond import (
 from .errors import (
     FailsToClose,
     InputError,
-    InvariantViolation,
     NonPositiveEntry,
     RangeError,
     Record,
@@ -98,7 +98,7 @@ def from_quiddity(q) -> FriezePattern:
 
     Succeeds exactly when ``q`` is the quiddity of a polygon triangulation;
     otherwise raises NonPositiveEntry or FailsToClose, reporting rows from
-    the top down.  When the rows glide (``diamond._glides``), row r > N/2
+    the top down.  When the kernel reports that the rows glide, row r > N/2
     is row N - r turned, so only rows 3..N//2 are scanned.  A vertex of the
     N-gon meets at most N - 2 triangles and the N - 2 triangles have
     3(N - 2) corners, so a sequence outside those bounds fails to close
@@ -138,8 +138,8 @@ def from_quiddity(q) -> FriezePattern:
     if sum(q) != 3 * (N - 2):
         raise FailsToClose(f"entries do not sum to 3(N - 2) = {3 * (N - 2)}")
 
-    rows = _frieze_rows(q)
-    for r in range(3, N // 2 + 1 if _glides(q, rows) else N):
+    rows, glided = _frieze_rows(q)
+    for r in range(3, N // 2 + 1 if glided else N):
         if min(rows[r]) < 1:
             c = next(c for c, x in enumerate(rows[r]) if x < 1)
             raise NonPositiveEntry(c, rows[r][c], row=r)
@@ -152,29 +152,23 @@ def from_quiddity(q) -> FriezePattern:
 
 
 def from_cycle(c: Cycle) -> FriezePattern:
-    """Frieze pattern generated by a coupling cycle.
+    """Frieze pattern generated by a coupling cycle: column t of its band is
+    the first column of member t mod p, framed by rows of ones and zeros.
 
-    Column t of the band is the first column of cycle member t mod p, and
-    row 2 of that band, the repeated heads, fixes the frieze: the result is
-    ``from_quiddity`` on it, provided every band column is the diagonal of
-    that quiddity row.  The construction is theorem-backed, so a failure is
-    an internal error rather than bad input.
+    What it returns is a frieze, so it is built unchecked.  Column t + 1 is
+    member t's second column: members are coupled, and at t = N - 1 it is
+    column 0, member 0's first, as p divides N.  So on columns t and t + 1
+    the rule at rows 2..N - 2 is member t's diamond rule at j = r - 1,
+    whose boundary ones are rows 1 and N - 1, and at rows 1 and N - 1 it
+    holds by the borders.  The band is positive, as every member is.  The
+    rule fixes each row from the two above it, dividing by positive
+    entries, so the pattern is the recurrence rows of its row 2, and these
+    glide, as ``from_quiddity`` shows.
     """
     N = expect(c, Cycle).n + 3
-    columns = [c.diamonds[col % c.p].col1 for col in range(N)]
-    band = tuple(zip(*columns))
-    try:
-        fp = from_quiddity(band[0])
-    except InputError as exc:
-        raise InvariantViolation(f"cycle produced an invalid pattern: {exc}") from exc
-    if fp.rows[2 : N - 1] != band:
-        built = list(zip(*fp.rows[2 : N - 1]))
-        col = next(col for col in range(N) if built[col] != columns[col])
-        raise InvariantViolation(
-            f"cycle produced an invalid pattern: column {col}, of member "
-            f"{col % c.p}, is not a diagonal of the quiddity row"
-        )
-    return fp
+    zeros, ones = (0,) * N, (1,) * N
+    band = zip(*(c.diamonds[t % c.p].col1 for t in range(N)))
+    return FriezePattern._trusted(N, (zeros, ones, *band, ones, zeros))
 
 
 def violations(fp: FriezePattern) -> list[str]:

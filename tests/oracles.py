@@ -21,7 +21,8 @@ member as a ``Diamond`` or read each member off its own diagonal, and the
 frieze checks walked entry by entry, the check's shortcut by the
 monodromy and the kernel's rows, the monodromy test that once told the
 kernel when to fill rows by the glide, and the cycle frieze built from the
-members and then scanned.  So are the word walks that read each of the two
+members and then scanned, or built from the repeated heads and then
+compared with the members.  So are the word walks that read each of the two
 encodings and the rank off a Dyck word, one walk per answer, and ballot
 numbers by their recursion over the rank.  So are the sweep's per-vector
 formulas before they became table lookups: each coordinate reduced by its
@@ -384,12 +385,7 @@ def run_checks_with_global_tables(n):
         )
     )
 
-    friezes_ok = True
-    for c in cycles:
-        try:
-            from_cycle(c)
-        except InvariantViolation:
-            friezes_ok = False
+    friezes_ok = all(verify(from_cycle(c)) for c in cycles)
     results.append(CheckResult("frieze_from_cycle_valid", friezes_ok))
 
     tris = {v: path_to_triangulation(p) for v, p in zip(vectors, paths)}
@@ -602,7 +598,7 @@ def closed_by_monodromy_gate(fp):
         and max(q) <= N - 2
         and sum(q) == 3 * (N - 2)
         and monodromy_is_minus_identity(q)
-        and rows[:N] == _frieze_rows(q)
+        and rows[:N] == _frieze_rows(q)[0]
         and all(min(row) >= 1 for row in rows[3 : N // 2 + 1])
     )
 
@@ -619,6 +615,26 @@ def from_cycle_by_scan(c):
     if problems:
         raise InvariantViolation(
             "cycle produced an invalid pattern: " + "; ".join(problems)
+        )
+    return fp
+
+
+def from_cycle_by_quiddity(c):
+    """The frieze of a coupling cycle as ``from_quiddity`` of its repeated
+    heads, its band then compared with the members' first columns."""
+    N = c.n + 3
+    columns = [c.diamonds[col % c.p].col1 for col in range(N)]
+    band = tuple(zip(*columns))
+    try:
+        fp = from_quiddity(band[0])
+    except InputError as exc:
+        raise InvariantViolation(f"cycle produced an invalid pattern: {exc}") from exc
+    if fp.rows[2 : N - 1] != band:
+        built = list(zip(*fp.rows[2 : N - 1]))
+        col = next(col for col in range(N) if built[col] != columns[col])
+        raise InvariantViolation(
+            f"cycle produced an invalid pattern: column {col}, of member "
+            f"{col % c.p}, is not a diagonal of the quiddity row"
         )
     return fp
 

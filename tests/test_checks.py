@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckfrieze import (
+    FriezePattern,
     Triangulation,
     all_paths,
     catalan,
@@ -38,7 +39,7 @@ from dyckfrieze import (
     vector_to_triangulation,
 )
 from dyckfrieze.dyck import _ballot_rows
-from dyckfrieze.errors import FailsToClose, InvariantViolation
+from dyckfrieze.errors import FailsToClose
 from oracles import (
     random_triangulation_diagonals,
     run_checks_with_global_tables,
@@ -233,15 +234,20 @@ def test_turned_key_is_the_key_of_the_rotation_property(N, k, rng):
 
 
 def test_cycle_frieze_failing_to_build_fails(monkeypatch):
+    # from_cycle builds unchecked, so the sweep verifies what it returns:
+    # member 0's pattern with one band entry raised is refused
     first = minimal_cycle(complete_diamond(enumerate_all(RANK)[0]))
     original = checks.from_cycle
 
-    def rejecting(c):
-        if c == first:
-            raise InvariantViolation("planted")
-        return original(c)
+    def tampered(c):
+        fp = original(c)
+        if c != first:
+            return fp
+        rows = [list(row) for row in fp.rows]
+        rows[3][1] += 1
+        return FriezePattern(fp.order, tuple(map(tuple, rows)))
 
-    monkeypatch.setattr(checks, "from_cycle", rejecting)
+    monkeypatch.setattr(checks, "from_cycle", tampered)
     # the closing friezes are then verified on their own, and pass
     assert _failed_checks() == ["frieze_from_cycle_valid"]
 

@@ -351,7 +351,7 @@ def test_frieze_rows_are_the_diagonals_exhaustive():
     glide_filled = 0
     for N in range(2, 7):
         for q in itertools.product(range(-1, 4), repeat=N):
-            assert _frieze_rows(q) == _rows_by_diagonals(q), q
+            assert _frieze_rows(q)[0] == _rows_by_diagonals(q), q
             glide_filled += N >= 5 and monodromy_is_minus_identity(q)
     assert glide_filled == 55
 
@@ -361,7 +361,7 @@ def test_frieze_rows_are_the_diagonals_exhaustive():
 def test_frieze_rows_are_the_diagonals_past_enumeration_cap(N, rng):
     q = quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
     assert monodromy_is_minus_identity(q)
-    assert _frieze_rows(q) == _rows_by_diagonals(q)
+    assert _frieze_rows(q)[0] == _rows_by_diagonals(q)
 
 
 def test_monodromy_minus_identity_iff_every_diagonal_closes():
@@ -374,32 +374,34 @@ def test_monodromy_minus_identity_iff_every_diagonal_closes():
 
 def test_kernel_glides_exactly_when_the_monodromy_is_minus_identity(monkeypatch):
     # the kernel runs the recurrence through row N//2 + 1 and reads the
-    # rest off the glide when those rows match it, else runs on to row
-    # N - 1; each recurrence row maps N products.  Turning q turns every
-    # row, so one q per rotation class is tried: the least of its turns
+    # rest off the glide when those rows match it, and says so, else runs
+    # on to row N - 1; each recurrence row maps N products.  Turning q
+    # turns every row, so one q per rotation class is tried: the least of
+    # its turns
     products = []
     monkeypatch.setattr(diamond, "mul", lambda x, y: products.append(1) or x * y)
 
     def recurrence_rows(q):
         products.clear()
-        rows = _frieze_rows(q)
-        return rows, len(products) // len(q)
+        rows, glided = _frieze_rows(q)
+        return rows, glided, len(products) // len(q)
 
     glided = 0
-    for N in range(5, 8):
+    for N in range(3, 8):
         for q in itertools.product(range(-1, 4), repeat=N):
             if q != min(q[k:] + q[:k] for k in range(N)):
                 continue
             closes = monodromy_is_minus_identity(q)
-            rows, computed = recurrence_rows(q)
+            rows, glides, computed = recurrence_rows(q)
+            assert glides == closes, q
             assert computed == (N // 2 if closes else N - 2), q
             assert rows == _rows_by_diagonals(q), q
             glided += closes
-    assert glided == 40
+    assert glided == 42
     rng = random.Random(23)
     for N in range(3, 121):
         q = quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
-        assert recurrence_rows(q)[1] == N // 2, q
+        assert recurrence_rows(q)[1:] == (True, N // 2), q
 
 
 def _outcome(build, d):
@@ -452,9 +454,9 @@ def test_minimal_cycle_rejects_a_later_member(monkeypatch, row, value):
     # corrupted in place: an entry of its band set to 0, or its closing
     # entry, in row N - 1, to 2.
     def corrupted(q):
-        rows = [list(r) for r in _frieze_rows(q)]
+        rows = [list(r) for r in _frieze_rows(q)[0]]
         rows[row][2] = value
-        return tuple(map(tuple, rows))
+        return tuple(map(tuple, rows)), False  # the glide no longer holds
 
     d0 = complete_diamond((1, 2, 3))  # a cycle of three members
     monkeypatch.setattr(diamond, "_frieze_rows", corrupted)

@@ -18,12 +18,16 @@ from dyckfrieze import (
     from_quiddity,
     minimal_cycle,
     period,
+    quiddity,
     render_ascii,
+    rotation_orbit,
     to_json_dict,
+    vector_to_path,
+    vector_to_triangulation,
     verify,
     violations,
 )
-from dyckfrieze import frieze
+from dyckfrieze import diamond, frieze
 from dyckfrieze.diamond import Cycle, _frieze_rows
 from dyckfrieze.errors import (
     FailsToClose,
@@ -34,6 +38,7 @@ from dyckfrieze.errors import (
 )
 from oracles import (
     closed_by_monodromy_gate,
+    from_cycle_by_quiddity,
     from_cycle_by_scan,
     frieze_rows_by_division,
     monodromy_is_minus_identity,
@@ -191,24 +196,99 @@ def test_from_cycle_equals_from_quiddity():
 
 
 def test_from_cycle_matches_the_scan_oracle():
-    # the frieze of the repeated heads, compared with the members, against
-    # the pattern built from the members and scanned
+    # the pattern built from the members unchecked, against the same
+    # pattern built and then scanned
     for n in range(1, 8):
         for v in enumerate_all(n):
             c = minimal_cycle(complete_diamond(v))
             assert from_cycle(c) == from_cycle_by_scan(c)
 
 
+def _column_zero(q):
+    # the diamond vector down column 0 of the band of quiddity q
+    return tuple(row[0] for row in frieze_rows_by_division(q)[2 : len(q) - 1])
+
+
+def _triangulation_cycles(seed, orders):
+    for q in _triangulation_quiddities(seed, orders):
+        yield minimal_cycle(complete_diamond(_column_zero(q)))
+
+
+def test_from_cycle_matches_the_quiddity_oracle():
+    # the members' band against from_quiddity of the repeated heads, its
+    # band compared with the members: every cycle at ranks 1..7, and one
+    # random triangulation's cycle per N = 4..60
+    vectors = [v for n in range(1, 8) for v in enumerate_all(n)]
+    cycles = {minimal_cycle(complete_diamond(v)) for v in vectors}
+    for c in (*cycles, *_triangulation_cycles(27, range(4, 61))):
+        assert from_cycle(c) == from_cycle_by_quiddity(c)
+
+
+def test_from_cycle_runs_no_kernel(monkeypatch):
+    # what from_cycle builds is a frieze by the members' diamond rules, so
+    # neither the kernel nor from_quiddity runs; only verify of it does
+    cycles = list(_triangulation_cycles(28, [4, 5, 9, 16, 33]))
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(f.__name__) or f(*args)
+
+    monkeypatch.setattr(diamond, "_frieze_rows", counted(diamond._frieze_rows))
+    monkeypatch.setattr(frieze, "_frieze_rows", counted(frieze._frieze_rows))
+    monkeypatch.setattr(frieze, "from_quiddity", counted(frieze.from_quiddity))
+    for c in cycles:
+        fp = from_cycle(c)
+        assert calls == []
+        assert verify(fp)
+        assert calls == ["from_quiddity", "_frieze_rows"]
+        calls.clear()
+
+
+def test_a_forward_request_runs_the_kernel_twice(monkeypatch):
+    # complete, cycle, frieze, path, triangulation, quiddity, closing
+    # frieze verified, orbit: minimal_cycle and from_quiddity each run the
+    # kernel once, and nothing else runs it
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return _frieze_rows(q)
+
+    monkeypatch.setattr(diamond, "_frieze_rows", counted)
+    monkeypatch.setattr(frieze, "_frieze_rows", counted)
+    for q in _triangulation_quiddities(29, range(19, 68)):
+        v = _column_zero(q)
+        calls.clear()
+        from_cycle(minimal_cycle(complete_diamond(v)))
+        vector_to_path(v)
+        t = vector_to_triangulation(v)
+        assert verify(from_quiddity(quiddity(t)))
+        rotation_orbit(t)
+        assert len(calls) == 2, q
+
+
 @pytest.mark.parametrize("plant", ["reversed", "last_dropped"])
 def test_from_cycle_refuses_a_planted_non_cycle(plant):
-    # with the last member dropped the heads (1, 3) repeat to a quiddity
-    # that closes, so only the comparison of the band with the members
-    # catches it; reversed, the heads are a rotation of a quiddity
+    # a Cycle built unchecked from members that are not coupled gives a
+    # pattern that breaks the rule first at the uncoupled column.  With the
+    # last member dropped the heads (1, 3) repeat to a quiddity that
+    # closes, so the oracle by quiddity catches it only by comparing the
+    # band with the members; reversed, the heads are a rotation of a
+    # quiddity
     members = minimal_cycle(complete_diamond((1, 2, 3))).diamonds
     assert len(members) == 3
     members = members[::-1] if plant == "reversed" else members[:2]
     c = Cycle._trusted(members)
     N = c.n + 3
+    uncoupled = next(
+        t for t in range(N) if members[t % c.p].col2 != members[(t + 1) % c.p].col1
+    )
+    fp = from_cycle(c)
+    assert verify(fp) is False
+    rule = next(p for p in violations(fp) if p.startswith("rule fails"))
+    assert rule.startswith(f"rule fails at rows 1..3, column {uncoupled}:"), rule
+    with pytest.raises(InvariantViolation, match="^cycle produced an invalid "):
+        from_cycle_by_scan(c)
     heads = tuple(d.col1[0] for d in members) * (N // c.p)
     cols = list(zip(*frieze_rows_by_division(heads)[2 : N - 1]))
     col = next(t for t in range(N) if cols[t] != members[t % c.p].col1)
@@ -217,10 +297,8 @@ def test_from_cycle_refuses_a_planted_non_cycle(plant):
         f"{col % c.p}, is not a diagonal of the quiddity row"
     )
     with pytest.raises(InvariantViolation) as caught:
-        from_cycle(c)
+        from_cycle_by_quiddity(c)
     assert str(caught.value) == message
-    with pytest.raises(InvariantViolation, match="^cycle produced an invalid "):
-        from_cycle_by_scan(c)
 
 
 def _small_integer_sequences():
@@ -253,7 +331,7 @@ def test_violations_agree_with_the_monodromy_gate(sequences):
         N = len(q)
         if q != min(q[k:] + q[:k] for k in range(N)):
             continue
-        fp = FriezePattern._trusted(N, (*_frieze_rows(q), (0,) * N))
+        fp = FriezePattern._trusted(N, (*_frieze_rows(q)[0], (0,) * N))
         assert (violations(fp) == []) == closed_by_monodromy_gate(fp)
         try:
             from_quiddity(q)
@@ -341,8 +419,7 @@ def test_the_proof_is_kept_by_copies_and_neither_shown_nor_compared(monkeypatch)
 
 
 def test_theorem_built_patterns_pass_the_constructor():
-    # from_quiddity, and from_cycle through it, skip the shape and integer
-    # checks
+    # from_quiddity and from_cycle skip the shape and integer checks
     for n in range(1, 8):
         for v in enumerate_all(n):
             fp = frieze_of_vector(v)
@@ -490,7 +567,7 @@ def test_closed_recurrence_frieze_that_is_not_positive_is_scanned():
     # only the band, rows of 0 and -1, tells it from a frieze
     q = (0,) * 6
     assert monodromy_is_minus_identity(q)
-    fp = FriezePattern(6, (*_frieze_rows(q), (0,) * 6))
+    fp = FriezePattern(6, (*_frieze_rows(q)[0], (0,) * 6))
     problems = violations(fp)
     assert problems == violations_by_entry(fp) == violations_by_lattice(fp)
     assert problems and all(p.startswith("band entry at row") for p in problems)

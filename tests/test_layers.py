@@ -16,10 +16,12 @@ callers can inspect through ``enumerate_all.cache_info``.  The frieze's row
 recurrence is written once, in ``diamond._frieze_rows``, which builds
 friezes and cycles and decides the glide from its own rows, with no
 monodromy matrix; ``diagonal`` computes single columns only.  A closed
-frieze is decided in one place, ``from_quiddity``, the one trusted frieze
-builder: the frieze check and ``from_cycle`` compare with it and read no
-rows of their own, and the sweep's closure check takes its word alone.  It
-alone sets a frieze's proof, ``_closed``, which the frieze check trusts.
+frieze is decided in one place, ``from_quiddity``: the frieze check
+compares with it and reads no rows of its own, and the sweep's closure
+check takes its word alone.  It and ``from_cycle``, which builds from a
+cycle's members with no kernel, are the trusted frieze builders, and the
+sweep verifies what ``from_cycle`` builds.  ``from_quiddity`` alone sets a
+frieze's proof, ``_closed``, which the frieze check trusts.
 Every function the benchmark's tracer wraps by name still exists."""
 
 import ast
@@ -146,7 +148,7 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
             ("dyck", "from_v_vector"),
             ("dyck", "vector_to_path"),
         },
-        "FriezePattern": {("frieze", "from_quiddity")},
+        "FriezePattern": {("frieze", "from_quiddity"), ("frieze", "from_cycle")},
         "Triangulation": {
             ("triangulation", "realize"),
             ("triangulation", "path_to_triangulation"),
@@ -215,28 +217,28 @@ def test_the_row_recurrence_is_written_once():
 
 
 def test_a_closed_frieze_is_decided_by_from_quiddity_alone():
-    # violations and from_cycle defer to from_quiddity: neither reads the
-    # kernel's rows, and from_cycle neither rescans what it built nor
-    # builds it unchecked; the sweep checks closure by from_quiddity alone
+    # violations defers to from_quiddity and reads no rows of the kernel;
+    # from_cycle builds from the members alone, checking nothing, so the
+    # sweep verifies what it builds, and checks closure by from_quiddity
     def names(tree):
         return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)}
 
     trees = _trees()
     frieze = trees["frieze"]
     fns = {fn.name: fn for fn in ast.walk(frieze) if isinstance(fn, ast.FunctionDef)}
-    for name in ("violations", "from_cycle"):
-        named = names(fns[name])
-        assert "from_quiddity" in named
-        assert "_frieze_rows" not in named
-    assert not names(fns["from_cycle"]) & {"violations", "_trusted"}
+    named = names(fns["violations"])
+    assert "from_quiddity" in named
+    assert "_frieze_rows" not in named
+    banned = {"from_quiddity", "_frieze_rows", "violations"}
+    assert not names(fns["from_cycle"]) & banned
     imported = {
         alias.name
         for node in ast.walk(trees["checks"])
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert "from_quiddity" in imported
-    assert not imported & {"verify", "violations"}
+    assert {"from_quiddity", "verify"} <= imported
+    assert "violations" not in imported
 
 
 def test_the_frieze_proof_is_set_by_from_quiddity_alone():
