@@ -19,8 +19,10 @@ kernel: frieze completion and coupling cycles read their rows and columns
 off it, and the frieze check compares a pattern with the completion of its
 quiddity row.  When rows N//2 and N//2 + 1 are their own glide images, as
 in every closed frieze, it reads the rest off the glide reflection and says
-so, and its callers scan only the rows above the middle: the Casoratian of
-the recurrence makes that check exact for any integer q.
+so: the Casoratian of the recurrence makes that check exact for any
+integer q.  Rows that glide have monodromy -I, so with positive entries
+summing to 3(N - 2) they are a triangulation's frieze (Ovsienko, 2018),
+and its callers scan nothing.
 ``diagonal`` computes one column, for the inverse path map and the sweep's
 round trip, and ``rotation_period`` finds the period of q.
 
@@ -38,10 +40,12 @@ without re-checking it: ``as_vector`` has validated the first column, and each
 second-column entry is the exact, positive quotient
 ``(1 + a[2,j-1] * a[1,j+1]) / a[1,j]``, so the unimodular rule holds by
 arithmetic.  ``minimal_cycle`` does the same once each column ``d_t`` of its
-frieze rows closes, ``d_t[N-1] == 1``, and is positive, ``min(d_t[2:N-1]) >= 1``
-(the paper's claim, checked, not assumed).  This is exact: consecutive
-diagonals have Casoratian 1 for any integer q, so with positive entries the
-rule can fail only at the border ``a[1,n+1] = 1``.  It then builds its
+frieze rows closes, ``d_t[N-1] == 1``, and is positive, ``min(d_t[2:N-1]) >= 1``:
+the paper's claim, which the theorem above proves for a gliding quiddity
+that is positive and sums to 3N - 6, and which is checked column by column
+for any other.  This is exact: consecutive diagonals have Casoratian 1 for
+any integer q, so with positive entries the rule can fail only at the
+border ``a[1,n+1] = 1``.  It then builds its
 ``Cycle`` unchecked too: its members are coupled, distinct and of a period
 dividing N by construction, as its docstring shows.
 
@@ -271,9 +275,14 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     cycle length p, and member t pairs band columns t and t + 1 of the
     frieze rows ``_frieze_rows(q)``.
 
-    Every member is checked to be a positive diamond (by rows 2..N//2
-    alone when the kernel reports that the rows glide), and the cycle is
-    then built without ``Cycle``'s check, because it holds by construction.
+    Every member is a positive diamond, and the cycle is then built without
+    ``Cycle``'s check, because it holds by construction.  When the kernel
+    reports that the rows glide, q has monodromy -I (see
+    ``frieze.from_quiddity``), so if q is positive it is the quiddity of a
+    3d-dissection (Ovsienko, 2018), and if it also sums to 3N - 6 every
+    piece is a triangle: the band is a triangulation's frieze, positive
+    and closed by row N - 1 of ones, with no scan.  Any other q has each
+    member checked, its column closing and positive.
     Members are coupled: member t's second column is member t + 1's first,
     and member p - 1's second is column p, which is column 0 since q has
     period p.  ``p = rotation_period(q)`` divides N.  Members are distinct:
@@ -292,7 +301,7 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     if (cols[0], cols[1]) != (d0.col1, d0.col2):
         shown = format_int(d0.col1)
         raise InvariantViolation(f"frieze of {shown} does not reproduce it")
-    if not glided or min(map(min, rows[2 : N // 2 + 1])) < 1:
+    if not glided or min(q) < 1 or sum(q) != 3 * N - 6:
         for t in range(p):
             if rows[N - 1][t] != 1 or min(cols[t]) < 1:
                 raise InvariantViolation(f"cycle member {t} is not a positive diamond")

@@ -44,8 +44,19 @@ def expand(v, i: int) -> Vector:
     """Expansion move at position i: insert the sum of neighbors i and i+1
     after position i and drop the trailing 1.
 
-    Requires positive int entries, the last one 1, and 1 <= i < n; the
-    result is again associated to a positive integral diamond.
+    Requires positive int entries, the last one 1, and 1 <= i < n.  When v
+    is a diamond vector, so is the result, by one ear move.  Write m(a, b)
+    for the frieze entries of a triangulation T of the N-gon, N = n + 3
+    (Conway & Coxeter, 1973): m(a, a + 1) = 1, and v_k = m(N - 1, k), the
+    column-0 diagonal of T's frieze, as ``dyck.path_to_vector`` reads it.
+    So v_n = 1 is the diagonal (N - 3, N - 1): vertex N - 2 is an ear.  Cut
+    it, which leaves m unchanged on the other vertices, and glue an ear x
+    on side (i, i + 1).  Ptolemy's relation on the quadrilateral of y, i,
+    x, i + 1 gives m(y, x) = m(y, i) + m(y, i + 1), as m(i, x) = m(x, i + 1)
+    = m(i, i + 1) = 1.  Relabelled, x is vertex i + 1 of a triangulation
+    of the N-gon, and its column-0 diagonal is v_1..v_i, v_i + v_{i+1},
+    v_{i+1}..v_{n-1}: the result, the first column of a positive integral
+    diamond.
     """
     v = as_vector(v)
     if v[-1] != 1:

@@ -30,9 +30,11 @@ A frieze is fixed by its quiddity row, so ``from_quiddity`` is the one test
 of a closed positive frieze: a pattern is one exactly when it equals
 ``from_quiddity`` of its own row 2.  It builds unchecked, by
 ``FriezePattern._trusted``, as it makes N + 1 tuples of N ints, and sets the
-private ``_closed``, its proof, which copies keep and equality ignores; when
-the kernel reports that the rows glide it scans positivity to row N//2
-only.  ``from_cycle`` builds unchecked too, from the members alone, with no
+private ``_closed``, its proof, which copies keep and equality ignores.
+Within its bounds on the entries and their sum, the glide alone decides:
+rows that glide are a triangulation's, with no scan (Ovsienko, 2018),
+and rows that do not are scanned only to report the failure.
+``from_cycle`` builds unchecked too, from the members alone, with no
 kernel: a diamond's rule is the frieze's rule on two adjacent diagonals.
 It sets no proof, so ``verify`` of what it builds runs the one test.
 ``violations`` accepts that proof or that equality and scans any other:
@@ -98,32 +100,41 @@ def from_quiddity(q) -> FriezePattern:
 
     Succeeds exactly when ``q`` is the quiddity of a polygon triangulation;
     otherwise raises NonPositiveEntry or FailsToClose, reporting rows from
-    the top down.  When the kernel reports that the rows glide, row r > N/2
-    is row N - r turned, so only rows 3..N//2 are scanned.  A vertex of the
-    N-gon meets at most N - 2 triangles and the N - 2 triangles have
-    3(N - 2) corners, so a sequence outside those bounds fails to close
-    before any row is built.  Within them no row m,
+    the top down.  A vertex of the N-gon meets at most N - 2 triangles and
+    the N - 2 triangles have 3(N - 2) corners, so a sequence outside those
+    bounds fails to close before any row is built.  Within them no row m,
     2 <= m <= N - 2, is all ones below positive rows: rows 0..m would then
     close a frieze of order m + 1 (Conway & Coxeter, 1973), so q would have
     a period g dividing N and m + 1; with s the sum of g consecutive
     entries, 3(m + 1) - 6 = (m + 1)s/g and 3N - 6 = Ns/g give m + 1 = N.
 
-    What it returns is a frieze.  Let R be the recurrence rows 0..N of q:
-    entry (r, c) is ``D_c(c+r-1) = K(c-1, c+r-1)``, with
-    ``K(i, j) = A(j) B(i) - A(i) B(j)`` for two solutions A, B of Casoratian
-    1 (see ``diamond._frieze_rows``, whose rows are rows 0..N-1 of R,
-    glide-filled or not).  For such 2x2 determinants
-    ``K(i, j) K(i+1, j+1) - K(i+1, j) K(i, j+1) = K(i, i+1) K(j, j+1) = 1``,
-    so the rule holds on R at every quadruple, for any integer q.  At row
-    N - 1 it reads ``1 - R[N-2][c+1] R[N][c] = 1`` once row N - 1 is all
-    ones, and row N - 2 is positive, so row N of R is zeros: the appended
-    row.  Rows N - 1 and N are then the glide images of rows 1 and 0, and
-    two consecutive rows that match the glide make every row match, as the
-    kernel's docstring shows.  So R keeps the borders, the positive band,
-    the rule and the glide.  Conversely the rule fixes each row of a frieze
-    from the two above it, dividing by positive entries, so a frieze is R
-    for its row 2, a quiddity: every frieze is ``from_quiddity`` of its own
-    row 2.  What it returns carries this proof as ``_closed``.
+    Within the bounds the kernel's glide decides, with no scan.  Let R be
+    the recurrence rows 0..N of q: entry (r, c) is ``D_c(c+r-1) =
+    K(c-1, c+r-1)``, with ``K(i, j) = A(j) B(i) - A(i) B(j)`` for two
+    solutions A, B of Casoratian 1 (see ``diamond._frieze_rows``, whose
+    rows are rows 0..N-1 of R, glide-filled or not).  For such 2x2
+    determinants ``K(i, j) K(i+1, j+1) - K(i+1, j) K(i, j+1) = K(i, i+1)
+    K(j, j+1) = 1``, so the rule holds on R at every quadruple, for any
+    integer q.  When the rows glide, every row of R does, as the kernel's
+    docstring shows, and rows N - 1 and N are the glide images of rows 1
+    and 0, ones and zeros.  So every solution of the recurrence changes
+    sign over N steps: q has monodromy -I.  A sequence of positive integers
+    with monodromy -I is the quiddity of a 3d-dissection of the N-gon, into
+    pieces of 3, 6, 9, ... vertices, q_i counting the pieces at vertex i
+    (Ovsienko, 2018).  P pieces of d_j vertices have sum(d_j - 2) = N - 2,
+    so q sums to sum(d_j) = N - 2 + 2P, which is 3(N - 2) only when
+    P = N - 2 and every piece is a triangle.  So q is a triangulation's
+    quiddity and the band of R is positive.  When the rows do not glide,
+    rows 3..N - 1 are scanned for positivity, and if they pass, row N - 1
+    is not all ones: at row N - 1 the rule would read ``1 - R[N-2][c+1]
+    R[N][c] = 1`` with row N - 2 positive, so row N of R would be zeros and
+    rows N - 1 and N, so every row, would glide.
+
+    So what it returns, R, keeps the borders, the positive band, the rule
+    and the glide: it is a frieze.  Conversely the rule fixes each row of a
+    frieze from the two above it, dividing by positive entries, so a frieze
+    is R for its row 2, a quiddity: every frieze is ``from_quiddity`` of
+    its own row 2.  What it returns carries this proof as ``_closed``.
     """
     q = as_tuple(q, "quiddity")
     N = len(q)
@@ -139,11 +150,11 @@ def from_quiddity(q) -> FriezePattern:
         raise FailsToClose(f"entries do not sum to 3(N - 2) = {3 * (N - 2)}")
 
     rows, glided = _frieze_rows(q)
-    for r in range(3, N // 2 + 1 if glided else N):
-        if min(rows[r]) < 1:
-            c = next(c for c, x in enumerate(rows[r]) if x < 1)
-            raise NonPositiveEntry(c, rows[r][c], row=r)
-    if rows[N - 1] != (1,) * N:
+    if not glided:
+        for r in range(3, N):
+            if min(rows[r]) < 1:
+                c = next(c for c, x in enumerate(rows[r]) if x < 1)
+                raise NonPositiveEntry(c, rows[r][c], row=r)
         shown = ", ".join(map(format_int, rows[N - 1]))
         raise FailsToClose(f"row {N - 1} is ({shown}), not all ones")
     fp = FriezePattern._trusted(N, (*rows, (0,) * N))

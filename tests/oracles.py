@@ -29,7 +29,8 @@ formulas before they became table lookups: each coordinate reduced by its
 own scan over every earlier index, and a triangulation's key summed from
 its diagonals.  So are the symmetry checks before they used the group
 structure: a rotation orbit made of one ``rotate`` per shift, and a
-rotation period found by trying every shift.
+rotation period found by trying every shift.  One more reads a triangulation
+move by hand: expansion as cutting one ear and gluing another.
 """
 
 import functools
@@ -243,6 +244,30 @@ def triangulation_key(diagonals, N):
     return sum(
         (1 << i * N + (j - i) % N) | (1 << j * N + (i - j) % N) for i, j in diagonals
     )
+
+
+def ear_move(q, diagonals, i):
+    """Quiddity and diagonals of the N-gon after one ear move: the ear at
+    vertex N - 2 is cut, joining N - 3 to N - 1, and an ear is glued on
+    side (i, i + 1) of what is left, 1 <= i <= N - 4, its new vertex taking
+    label i + 1 and vertices i + 1..N - 3 moving up one.  The new vertex
+    has quiddity 1, its two neighbours gain 1 and (i, i + 2) becomes a
+    diagonal (Conway & Coxeter, 1973).  Diagonals are pairs (low, high)."""
+    N = len(q)
+    diagonals = set(diagonals)
+    if q[N - 2] != 1 or (N - 3, N - 1) not in diagonals:
+        raise InvariantViolation(f"vertex {N - 2} is not an ear")
+    diagonals.remove((N - 3, N - 1))
+    q = list(q)
+    q[N - 3] -= 1
+    q[N - 1] -= 1
+    del q[N - 2]
+    q[i] += 1
+    q[i + 1] += 1
+    q.insert(i + 1, 1)
+    label = [x + (i < x <= N - 3) for x in range(N)]
+    moved = [(label[a], label[b]) for a, b in diagonals]
+    return tuple(q), sorted(moved + [(i, i + 2)])
 
 
 def vector_to_path_by_v_vector(v):

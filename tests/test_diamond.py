@@ -321,9 +321,10 @@ def test_minimal_cycle_matches_one_diagonal_per_member_exhaustive():
             assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
 
 
-def test_minimal_cycle_checks_positivity_by_half_the_rows(monkeypatch):
-    # a cycle's frieze rows glide, so rows 2..N//2 are its whole band
-    # up to turns: one min per row and one over them, none per member
+def test_minimal_cycle_checks_positivity_by_one_min_over_the_quiddity(monkeypatch):
+    # a cycle's frieze rows glide, so a positive quiddity summing to 3N - 6
+    # is a triangulation's (Ovsienko): one min, over q, and none per row
+    # or per member
     scanned = []
     monkeypatch.setattr(
         diamond, "min", lambda xs: scanned.append(xs) or min(xs), raising=False
@@ -335,7 +336,7 @@ def test_minimal_cycle_checks_positivity_by_half_the_rows(monkeypatch):
         d = complete_diamond(tuple(rows[r][0] for r in range(2, N - 1)))
         scanned.clear()
         assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
-        assert len(scanned) == N // 2, N
+        assert scanned == [q], N
 
 
 def _rows_by_diagonals(q):
@@ -430,6 +431,9 @@ def test_diagonal_matches_indexed_recurrence(args):
     )
 )
 @example(((1,), (5,)))  # reproduces itself, but 1*5 - 1*1 != 1
+# columns 0 and 1 of the all-ones nonagon's rows: its q is positive and
+# glides, but sums to 9, not 21, a 3d-dissection with one 9-gon piece
+@example(((1, 0, -1, -1, 0, 1), (1, 0, -1, -1, 0, 1)))
 @settings(max_examples=300)
 def test_minimal_cycle_refuses_trusted_non_diamonds_like_the_oracle(cols):
     # Columns set without the rule check: a true diamond gives both versions

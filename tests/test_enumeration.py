@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 
 from dyckfrieze import (
@@ -40,6 +43,7 @@ from dyckfrieze import (
     verify,
     violations,
 )
+from dyckfrieze.dyck import _ballot_rows, _walk
 from dyckfrieze.errors import (
     IndexOutOfRange,
     InputError,
@@ -47,7 +51,7 @@ from dyckfrieze.errors import (
     NonPositiveEntry,
     RangeError,
 )
-from oracles import ballot_count_by_recursion
+from oracles import ballot_count_by_recursion, ear_move, triangulation_key
 
 RANK3_VECTORS = [
     (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 3), (1, 3, 2), (2, 1, 1), (2, 1, 2),
@@ -121,6 +125,42 @@ def test_expand_preserves_completability():
                 w = expand(v, i)
                 d = complete_diamond(w)
                 assert all(x >= 1 for x in d.col2)
+
+
+def _diagonals_of_key(key, N):
+    # diagonal (a, b), a < b, sets bit b - a of block a and bit N + a - b
+    # of block b (``triangulation_key``); block plus bit is b for the
+    # first and N + a, past the last vertex, for the second
+    diagonals = []
+    while key:
+        bit = key & -key
+        a, d = divmod(bit.bit_length() - 1, N)
+        if a + d < N:
+            diagonals.append((a, a + d))
+        key ^= bit
+    return diagonals
+
+
+def test_expansion_is_one_ear_move():
+    # the walk of expand(v, i) is the walk of v with the ear at vertex N - 2,
+    # v's trailing 1, cut and an ear glued on side (i, i + 1): every
+    # expandable v and i at ranks 1..8, against a move made by hand
+    for n in range(1, 9):
+        N = n + 3
+        rows = _ballot_rows(n + 1)
+        for v in enumerate_all(n):
+            if v[-1] != 1:
+                continue
+            _, key, q = _walk(v, rows)
+            diagonals = _diagonals_of_key(key, N)
+            # the move carries a wrong entry of q along, so q is tied to the key
+            degree = Counter(itertools.chain.from_iterable(diagonals))
+            assert q == tuple(1 + degree[x] for x in range(N)), v
+            for i in range(1, n):
+                _, moved_key, moved_q = _walk(expand(v, i), rows)
+                q_by_hand, diagonals_by_hand = ear_move(q, diagonals, i)
+                assert moved_q == q_by_hand, (v, i)
+                assert moved_key == triangulation_key(diagonals_by_hand, N), (v, i)
 
 
 def test_enumerate_smallest_ranks():

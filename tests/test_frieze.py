@@ -94,6 +94,10 @@ def test_from_quiddity_rejects_non_quiddities():
     # entries sum to 8, not 9: rejected before any row is built
     with pytest.raises(FailsToClose, match="sum"):
         from_quiddity((2, 3, 1, 1, 1))
+    # positive, of monodromy -I, yet a 9-gon with no diagonal, not a
+    # triangulation: only the sum tells it from a triangulation's quiddity
+    with pytest.raises(FailsToClose, match="sum"):
+        from_quiddity((1,) * 9)
     with pytest.raises(FailsToClose, match="exceeds"):
         from_quiddity((1, 1, 4, 1, 2))
     # within both bounds, yet a later row goes nonpositive or misses the ones
@@ -379,9 +383,9 @@ def _counted_kernel(monkeypatch):
     return calls
 
 
-def test_from_quiddity_scans_positivity_to_the_middle(monkeypatch):
-    # the rows of a closed frieze glide, so row r > N/2 is row N - r turned
-    # and only rows 3..N//2 are scanned
+def test_from_quiddity_scans_no_row_of_a_gliding_quiddity(monkeypatch):
+    # within the bounds, rows that glide are a triangulation's (Ovsienko),
+    # so no row is scanned for positivity
     scanned = []
     monkeypatch.setattr(
         frieze, "min", lambda row: scanned.append(row) or min(row), raising=False
@@ -389,7 +393,7 @@ def test_from_quiddity_scans_positivity_to_the_middle(monkeypatch):
     for q in _triangulation_quiddities(24, range(3, 61)):
         scanned.clear()
         assert from_quiddity(q).rows == frieze_rows_by_division(q)
-        assert len(scanned) == max(len(q) // 2 - 2, 0), q
+        assert scanned == [], q
 
 
 def test_verify_takes_the_proof_of_from_quiddity(monkeypatch):
