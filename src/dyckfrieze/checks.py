@@ -5,36 +5,45 @@ enumeration: counting, both bijections, cycle periods, frieze validity,
 and the orbit/quiddity consistency between cycles and triangulations.
 
 The sweep streams the rank-n vectors one coupling cycle at a time.  The
-first vector of each cycle not yet visited gives its minimal cycle and
-that cycle's frieze, which ``from_cycle`` builds from the members unchecked
-and ``verify`` then compares with ``from_quiddity`` of its row 2.  Each
-member u is then walked once by ``dyck._walk``, from its reduced profile
-and with no Dyck word: the rank of its path, the key of the path's
-triangulation and that triangulation's quiddity q.  The walk reads the
-rank off a table of ballot terms by position and height
-(``dyck._ballot_rows``), which each ``run_checks`` call builds once, before
-the sweep, and ORs in the two key bits of each ear as it clips it, with no
-table.
+first vector of each cycle not yet visited gives its minimal cycle and the
+cycle heads repeated N/p times, member 0's quiddity by the cycle theorem.
+One ``from_quiddity`` of the heads builds the cycle's one closed frieze,
+and decides both frieze checks: ``from_cycle``, which builds the band from
+the members unchecked, must equal it, row 2 included, and every member
+whose quiddity is the heads, turned back to member 0's frame, closes with
+it, since ``from_quiddity`` reads columns cyclically, so a rotation closes
+iff it does.  Only a member off the heads, which fails its own check,
+gets a ``from_quiddity`` of its own, to decide its closure.  So a passing
+sweep runs the frieze kernel twice per cycle, in ``minimal_cycle`` and in
+``from_quiddity``.  Each member u is walked once by ``dyck._walk``, from
+its reduced profile and with no Dyck word: the rank of its path, the key
+of the path's triangulation and that triangulation's quiddity q.  The
+walk reads the rank off a table of ballot terms by position and height
+(``dyck._ballot_rows``), which each ``run_checks`` call builds once,
+before the sweep, and ORs in the two key bits of each ear as it clips it,
+with no table.
 ``diagonal(q, 0, n + 2)[2:] == u`` is the round trip, because
 ``path_to_vector`` is exactly that composition.  Every member t is then
 checked in member 0's frame: its quiddity rotated back by t must be the
-cycle heads repeated N/p times, and its triangulation's key turned by t
-must be member 0's, with member 0's returning after p turns.  Closure is
-checked once per back-rotated quiddity, by ``from_quiddity`` alone: it
-reads columns cyclically, so a rotation closes iff it does, and what it
-returns is a frieze, as its docstring shows, so nothing checks it again.
+heads, and its triangulation's key turned by t must be member 0's, with
+member 0's returning after p turns.
 
 Everything built for a cycle is dropped once the cycle is done.  Across
 cycles the sweep keeps only compact keys: a ``bytearray`` over the sorted
 vectors marks the cycle members seen, a ``bytearray`` over path ranks
-(``all_paths`` order) marks the image of the path map, and one int key
-per triangulation decides the injectivity of the triangulation map.  The
-key has one block of N bits per vertex, and diagonal (i, j) sets bit
-``(j - i) % N`` of block i and bit ``(i - j) % N`` of block j, so adding
-k to every label turns the N² bits cyclically by k·N.  The same pass
-tallies the vectors by first entry z, a row that must equal
-``ballot_count(n, z)``, and the cycles by period, a histogram that must
-equal the count of rotational symmetries (``_period_counts``).
+(``all_paths`` order) marks the image of the path map, and one class key
+per cycle decides the injectivity of the triangulation map.  A
+triangulation's key has one block of N bits per vertex, and diagonal
+(i, j) sets bit ``(j - i) % N`` of block i and bit ``(i - j) % N`` of
+block j, so adding k to every label turns the N² bits cyclically by k·N.
+A cycle's class key is the least of member 0's key turned by k = 0..N-1.
+A cycle that passes the orbit check holds the whole rotation class of
+member 0, so two such cycles share a triangulation only when they share
+a class key, and each new class key adds its cycle's distinct keys to
+the count of triangulations.  The same pass tallies the vectors by first
+entry z, a row that must equal ``ballot_count(n, z)``, and the cycles by
+period, a histogram that must equal the count of rotational symmetries
+(``_period_counts``).
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from .diamond import complete_diamond, cycle_heads, diagonal, minimal_cycle
 from .dyck import _ballot_rows, _walk, catalan
 from .enumeration import ballot_count, enumerate_all
 from .errors import InputError, Record
-from .frieze import from_cycle, from_quiddity, verify
+from .frieze import from_cycle, from_quiddity
 
 
 class CheckResult(Record):
@@ -89,8 +98,8 @@ def run_checks(n: int) -> list[CheckResult]:
 
     visited = bytearray(len(vectors))
     ranks = bytearray(expected)
-    tri_keys = set()
-    walked = 0
+    classes = set()  # one class key per cycle: its least turn of member 0's key
+    triangulations = walked = 0
     firsts = Counter()  # first entry z -> vectors starting with z
     periods = Counter()  # period -> cycles with that period
     paths_injective = roundtrip_ok = members_ok = True
@@ -103,10 +112,12 @@ def run_checks(n: int) -> list[CheckResult]:
         c = minimal_cycle(complete_diamond(v))
         p = c.p
         periods[p] += 1
-        friezes_ok &= verify(from_cycle(c))
         heads = cycle_heads(c) * (N // p)  # member 0's q, by the cycle theorem
+        try:  # one frieze: the band's, and the closure of every member on heads
+            friezes_ok &= from_cycle(c) == from_quiddity(heads)
+        except InputError:
+            friezes_ok = closes_ok = False
         orbit = []  # the members' triangulation keys
-        closing_keys = set()
         for offset, d in enumerate(c.diamonds):
             u = d.col1
             at = bisect_left(vectors, u)
@@ -122,20 +133,23 @@ def run_checks(n: int) -> list[CheckResult]:
 
             roundtrip_ok &= diagonal(q, 0, n + 2)[2:] == u
             back = q[-offset:] + q[:-offset]  # q in member 0's frame
-            quiddity_ok &= back == heads
-            closing_keys.add(back)
+            if back != heads:  # then the heads' frieze is not this member's
+                quiddity_ok = False
+                try:
+                    from_quiddity(back)
+                except InputError:
+                    closes_ok = False
             orbit.append(key)
 
         # member t turned by t is member 0, which returns after p turns
         orbit_ok &= len(set(orbit)) == p and all(
             _turn(key, t, N) == orbit[0] for t, key in enumerate(orbit + orbit[:1])
         )
-        tri_keys.update(orbit)
-        for back in closing_keys:
-            try:
-                from_quiddity(back)
-            except InputError:
-                closes_ok = False
+        # cycles whose orbits pass hold whole rotation classes, one class each
+        least = min(_turn(orbit[0], k, N) for k in range(N))
+        if least not in classes:
+            classes.add(least)
+            triangulations += len(set(orbit))
 
     distinct = expected - ranks.count(0)
     row = Counter({z: ballot_count(n, z) for z in range(1, n + 2)})
@@ -172,8 +186,8 @@ def run_checks(n: int) -> list[CheckResult]:
         CheckResult("frieze_from_cycle_valid", friezes_ok),
         CheckResult(
             "triangulation_map_injective",
-            len(tri_keys) == expected,
-            f"distinct={len(tri_keys)} expected={expected}",
+            triangulations == expected,
+            f"distinct={triangulations} expected={expected}",
         ),
         CheckResult("quiddity_matches_heads", quiddity_ok),
         CheckResult("cycle_orbit_consistent", orbit_ok),

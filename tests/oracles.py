@@ -30,7 +30,9 @@ own scan over every earlier index, and a triangulation's key summed from
 its diagonals.  So are the symmetry checks before they used the group
 structure: a rotation orbit made of one ``rotate`` per shift, and a
 rotation period found by trying every shift.  One more reads a triangulation
-move by hand: expansion as cutting one ear and gluing another.
+move by hand: expansion as cutting one ear and gluing another.  One table,
+cached per length, holds the oracle values of every short integer sequence
+that the exhaustive kernel tests read, so each is computed once.
 """
 
 import functools
@@ -607,6 +609,32 @@ def monodromy_is_minus_identity(q):
     for x in q:
         a, b, c, d = x * a - c, x * b - d, a, b
     return a == d == -1 and b == c == 0
+
+
+@functools.lru_cache(maxsize=None)
+def small_sequences(N):
+    """Every q of length N with entries -1..3, in ``itertools.product``
+    order, as ``(q, least, closes, diagonals)``: whether q is the least of
+    its turns, ``monodromy_is_minus_identity(q)``, and the N diagonals
+    ``diagonal(q, c, N + 1)`` for c = 0..N-1, whose entries r, read across
+    the columns, are row r of the pattern.  The exhaustive kernel tests
+    share this table, so each value is computed once per N in a run.
+
+    The product order is lexicographic, so the first member of a rotation
+    class met is its least.  ``diagonal`` reads q from column c on, so the
+    diagonals of q turned k places are its diagonals turned k places: the
+    least member computes them once, for every turn of itself.
+    """
+    turned = {}  # every turn of a least member met so far -> its diagonals
+    table = []
+    for q in itertools.product(range(-1, 4), repeat=N):
+        least = q not in turned
+        if least:
+            ds = tuple(diagonal(q, c, N + 1) for c in range(N))
+            for k in range(N):
+                turned[q[k:] + q[:k]] = ds[k:] + ds[:k]
+        table.append((q, least, monodromy_is_minus_identity(q), turned[q]))
+    return tuple(table)
 
 
 def closed_by_monodromy_gate(fp):

@@ -2,10 +2,10 @@
 rank-n invariant suite.
 
 ``run_checks`` builds each coupling cycle once, from the cycle's first
-enumerated member, walks each member's profile once (``dyck._walk``) for its
-path rank, triangulation key and quiddity, checks every member in member 0's
-frame, and builds each closing frieze once per quiddity rotated back to
-member 0.  A fault planted on another member must still fail its check.  The
+enumerated member, and its one closed frieze once, from the cycle heads,
+walks each member's profile once (``dyck._walk``) for its path rank,
+triangulation key and quiddity, and checks every member in member 0's
+frame.  A fault planted on another member must still fail its check.  The
 walk reads the rank from a table and sets the key bits of each ear it clips;
 both are compared with ``path_rank`` and with the key summed diagonal by
 diagonal, and the keys that the orbit check turns are compared with
@@ -27,6 +27,8 @@ from dyckfrieze import (
     catalan,
     checks,
     complete_diamond,
+    diamond,
+    frieze,
     enumerate_all,
     minimal_cycle,
     path_rank,
@@ -248,8 +250,27 @@ def test_cycle_frieze_failing_to_build_fails(monkeypatch):
         return FriezePattern(fp.order, tuple(map(tuple, rows)))
 
     monkeypatch.setattr(checks, "from_cycle", tampered)
-    # the closing friezes are then verified on their own, and pass
+    # the heads' frieze still closes every member
     assert _failed_checks() == ["frieze_from_cycle_valid"]
+
+
+def test_heads_failing_to_close_fail_both_frieze_checks(monkeypatch):
+    # the one frieze built from the heads decides the band and the closure
+    # of every member on the heads, so refusing it fails both, and nothing
+    # else: each member's quiddity is still the heads
+    heads = quiddity(vector_to_triangulation(enumerate_all(RANK)[0]))
+    original = checks.from_quiddity
+
+    def refusing(q):
+        if q == heads:
+            raise FailsToClose("planted")
+        return original(q)
+
+    monkeypatch.setattr(checks, "from_quiddity", refusing)
+    assert _failed_checks() == [
+        "frieze_from_cycle_valid",
+        "quiddity_friezes_close",
+    ]
 
 
 def test_member_outside_the_enumeration_fails(monkeypatch):
@@ -308,7 +329,10 @@ def test_period_counts_match_stabilisers_by_rotation(N):
 
 
 def test_closing_frieze_built_once_per_cycle(monkeypatch):
+    # one from_quiddity of the heads per cycle, and two kernel runs: one in
+    # minimal_cycle, one in that from_quiddity
     built = []
+    kernel_runs = []
     original = checks.from_quiddity
 
     def counted(q):
@@ -316,12 +340,21 @@ def test_closing_frieze_built_once_per_cycle(monkeypatch):
         return original(q)
 
     monkeypatch.setattr(checks, "from_quiddity", counted)
+    for module in (diamond, frieze):
+        kernel = module._frieze_rows
+        monkeypatch.setattr(
+            module,
+            "_frieze_rows",
+            lambda q, kernel=kernel: kernel_runs.append(q) or kernel(q),
+        )
     cycles = {
         frozenset(minimal_cycle(complete_diamond(v)).diamonds)
-        for v in enumerate_all(RANK)
+        for v in enumerate_all(6)
     }
-    assert _failed_checks() == []
-    assert len(built) == len(set(built)) == len(cycles)
+    kernel_runs.clear()
+    assert all(r.passed for r in checks.run_checks(6))
+    assert len(built) == len(set(built)) == len(cycles) == 49
+    assert len(kernel_runs) == 2 * len(cycles) == 98
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -342,3 +375,18 @@ def test_suite_keeps_only_compact_keys_across_cycles():
         tracemalloc.stop()
     assert all(r.passed for r in results)
     assert peak < 1.5 * 2**20, peak
+
+
+def test_suite_keeps_one_class_key_per_cycle():
+    # with the enumeration cached, a rank-8 sweep peaks near 0.5 MiB; one
+    # key per triangulation, 4862 keys of 121 bits, takes it to about
+    # 0.77 MiB
+    enumerate_all(8)
+    tracemalloc.start()
+    try:
+        results = checks.run_checks(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 0.65 * 2**20, peak

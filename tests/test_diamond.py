@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -36,6 +35,7 @@ from oracles import (
     quiddity_by_faces,
     random_triangulation_diagonals,
     rotation_period_by_scan,
+    small_sequences,
     unimodular_holds,
 )
 
@@ -351,9 +351,9 @@ def test_frieze_rows_are_the_diagonals_exhaustive():
     # friezes too
     glide_filled = 0
     for N in range(2, 7):
-        for q in itertools.product(range(-1, 4), repeat=N):
-            assert _frieze_rows(q)[0] == _rows_by_diagonals(q), q
-            glide_filled += N >= 5 and monodromy_is_minus_identity(q)
+        for q, _, closes, ds in small_sequences(N):
+            assert _frieze_rows(q)[0] == tuple(zip(*ds))[:N], q
+            glide_filled += N >= 5 and closes
     assert glide_filled == 55
 
 
@@ -366,11 +366,11 @@ def test_frieze_rows_are_the_diagonals_past_enumeration_cap(N, rng):
 
 
 def test_monodromy_minus_identity_iff_every_diagonal_closes():
+    # the table's monodromy test of q against its diagonals of length N + 1
     for N in range(1, 7):
-        for q in itertools.product(range(-1, 4), repeat=N):
-            ds = [diagonal(q, c, N + 1) for c in range(N)]
+        for q, _, minus_identity, ds in small_sequences(N):
             closes = all(d[N - 1] == 1 and d[N] == 0 for d in ds)
-            assert monodromy_is_minus_identity(q) == closes, q
+            assert minus_identity == closes, q
 
 
 def test_kernel_glides_exactly_when_the_monodromy_is_minus_identity(monkeypatch):
@@ -389,14 +389,13 @@ def test_kernel_glides_exactly_when_the_monodromy_is_minus_identity(monkeypatch)
 
     glided = 0
     for N in range(3, 8):
-        for q in itertools.product(range(-1, 4), repeat=N):
-            if q != min(q[k:] + q[:k] for k in range(N)):
+        for q, least, closes, ds in small_sequences(N):
+            if not least:
                 continue
-            closes = monodromy_is_minus_identity(q)
             rows, glides, computed = recurrence_rows(q)
             assert glides == closes, q
             assert computed == (N // 2 if closes else N - 2), q
-            assert rows == _rows_by_diagonals(q), q
+            assert rows == tuple(zip(*ds))[:N], q
             glided += closes
     assert glided == 42
     rng = random.Random(23)

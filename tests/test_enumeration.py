@@ -39,6 +39,7 @@ from dyckfrieze import (
     to_v_vector,
     triangles,
     unitary_shift,
+    vector_to_path,
     vector_to_triangulation,
     verify,
     violations,
@@ -175,6 +176,16 @@ def test_enumerate_sorted_and_counted():
         assert list(vs) == sorted(vs)
         assert len(vs) == catalan(n + 1)
         assert len(set(vs)) == len(vs)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_path_map_reverses_the_enumeration_order(n):
+    # checked, not proved: the vector at sorted position i maps to the path
+    # of rank catalan(n + 1) - 1 - i, so the sorted vectors list the paths
+    # in reverse all_paths order
+    last = catalan(n + 1) - 1
+    for i, v in enumerate(enumerate_all(n)):
+        assert path_rank(vector_to_path(v)) == last - i, v
 
 
 def test_ballot_base_cases():

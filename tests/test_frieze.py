@@ -44,6 +44,7 @@ from oracles import (
     monodromy_is_minus_identity,
     quiddity_by_faces,
     random_triangulation_diagonals,
+    small_sequences,
     violations_by_entry,
     violations_by_lattice,
 )
@@ -306,19 +307,20 @@ def test_from_cycle_refuses_a_planted_non_cycle(plant):
 
 
 def _small_integer_sequences():
-    # every q with entries -1..3 at N = 3..6
+    # every q with entries -1..3 at N = 3..6, the least of its turns
     for N in range(3, 7):
-        yield from itertools.product(range(-1, 4), repeat=N)
+        yield from (q for q, least, _, _ in small_sequences(N) if least)
 
 
 def _sequences_within_the_quiddity_bounds():
-    # every q with entries 1..N-2 summing to 3(N - 2) at N = 3..8: cut
-    # 1..3(N - 2) into N runs, and keep the cuts with no run too long
+    # every q with entries 1..N-2 summing to 3(N - 2) at N = 3..8, the
+    # least of its turns: cut 1..3(N - 2) into N runs, and keep the cuts
+    # with no run too long
     for N in range(3, 9):
         total = 3 * (N - 2)
         for cuts in itertools.combinations(range(1, total), N - 1):
             q = tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
-            if max(q) <= N - 2:
+            if max(q) <= N - 2 and q == min(q[k:] + q[:k] for k in range(N)):
                 yield q
 
 
@@ -333,8 +335,6 @@ def test_violations_agree_with_the_monodromy_gate(sequences):
     closed = 0
     for q in sequences():
         N = len(q)
-        if q != min(q[k:] + q[:k] for k in range(N)):
-            continue
         fp = FriezePattern._trusted(N, (*_frieze_rows(q)[0], (0,) * N))
         assert (violations(fp) == []) == closed_by_monodromy_gate(fp)
         try:
@@ -353,8 +353,6 @@ def test_from_quiddity_matches_division_oracle_within_the_bounds():
     below = 0
     for q in _sequences_within_the_quiddity_bounds():
         N = len(q)
-        if q != min(q[k:] + q[:k] for k in range(N)):
-            continue
         got = _outcome(lambda q: from_quiddity(q).rows, q)
         assert got == _outcome(frieze_rows_by_division, q), q
         try:
