@@ -44,10 +44,34 @@ the count of triangulations.  The same pass tallies the vectors by first
 entry z, a row that must equal ``ballot_count(n, z)``, and the cycles by
 period, a histogram that must equal the count of rotational symmetries
 (``_period_counts``).
+
+Where it can, the sweep runs on two CPUs.  The number of cycles C is known
+before any is built, the triangulations up to rotation
+(``_period_counts``), so ``run_checks`` splits the cycles in scan order at
+s = ⌈4C/7⌉: this process checks cycles 0 to s - 1 and stops, and one
+forked child checks the rest, after only marking the members of the first
+s, and sends back its result through a pipe as ``marshal`` bytes.  Both
+scan the same sorted vectors and number the cycles alike, so each cycle is
+checked once, and the merge is exact.  The flags are ANDed, and the path
+map is injective only if also the two sets of ranks are disjoint; its
+image is their union.  The period tallies add up, and a cycle of period p
+walks p members.  The first entries and the members check come from the
+child, which scans every vector and marks every cycle.  Each class key
+counts the distinct keys of the first cycle that holds it, and every cycle
+of this process comes before every cycle of the child, so the count is the
+one-process count.  Every result and detail is therefore the one-process
+sweep's, which runs where there is no ``os.fork``, one CPU, or another
+live thread.  The child leaves by ``os._exit`` whatever happens, so it
+flushes no inherited buffer and never returns to the caller; if it fails,
+this process sweeps its share itself, so that an exception is raised as it
+would be in one process.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from bisect import bisect_left
 from collections import Counter
 
@@ -89,17 +113,24 @@ def _period_counts(N: int) -> Counter:
     return counts
 
 
-def run_checks(n: int) -> list[CheckResult]:
-    """Run every rank-n check and report one result per check."""
-    vectors = enumerate_all(n)
-    expected = catalan(n + 1)
-    N = n + 3
-    rows = _ballot_rows(n + 1)
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
+
+def _sweep(vectors, rows, n: int, skip: int, stop: int | None) -> tuple:
+    """Scan the sorted vectors, numbering the coupling cycles as they are
+    met: only mark the members of cycles below ``skip``, check cycles
+    ``skip`` to ``stop - 1`` and stop at cycle ``stop``.  Returns the path
+    ranks hit, each new class key with its cycle's distinct keys, the first
+    entries and periods tallied, ``members_ok`` and the other flags, all of
+    plain types, which ``marshal`` takes."""
+    N = n + 3
     visited = bytearray(len(vectors))
-    ranks = bytearray(expected)
-    classes = set()  # one class key per cycle: its least turn of member 0's key
-    triangulations = walked = 0
+    ranks = bytearray(catalan(n + 1))
+    classes = {}  # class key -> distinct keys of its first cycle
+    cycles = 0
     firsts = Counter()  # first entry z -> vectors starting with z
     periods = Counter()  # period -> cycles with that period
     paths_injective = roundtrip_ok = members_ok = True
@@ -109,7 +140,18 @@ def run_checks(n: int) -> list[CheckResult]:
         firsts[v[0]] += 1
         if visited[index]:
             continue
+        if cycles == stop:
+            break
+        cycles += 1
         c = minimal_cycle(complete_diamond(v))
+        for d in c.diamonds:
+            at = bisect_left(vectors, d.col1)
+            if at == len(vectors) or vectors[at] != d.col1 or visited[at]:
+                members_ok = False
+            else:
+                visited[at] = 1
+        if cycles <= skip:
+            continue
         p = c.p
         periods[p] += 1
         heads = cycle_heads(c) * (N // p)  # member 0's q, by the cycle theorem
@@ -120,16 +162,9 @@ def run_checks(n: int) -> list[CheckResult]:
         orbit = []  # the members' triangulation keys
         for offset, d in enumerate(c.diamonds):
             u = d.col1
-            at = bisect_left(vectors, u)
-            if at == len(vectors) or vectors[at] != u or visited[at]:
-                members_ok = False
-            else:
-                visited[at] = 1
-
             rank, key, q = _walk(u, rows)
             paths_injective &= not ranks[rank]
             ranks[rank] = 1
-            walked += 1
 
             roundtrip_ok &= diagonal(q, 0, n + 2)[2:] == u
             back = q[-offset:] + q[:-offset]  # q in member 0's frame
@@ -148,13 +183,77 @@ def run_checks(n: int) -> list[CheckResult]:
         # cycles whose orbits pass hold whole rotation classes, one class each
         least = min(_turn(orbit[0], k, N) for k in range(N))
         if least not in classes:
-            classes.add(least)
-            triangulations += len(set(orbit))
+            classes[least] = len(set(orbit))
 
-    distinct = expected - ranks.count(0)
+    ok = (paths_injective, roundtrip_ok, friezes_ok, quiddity_ok, orbit_ok, closes_ok)
+    return ranks, classes, dict(firsts), dict(periods), members_ok, ok
+
+
+def _split(vectors, rows, n: int, share: int) -> list[tuple]:
+    """The sweep of cycles below ``share`` here and of the rest in one
+    forked child, which sends its result back through a pipe.  If the
+    child fails, this process sweeps its share, so that any exception is
+    raised here as in one process; if this process's share raises, the
+    child is killed and reaped first."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # never flush inherited buffers or return to the caller
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(_sweep(vectors, rows, n, share, None)))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            mine = _sweep(vectors, rows, n, 0, share)
+            sent = pipe.read()
+        except BaseException:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            raise
+    if os.waitpid(pid, 0)[1] == 0:  # then the child sent all its result
+        return [mine, marshal.loads(sent)]
+    return [mine, _sweep(vectors, rows, n, share, None)]
+
+
+def run_checks(n: int) -> list[CheckResult]:
+    """Run every rank-n check and report one result per check."""
+    vectors = enumerate_all(n)
+    expected = catalan(n + 1)
+    N = n + 3
+    rows = _ballot_rows(n + 1)
+    want = _period_counts(N)
+
+    # marking a cycle costs about a quarter of checking it: split at 4/7
+    share = -(-4 * sum(want.values()) // 7)
+    threading = sys.modules.get("threading")
+    alone = threading is None or threading.active_count() == 1  # one thread
+    if hasattr(os, "fork") and alone and _cpus() > 1:
+        sweeps = _split(vectors, rows, n, share)
+    else:
+        sweeps = [_sweep(vectors, rows, n, 0, None)]
+
+    seen = overlap = 0
+    classes = {}  # the first cycle's distinct keys for each class key
+    periods = Counter()
+    for ranks, keys, _, tally, _, _ in sweeps:
+        hit = int.from_bytes(ranks)
+        overlap |= seen & hit
+        seen |= hit
+        periods.update(tally)
+        classes = keys | classes  # an earlier sweep met a shared class first
+    # the last sweep scans every vector and marks every cycle
+    firsts, members_ok = Counter(sweeps[-1][2]), sweeps[-1][4]
+    ok = map(all, zip(*(sweep[-1] for sweep in sweeps)))  # each flag, all sweeps
+    paths_injective, roundtrip_ok, friezes_ok, quiddity_ok, orbit_ok, closes_ok = ok
+    paths_injective &= not overlap
+    distinct = seen.bit_count()
+    triangulations = sum(classes.values())
+    walked = sum(p * cycles for p, cycles in periods.items())  # p members each
     row = Counter({z: ballot_count(n, z) for z in range(1, n + 2)})
     off = min(row - firsts | firsts - row, default=None)  # first z that differs
-    want = _period_counts(N)
     odd = min(want - periods | periods - want, default=None)  # first that differs
     return [
         CheckResult(

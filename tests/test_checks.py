@@ -5,7 +5,11 @@ rank-n invariant suite.
 enumerated member, and its one closed frieze once, from the cycle heads,
 walks each member's profile once (``dyck._walk``) for its path rank,
 triangulation key and quiddity, and checks every member in member 0's
-frame.  A fault planted on another member must still fail its check.  The
+frame.  A fault planted on another member must still fail its check.
+The sweep runs in two processes where it may, the first share of the
+cycles here and the rest in one forked child; every suite runs both split
+and in one process, which must agree name for name and detail for detail,
+with faults planted in either share, and no child may outlive the call.  The
 walk reads the rank from a table and sets the key bits of each ear it clips;
 both are compared with ``path_rank`` and with the key summed diagonal by
 diagonal, and the keys that the orbit check turns are compared with
@@ -13,8 +17,12 @@ diagonal, and the keys that the orbit check turns are compared with
 triangulation's stabiliser.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +49,7 @@ from dyckfrieze import (
     vector_to_triangulation,
 )
 from dyckfrieze.dyck import _ballot_rows
-from dyckfrieze.errors import FailsToClose
+from dyckfrieze.errors import FailsToClose, RangeError
 from oracles import (
     random_triangulation_diagonals,
     run_checks_with_global_tables,
@@ -49,10 +57,54 @@ from oracles import (
 )
 
 RANK = 5
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _failed_checks():
-    return [r.name for r in checks.run_checks(RANK) if not r.passed]
+def _one_process(monkeypatch):
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)
+
+
+def _results(monkeypatch, n=RANK):
+    """run_checks(n) split across two processes, by name, which must equal
+    it run in one."""
+    split = checks._split
+    shares = []
+    monkeypatch.setattr(checks, "_cpus", lambda: 2)
+    monkeypatch.setattr(checks, "_split", lambda *a: shares.append(a) or split(*a))
+    results = checks.run_checks(n)
+    assert len(shares) == 1
+    _no_child_left()
+    _one_process(monkeypatch)
+    assert checks.run_checks(n) == results
+    return {r.name: r for r in results}
+
+
+def _failed_checks(monkeypatch):
+    return [r.name for r in _results(monkeypatch).values() if not r.passed]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cycles(n=RANK):
+    """The coupling cycles in the order the sweep meets them, and the
+    number of the first one in the forked child's share."""
+    seen, cycles = set(), []
+    for v in enumerate_all(n):
+        if v not in seen:
+            cycles.append(minimal_cycle(complete_diamond(v)))
+            seen.update(d.col1 for d in cycles[-1].diamonds)
+    assert len(cycles) == sum(checks._period_counts(n + 3).values())
+    return cycles, -(-4 * len(cycles) // 7)
+
+
+def _child_share_member():
+    # a member, not member 0, of the last cycle, which the child checks
+    cycles, share = _cycles()
+    assert len(cycles) - 1 >= share and cycles[-1].p > 1
+    return cycles[-1].diamonds[1].col1
 
 
 def _non_representative_vector():
@@ -87,8 +139,9 @@ def _reporting(diagonals):
     return lambda rank, key, q: (rank, triangulation_key(diagonals, N), q)
 
 
-def test_unplanted_suite_passes():
-    assert _failed_checks() == []
+def test_unplanted_suite_passes(monkeypatch):
+    # and, split, leaves no child behind
+    assert _failed_checks(monkeypatch) == []
 
 
 def test_corrupt_quiddity_of_one_member_fails(monkeypatch):
@@ -97,7 +150,7 @@ def test_corrupt_quiddity_of_one_member_fails(monkeypatch):
         monkeypatch, {target: lambda rank, key, q: (rank, key, (q[0] + 1,) + q[1:])}
     )
     # the round trip reads the member's vector off that quiddity
-    assert _failed_checks() == [
+    assert _failed_checks(monkeypatch) == [
         "path_map_roundtrip",
         "quiddity_matches_heads",
         "quiddity_friezes_close",
@@ -126,13 +179,15 @@ def test_closing_frieze_unlike_the_cycle_frieze_is_verified(monkeypatch):
         monkeypatch, {member: lambda rank, key, q: (rank, key, q[1:] + q[:1])}
     )
     monkeypatch.setattr(checks, "from_quiddity", rejecting)
-    assert _failed_checks() == [
+    assert _failed_checks(monkeypatch) == [
         "path_map_roundtrip",
         "quiddity_matches_heads",
         "quiddity_friezes_close",
     ]
-    # rotated back by its offset, the reported quiddity is the true one
-    assert verified == [quiddity(target)]
+    # rotated back by its offset, the reported quiddity is the true one;
+    # the member is in the first share, checked here, once split and once
+    # in one process
+    assert verified == [quiddity(target)] * 2
 
 
 def test_member_reporting_another_members_path_rank_fails(monkeypatch):
@@ -142,7 +197,7 @@ def test_member_reporting_another_members_path_rank_fails(monkeypatch):
     taken = path_rank(vector_to_path(head))
     target = _non_representative_vector()
     _plant_on_walk(monkeypatch, {target: lambda rank, key, q: (taken, key, q)})
-    results = {r.name: r for r in checks.run_checks(RANK)}
+    results = _results(monkeypatch)
     assert [name for name, r in results.items() if not r.passed] == [
         "path_map_injective",
         "path_map_image_complete",
@@ -163,7 +218,7 @@ def test_orbit_missing_one_member_fails(monkeypatch):
         return original(moved, 1, N) if key == target else moved
 
     monkeypatch.setattr(checks, "_turn", skewed)
-    assert _failed_checks() == ["cycle_orbit_consistent"]
+    assert _failed_checks(monkeypatch) == ["cycle_orbit_consistent"]
 
 
 def test_member_reporting_member_0s_triangulation_fails(monkeypatch):
@@ -171,7 +226,7 @@ def test_member_reporting_member_0s_triangulation_fails(monkeypatch):
     # one triangulation is hit twice and the cycle's orbit is one short
     taken = vector_to_triangulation(enumerate_all(RANK)[0]).diagonals
     _plant_on_walk(monkeypatch, {_non_representative_vector(): _reporting(taken)})
-    results = {r.name: r for r in checks.run_checks(RANK)}
+    results = _results(monkeypatch)
     assert [name for name, r in results.items() if not r.passed] == [
         "triangulation_map_injective",
         "cycle_orbit_consistent",
@@ -196,7 +251,7 @@ def test_member_0_not_returning_after_p_turns_fails(monkeypatch):
     }
     _plant_on_walk(monkeypatch, reported)
     # the reported triangulations are also members of the full cycle
-    assert _failed_checks() == [
+    assert _failed_checks(monkeypatch) == [
         "triangulation_map_injective",
         "cycle_orbit_consistent",
     ]
@@ -251,7 +306,7 @@ def test_cycle_frieze_failing_to_build_fails(monkeypatch):
 
     monkeypatch.setattr(checks, "from_cycle", tampered)
     # the heads' frieze still closes every member
-    assert _failed_checks() == ["frieze_from_cycle_valid"]
+    assert _failed_checks(monkeypatch) == ["frieze_from_cycle_valid"]
 
 
 def test_heads_failing_to_close_fail_both_frieze_checks(monkeypatch):
@@ -267,10 +322,138 @@ def test_heads_failing_to_close_fail_both_frieze_checks(monkeypatch):
         return original(q)
 
     monkeypatch.setattr(checks, "from_quiddity", refusing)
-    assert _failed_checks() == [
+    assert _failed_checks(monkeypatch) == [
         "frieze_from_cycle_valid",
         "quiddity_friezes_close",
     ]
+
+
+def test_corrupt_quiddity_in_the_childs_share_fails(monkeypatch):
+    target = _child_share_member()
+    _plant_on_walk(
+        monkeypatch, {target: lambda rank, key, q: (rank, key, (q[0] + 1,) + q[1:])}
+    )
+    assert _failed_checks(monkeypatch) == [
+        "path_map_roundtrip",
+        "quiddity_matches_heads",
+        "quiddity_friezes_close",
+    ]
+
+
+def test_flipped_key_bit_in_the_childs_share_fails(monkeypatch):
+    target = _child_share_member()
+    _plant_on_walk(monkeypatch, {target: lambda rank, key, q: (rank, key ^ 2, q)})
+    assert _failed_checks(monkeypatch) == ["cycle_orbit_consistent"]
+
+
+def test_heads_failing_to_close_in_the_childs_share_fail(monkeypatch):
+    cycles, _ = _cycles()
+    heads = quiddity(vector_to_triangulation(cycles[-1].diamonds[0].col1))
+    original = checks.from_quiddity
+
+    def refusing(q):
+        if q == heads:
+            raise FailsToClose("planted")
+        return original(q)
+
+    monkeypatch.setattr(checks, "from_quiddity", refusing)
+    assert _failed_checks(monkeypatch) == [
+        "frieze_from_cycle_valid",
+        "quiddity_friezes_close",
+    ]
+
+
+def test_child_share_member_reporting_a_first_share_rank_fails(monkeypatch):
+    # the rank sets of the two shares overlap in one rank, and miss one
+    taken = path_rank(vector_to_path(enumerate_all(RANK)[0]))
+    _plant_on_walk(
+        monkeypatch, {_child_share_member(): lambda rank, key, q: (taken, key, q)}
+    )
+    results = _results(monkeypatch)
+    assert [name for name, r in results.items() if not r.passed] == [
+        "path_map_injective",
+        "path_map_image_complete",
+    ]
+    expected = catalan(RANK + 1)
+    assert results["path_map_injective"].detail == (
+        f"distinct={expected - 1} of {expected}"
+    )
+    assert results["path_map_image_complete"].detail == (
+        f"image={expected - 1} paths={expected}"
+    )
+
+
+def test_child_share_cycle_taking_a_first_share_class_key_fails(monkeypatch):
+    # the last cycle's member 0 reports the first cycle's member 0, so the
+    # last cycle's class key is the first's and its triangulations go
+    # uncounted
+    cycles, _ = _cycles()
+    taken = vector_to_triangulation(cycles[0].diamonds[0].col1).diagonals
+    _plant_on_walk(monkeypatch, {cycles[-1].diamonds[0].col1: _reporting(taken)})
+    results = _results(monkeypatch)
+    assert [name for name, r in results.items() if not r.passed] == [
+        "triangulation_map_injective",
+        "cycle_orbit_consistent",
+    ]
+    expected = catalan(RANK + 1)
+    assert results["triangulation_map_injective"].detail == (
+        f"distinct={expected - cycles[-1].p} expected={expected}"
+    )
+
+
+class Planted(Exception):
+    """Raised by a planted walk."""
+
+
+def _raising_on(monkeypatch, target):
+    def raising(rank, key, q):
+        raise Planted(f"walk of {target}")
+
+    _plant_on_walk(monkeypatch, {target: raising})
+
+
+def test_a_raise_in_the_first_share_kills_and_reaps_the_child(monkeypatch):
+    _raising_on(monkeypatch, enumerate_all(RANK)[0])
+    monkeypatch.setattr(checks, "_cpus", lambda: 2)
+    with pytest.raises(Planted):
+        checks.run_checks(RANK)
+    _no_child_left()
+
+
+def test_a_raise_in_the_childs_share_is_raised_as_in_one_process(monkeypatch):
+    # the child exits, and this process sweeps its share again
+    _raising_on(monkeypatch, _child_share_member())
+    raised = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(checks, "_cpus", lambda: cpus)
+        with pytest.raises(Planted) as info:
+            checks.run_checks(RANK)
+        _no_child_left()
+        raised.append((type(info.value), str(info.value), info.traceback[-1].name))
+    assert raised[0] == raised[1]
+    assert raised[0][2] == "raising"
+
+
+@pytest.mark.parametrize("n", [0, True, "8"])
+def test_an_invalid_rank_is_refused_before_any_fork(monkeypatch, n):
+    monkeypatch.setattr(checks, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    with pytest.raises(RangeError):
+        checks.run_checks(n)
+    _no_child_left()
+
+
+def test_verify_in_a_fresh_process_prints_its_report_once():
+    # the child never flushes the stdout buffer it inherits
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "dyckfrieze.cli", "verify", "--n", "8"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (ROOT / "perfbench" / "golden" / "verify-n8.out").read_bytes()
 
 
 def test_member_outside_the_enumeration_fails(monkeypatch):
@@ -280,7 +463,7 @@ def test_member_outside_the_enumeration_fails(monkeypatch):
     assert len(kept) == len(vectors) - 1
     monkeypatch.setattr(checks, "enumerate_all", lambda n: kept)
     # the missing vector also leaves its first entry's ballot count one short
-    assert _failed_checks() == [
+    assert _failed_checks(monkeypatch) == [
         "enumeration_count",
         "cycle_period_divides",
         "ballot_row_sum",
@@ -288,8 +471,20 @@ def test_member_outside_the_enumeration_fails(monkeypatch):
     (gone,) = set(vectors) - set(kept)
     z = gone[0]
     want = sum(v[0] == z for v in vectors)
-    ballot = checks.run_checks(RANK)[-1]
+    ballot = _results(monkeypatch)["ballot_row_sum"]
     assert ballot.detail == f"z={z} count={want - 1} ballot={want}"
+
+
+def test_member_outside_the_enumeration_in_the_childs_share_fails(monkeypatch):
+    # only the child, which marks every cycle, sees the member missing
+    gone = _child_share_member()
+    kept = tuple(v for v in enumerate_all(RANK) if v != gone)
+    monkeypatch.setattr(checks, "enumerate_all", lambda n: kept)
+    assert _failed_checks(monkeypatch) == [
+        "enumeration_count",
+        "cycle_period_divides",
+        "ballot_row_sum",
+    ]
 
 
 def test_missing_symmetric_cycle_fails_the_period_count(monkeypatch):
@@ -301,7 +496,7 @@ def test_missing_symmetric_cycle_fails_the_period_count(monkeypatch):
     gone = {d.col1 for d in next(c for c in cycles if c.p == N // 2).diamonds}
     kept = tuple(v for v in vectors if v not in gone)
     monkeypatch.setattr(checks, "enumerate_all", lambda n: kept)
-    results = {r.name: r for r in checks.run_checks(RANK)}
+    results = _results(monkeypatch)
     assert [name for name, r in results.items() if not r.passed] == [
         "enumeration_count",
         "path_map_image_complete",
@@ -340,6 +535,7 @@ def test_closing_frieze_built_once_per_cycle(monkeypatch):
         return original(q)
 
     monkeypatch.setattr(checks, "from_quiddity", counted)
+    _one_process(monkeypatch)  # a child's calls are not counted here
     for module in (diamond, frieze):
         kernel = module._frieze_rows
         monkeypatch.setattr(
@@ -358,15 +554,22 @@ def test_closing_frieze_built_once_per_cycle(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_streamed_suite_matches_global_tables(n):
-    # names, order, pass flags and details
-    assert checks.run_checks(n) == run_checks_with_global_tables(n)
+def test_streamed_suite_matches_global_tables(monkeypatch, n):
+    # names, order, pass flags and details, split and in one process
+    results = _results(monkeypatch, n)
+    assert list(results.values()) == run_checks_with_global_tables(n)
 
 
-def test_suite_keeps_only_compact_keys_across_cycles():
+def test_split_suite_matches_one_process_at_rank_8(monkeypatch):
+    assert all(r.passed for r in _results(monkeypatch, 8).values())
+
+
+def test_suite_keeps_only_compact_keys_across_cycles(monkeypatch):
     # with the enumeration cached, whole-enumeration tables of paths, words
-    # and triangulations take about 3 MiB at rank 7
+    # and triangulations take about 3 MiB at rank 7; in one process, as a
+    # child's memory is not traced here
     enumerate_all(7)
+    _one_process(monkeypatch)
     tracemalloc.start()
     try:
         results = checks.run_checks(7)
@@ -377,11 +580,12 @@ def test_suite_keeps_only_compact_keys_across_cycles():
     assert peak < 1.5 * 2**20, peak
 
 
-def test_suite_keeps_one_class_key_per_cycle():
-    # with the enumeration cached, a rank-8 sweep peaks near 0.5 MiB; one
-    # key per triangulation, 4862 keys of 121 bits, takes it to about
-    # 0.77 MiB
+def test_suite_keeps_one_class_key_per_cycle(monkeypatch):
+    # with the enumeration cached, a rank-8 sweep in one process peaks near
+    # 0.5 MiB; one key per triangulation, 4862 keys of 121 bits, takes it
+    # to about 0.77 MiB
     enumerate_all(8)
+    _one_process(monkeypatch)
     tracemalloc.start()
     try:
         results = checks.run_checks(8)

@@ -94,6 +94,25 @@ def test_only_package_and_standard_library_imports():
                 )
 
 
+def test_package_import_loads_only_the_package():
+    # a fresh interpreter with the usual startup: ``import dyckfrieze`` adds
+    # no standard-library module to what the interpreter loads anyway
+    code = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import dyckfrieze; "
+        "print(sorted(m for m in sys.modules.keys() - before "
+        "if m != '__future__' and m.partition('.')[0] != 'dyckfrieze'))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_cli_starts_without_dataclasses_or_inspect():
     # -I -S: a fresh interpreter that loads nothing the site would add
     code = (
@@ -168,7 +187,7 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
     # the walk does not check its vector, so only the sweep, which built
     # the vector itself, may call it, with a table it builds once per call;
     # the walk computes each key bit in place, from no key table
-    assert _callers("_walk") == {("checks", "run_checks")}
+    assert _callers("_walk") == {("checks", "_sweep")}
     assert _callers("_ballot_rows") == {("checks", "run_checks")}
     assert list(inspect.signature(dyck._walk).parameters) == ["u", "rows"]
     assert _callers("_expand") == {
@@ -212,7 +231,7 @@ def test_the_row_recurrence_is_written_once():
     )
     assert _callers("diagonal") == {
         ("dyck", "path_to_vector"),
-        ("checks", "run_checks"),
+        ("checks", "_sweep"),
     }
 
 
