@@ -47,7 +47,8 @@ period, a histogram that must equal the count of rotational symmetries
 
 Where it can, the sweep runs on two CPUs.  The number of cycles C is known
 before any is built, the triangulations up to rotation
-(``_period_counts``), so ``run_checks`` splits the cycles in scan order at
+(``_period_counts``).  From C = 49, rank 6 (below it the fork costs more
+than it saves), ``run_checks`` splits the cycles in scan order at
 s = ⌈4C/7⌉: this process checks cycles 0 to s - 1 and stops, and one
 forked child checks the rest, after only marking the members of the first
 s, and sends back its result through a pipe as ``marshal`` bytes.  Both
@@ -60,11 +61,11 @@ child, which scans every vector and marks every cycle.  Each class key
 counts the distinct keys of the first cycle that holds it, and every cycle
 of this process comes before every cycle of the child, so the count is the
 one-process count.  Every result and detail is therefore the one-process
-sweep's, which runs where there is no ``os.fork``, one CPU, or another
-live thread.  The child leaves by ``os._exit`` whatever happens, so it
-flushes no inherited buffer and never returns to the caller; if it fails,
-this process sweeps its share itself, so that an exception is raised as it
-would be in one process.
+sweep's, which runs below rank 6 and where there is no ``os.fork``, one
+CPU, or another live thread.  The child leaves by ``os._exit`` whatever
+happens, so it flushes no inherited buffer and never returns to the
+caller; if it fails, this process sweeps its share itself, so that an
+exception is raised as it would be in one process.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ from .dyck import _ballot_rows, _walk, catalan
 from .enumeration import ballot_count, enumerate_all
 from .errors import InputError, Record
 from .frieze import from_cycle, from_quiddity
+
+# the fewest cycles worth a fork: split on two CPUs, the sweep wins at
+# rank 6's 49 cycles (6.6 against 7.5 ms) and loses at rank 5's 19 (3.1
+# against 2.3 ms), with the enumeration cached
+_FORK_FROM = 49
 
 
 class CheckResult(Record):
@@ -226,11 +232,12 @@ def run_checks(n: int) -> list[CheckResult]:
     rows = _ballot_rows(n + 1)
     want = _period_counts(N)
 
+    cycles = sum(want.values())
     # marking a cycle costs about a quarter of checking it: split at 4/7
-    share = -(-4 * sum(want.values()) // 7)
+    share = -(-4 * cycles // 7)
     threading = sys.modules.get("threading")
     alone = threading is None or threading.active_count() == 1  # one thread
-    if hasattr(os, "fork") and alone and _cpus() > 1:
+    if cycles >= _FORK_FROM and hasattr(os, "fork") and alone and _cpus() > 1:
         sweeps = _split(vectors, rows, n, share)
     else:
         sweeps = [_sweep(vectors, rows, n, 0, None)]
@@ -239,7 +246,7 @@ def run_checks(n: int) -> list[CheckResult]:
     classes = {}  # the first cycle's distinct keys for each class key
     periods = Counter()
     for ranks, keys, _, tally, _, _ in sweeps:
-        hit = int.from_bytes(ranks)
+        hit = int.from_bytes(ranks, "big")
         overlap |= seen & hit
         seen |= hit
         periods.update(tally)

@@ -64,13 +64,25 @@ def _one_process(monkeypatch):
     monkeypatch.setattr(checks, "_cpus", lambda: 1)
 
 
+def _two_processes(monkeypatch):
+    # also below rank 6, where run_checks would not fork
+    monkeypatch.setattr(checks, "_cpus", lambda: 2)
+    monkeypatch.setattr(checks, "_FORK_FROM", 1)
+
+
+def _splits(monkeypatch):
+    """The arguments of each split sweep from here on."""
+    split = checks._split
+    shares = []
+    monkeypatch.setattr(checks, "_split", lambda *a: shares.append(a) or split(*a))
+    return shares
+
+
 def _results(monkeypatch, n=RANK):
     """run_checks(n) split across two processes, by name, which must equal
     it run in one."""
-    split = checks._split
-    shares = []
-    monkeypatch.setattr(checks, "_cpus", lambda: 2)
-    monkeypatch.setattr(checks, "_split", lambda *a: shares.append(a) or split(*a))
+    _two_processes(monkeypatch)
+    shares = _splits(monkeypatch)
     results = checks.run_checks(n)
     assert len(shares) == 1
     _no_child_left()
@@ -414,7 +426,7 @@ def _raising_on(monkeypatch, target):
 
 def test_a_raise_in_the_first_share_kills_and_reaps_the_child(monkeypatch):
     _raising_on(monkeypatch, enumerate_all(RANK)[0])
-    monkeypatch.setattr(checks, "_cpus", lambda: 2)
+    _two_processes(monkeypatch)
     with pytest.raises(Planted):
         checks.run_checks(RANK)
     _no_child_left()
@@ -424,8 +436,8 @@ def test_a_raise_in_the_childs_share_is_raised_as_in_one_process(monkeypatch):
     # the child exits, and this process sweeps its share again
     _raising_on(monkeypatch, _child_share_member())
     raised = []
-    for cpus in (2, 1):
-        monkeypatch.setattr(checks, "_cpus", lambda: cpus)
+    for force in (_two_processes, _one_process):
+        force(monkeypatch)
         with pytest.raises(Planted) as info:
             checks.run_checks(RANK)
         _no_child_left()
@@ -436,10 +448,22 @@ def test_a_raise_in_the_childs_share_is_raised_as_in_one_process(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, True, "8"])
 def test_an_invalid_rank_is_refused_before_any_fork(monkeypatch, n):
-    monkeypatch.setattr(checks, "_cpus", lambda: 2)
+    _two_processes(monkeypatch)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     with pytest.raises(RangeError):
         checks.run_checks(n)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n, forks", [(5, False), (6, True)])
+def test_the_sweep_forks_from_rank_6(monkeypatch, n, forks):
+    # split, rank 5's 19 cycles take longer than in one process, and rank
+    # 6's 49 take less
+    assert sum(checks._period_counts(n + 3).values()) == (49 if forks else 19)
+    monkeypatch.setattr(checks, "_cpus", lambda: 2)
+    shares = _splits(monkeypatch)
+    assert all(r.passed for r in checks.run_checks(n))
+    assert len(shares) == forks
     _no_child_left()
 
 
