@@ -40,10 +40,20 @@ A cycle's class key is the least of member 0's key turned by k = 0..N-1.
 A cycle that passes the orbit check holds the whole rotation class of
 member 0, so two such cycles share a triangulation only when they share
 a class key, and each new class key adds its cycle's distinct keys to
-the count of triangulations.  The same pass tallies the vectors by first
-entry z, a row that must equal ``ballot_count(n, z)``, and the cycles by
-period, a histogram that must equal the count of rotational symmetries
-(``_period_counts``).
+the count of triangulations.  The same pass tallies the cycles by period,
+a histogram that must equal the count of rotational symmetries
+(``_period_counts``), and so counts the members walked, p for a cycle of
+period p.  Two checks are decided by counting.  Each member walked sets
+one rank byte, so the path map is injective exactly when the bytes set
+number the members walked.  Each vector not yet marked starts its own
+cycle as member 0 (``minimal_cycle`` raises otherwise), so the marks set
+number the distinct vectors, and the members that set no mark are those
+missing from the enumeration or met again.  So the cycles partition the
+enumeration exactly when the members walked number the vectors: the
+second copy of a vector enumerated twice is never marked, and starts a
+second copy of its cycle, whose p > 1 members are all met again.  The
+vectors' first entries are tallied by z, a row that must equal
+``ballot_count(n, z)``.
 
 Where it can, the sweep runs on two CPUs.  The number of cycles C is known
 before any is built, the triangulations up to rotation
@@ -53,13 +63,13 @@ s = ⌈4C/7⌉: this process checks cycles 0 to s - 1 and stops, and one
 forked child checks the rest, after only marking the members of the first
 s, and sends back its result through a pipe as ``marshal`` bytes.  Both
 scan the same sorted vectors and number the cycles alike, so each cycle is
-checked once, and the merge is exact.  The flags are ANDed, and the path
-map is injective only if also the two sets of ranks are disjoint; its
-image is their union.  The period tallies add up, and a cycle of period p
-walks p members.  The first entries and the members check come from the
-child, which scans every vector and marks every cycle.  Each class key
-counts the distinct keys of the first cycle that holds it, and every cycle
-of this process comes before every cycle of the child, so the count is the
+checked once, by one of the two, and the merge is exact: the rank marks
+are ORed, the period tallies added and the flags ANDed.  Each member
+walked sets its rank byte in the process that walks it, so the union of
+the two sets of ranks, against the members walked in both, decides
+injectivity across the shares as within one.  Each class key counts the
+distinct keys of the first cycle that holds it, and every cycle of this
+process comes before every cycle of the child, so the count is the
 one-process count.  Every result and detail is therefore the one-process
 sweep's, which runs below rank 6 and where there is no ``os.fork``, one
 CPU, or another live thread.  The child leaves by ``os._exit`` whatever
@@ -129,21 +139,24 @@ def _sweep(vectors, rows, n: int, skip: int, stop: int | None) -> tuple:
     """Scan the sorted vectors, numbering the coupling cycles as they are
     met: only mark the members of cycles below ``skip``, check cycles
     ``skip`` to ``stop - 1`` and stop at cycle ``stop``.  Returns the path
-    ranks hit, each new class key with its cycle's distinct keys, the first
-    entries and periods tallied, ``members_ok`` and the other flags, all of
-    plain types, which ``marshal`` takes."""
+    ranks hit, each new class key with its cycle's distinct keys, the
+    periods tallied and five flags, all of plain types, which ``marshal``
+    takes.  No rank or mark is tested for a repeat.  Each member of a
+    checked cycle sets one rank byte, so over the whole scan the ranks are
+    distinct exactly when the bytes set number the members walked, p for
+    each cycle of period p.  Every vector but the second copy of a repeat
+    is marked, and a member missing from the vectors or met again sets no
+    mark, so the members walked number the vectors exactly when the cycles
+    partition them."""
     N = n + 3
     visited = bytearray(len(vectors))
     ranks = bytearray(catalan(n + 1))
     classes = {}  # class key -> distinct keys of its first cycle
     cycles = 0
-    firsts = Counter()  # first entry z -> vectors starting with z
     periods = Counter()  # period -> cycles with that period
-    paths_injective = roundtrip_ok = members_ok = True
-    friezes_ok = quiddity_ok = orbit_ok = closes_ok = True
+    roundtrip_ok = friezes_ok = quiddity_ok = orbit_ok = closes_ok = True
 
     for index, v in enumerate(vectors):
-        firsts[v[0]] += 1
         if visited[index]:
             continue
         if cycles == stop:
@@ -152,9 +165,7 @@ def _sweep(vectors, rows, n: int, skip: int, stop: int | None) -> tuple:
         c = minimal_cycle(complete_diamond(v))
         for d in c.diamonds:
             at = bisect_left(vectors, d.col1)
-            if at == len(vectors) or vectors[at] != d.col1 or visited[at]:
-                members_ok = False
-            else:
+            if at < len(vectors) and vectors[at] == d.col1:
                 visited[at] = 1
         if cycles <= skip:
             continue
@@ -169,7 +180,6 @@ def _sweep(vectors, rows, n: int, skip: int, stop: int | None) -> tuple:
         for offset, d in enumerate(c.diamonds):
             u = d.col1
             rank, key, q = _walk(u, rows)
-            paths_injective &= not ranks[rank]
             ranks[rank] = 1
 
             roundtrip_ok &= diagonal(q, 0, n + 2)[2:] == u
@@ -191,8 +201,8 @@ def _sweep(vectors, rows, n: int, skip: int, stop: int | None) -> tuple:
         if least not in classes:
             classes[least] = len(set(orbit))
 
-    ok = (paths_injective, roundtrip_ok, friezes_ok, quiddity_ok, orbit_ok, closes_ok)
-    return ranks, classes, dict(firsts), dict(periods), members_ok, ok
+    ok = (roundtrip_ok, friezes_ok, quiddity_ok, orbit_ok, closes_ok)
+    return ranks, classes, dict(periods), ok
 
 
 def _split(vectors, rows, n: int, share: int) -> list[tuple]:
@@ -242,23 +252,19 @@ def run_checks(n: int) -> list[CheckResult]:
     else:
         sweeps = [_sweep(vectors, rows, n, 0, None)]
 
-    seen = overlap = 0
+    seen = 0
     classes = {}  # the first cycle's distinct keys for each class key
     periods = Counter()
-    for ranks, keys, _, tally, _, _ in sweeps:
-        hit = int.from_bytes(ranks, "big")
-        overlap |= seen & hit
-        seen |= hit
+    for ranks, keys, tally, _ in sweeps:
+        seen |= int.from_bytes(ranks, "big")
         periods.update(tally)
         classes = keys | classes  # an earlier sweep met a shared class first
-    # the last sweep scans every vector and marks every cycle
-    firsts, members_ok = Counter(sweeps[-1][2]), sweeps[-1][4]
     ok = map(all, zip(*(sweep[-1] for sweep in sweeps)))  # each flag, all sweeps
-    paths_injective, roundtrip_ok, friezes_ok, quiddity_ok, orbit_ok, closes_ok = ok
-    paths_injective &= not overlap
+    roundtrip_ok, friezes_ok, quiddity_ok, orbit_ok, closes_ok = ok
     distinct = seen.bit_count()
     triangulations = sum(classes.values())
     walked = sum(p * cycles for p, cycles in periods.items())  # p members each
+    firsts = Counter(v[0] for v in vectors)  # first entry z -> vectors
     row = Counter({z: ballot_count(n, z) for z in range(1, n + 2)})
     off = min(row - firsts | firsts - row, default=None)  # first z that differs
     odd = min(want - periods | periods - want, default=None)  # first that differs
@@ -270,7 +276,7 @@ def run_checks(n: int) -> list[CheckResult]:
         ),
         CheckResult(
             "path_map_injective",
-            paths_injective,
+            distinct == walked,
             f"distinct={distinct} of {walked}",
         ),
         CheckResult(
@@ -284,7 +290,7 @@ def run_checks(n: int) -> list[CheckResult]:
         # of each period as the rotational symmetries allow
         CheckResult(
             "cycle_period_divides",
-            members_ok and odd is None,
+            walked == len(vectors) and odd is None,
             f"period={odd} cycles={periods[odd]} expected={want[odd]}"
             if odd
             else f"order={N}",

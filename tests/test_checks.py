@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckfrieze import (
+    Cycle,
     FriezePattern,
     Triangulation,
     all_paths,
@@ -500,7 +501,8 @@ def test_member_outside_the_enumeration_fails(monkeypatch):
 
 
 def test_member_outside_the_enumeration_in_the_childs_share_fails(monkeypatch):
-    # only the child, which marks every cycle, sees the member missing
+    # the child still walks every member of the last cycle, so the members
+    # walked outnumber the vectors left by one
     gone = _child_share_member()
     kept = tuple(v for v in enumerate_all(RANK) if v != gone)
     monkeypatch.setattr(checks, "enumerate_all", lambda n: kept)
@@ -509,6 +511,66 @@ def test_member_outside_the_enumeration_in_the_childs_share_fails(monkeypatch):
         "cycle_period_divides",
         "ballot_row_sum",
     ]
+
+
+def _walked_twice(results, p):
+    # every rank is hit, but one cycle of period p too many is walked
+    expected = catalan(RANK + 1)
+    want = checks._period_counts(RANK + 3)[p]
+    assert results["path_map_injective"].detail == (
+        f"distinct={expected} of {expected + p}"
+    )
+    assert results["cycle_period_divides"].detail == (
+        f"period={p} cycles={want + 1} expected={want}"
+    )
+
+
+@pytest.mark.parametrize("k", [1, -1])  # in this process's share, the child's
+def test_member_met_twice_fails(monkeypatch, k):
+    # cycle k reports cycle 0's member 1, met again, in place of its own
+    # member 1, which then starts a second copy of cycle k
+    cycles, share = _cycles()
+    assert (k % len(cycles) >= share) == (k == -1)
+    target, met = cycles[k], cycles[0].diamonds[1]
+    original = checks.minimal_cycle
+
+    def planted(d0):
+        c = original(d0)
+        if c != target:
+            return c
+        return Cycle._trusted(c.diamonds[:1] + (met,) + c.diamonds[2:])
+
+    monkeypatch.setattr(checks, "minimal_cycle", planted)
+    results = _results(monkeypatch)
+    failed = [name for name, r in results.items() if not r.passed]
+    assert failed == [
+        "path_map_injective",
+        "cycle_period_divides",
+        "frieze_from_cycle_valid",
+        "quiddity_matches_heads",
+        "cycle_orbit_consistent",
+    ] + ["quiddity_friezes_close"] * (k == -1)
+    _walked_twice(results, target.p)
+
+
+@pytest.mark.parametrize("at", [0, 3, -1])
+def test_vector_enumerated_twice_fails(monkeypatch, at):
+    # the second copy starts a second copy of its cycle
+    vectors = enumerate_all(RANK)
+    at %= len(vectors)
+    twice = vectors[: at + 1] + vectors[at:]
+    monkeypatch.setattr(checks, "enumerate_all", lambda n: twice)
+    results = _results(monkeypatch)
+    assert [name for name, r in results.items() if not r.passed] == [
+        "enumeration_count",
+        "path_map_injective",
+        "cycle_period_divides",
+        "ballot_row_sum",
+    ]
+    _walked_twice(results, minimal_cycle(complete_diamond(vectors[at])).p)
+    z = vectors[at][0]
+    want = sum(v[0] == z for v in vectors)
+    assert results["ballot_row_sum"].detail == f"z={z} count={want + 1} ballot={want}"
 
 
 def test_missing_symmetric_cycle_fails_the_period_count(monkeypatch):

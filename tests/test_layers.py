@@ -22,7 +22,10 @@ check takes its word alone.  It and ``from_cycle``, which builds from a
 cycle's members with no kernel, are the trusted frieze builders, and the
 sweep verifies what ``from_cycle`` builds.  ``from_quiddity`` alone sets a
 frieze's proof, ``_closed``, which the frieze check trusts.
-Every function the benchmark's tracer wraps by name still exists."""
+Every function the benchmark's tracer wraps by name still exists.  Every
+module parses as Python 3.10, the floor ``pyproject.toml`` declares, and
+names the byte order of each ``int`` byte conversion, which has a default
+only from 3.11."""
 
 import ast
 import graphlib
@@ -91,6 +94,23 @@ def test_only_package_and_standard_library_imports():
                 # inspect, ast, dis and tokenize on every start
                 assert top in sys.stdlib_module_names - {"dataclasses"}, (
                     f"{name} imports {module} at line {node.lineno}"
+                )
+
+
+def test_every_module_keeps_to_the_python_3_10_floor():
+    # the byte order of int.from_bytes and int.to_bytes, and the length of
+    # int.to_bytes, have defaults only from 3.11
+    for path in (ROOT / "src").rglob("*.py"):
+        tree = ast.parse(path.read_text(), feature_version=(3, 10))
+        for node in ast.walk(tree):
+            method = getattr(getattr(node, "func", None), "attr", None)
+            if isinstance(node, ast.Call) and method in ("from_bytes", "to_bytes"):
+                named = {keyword.arg for keyword in node.keywords}
+                assert len(node.args) >= 2 or "byteorder" in named, (
+                    f"{path.name}:{node.lineno}"
+                )
+                assert node.args or named & {"bytes", "length"}, (
+                    f"{path.name}:{node.lineno}"
                 )
 
 
