@@ -15,13 +15,14 @@ it, since ``from_quiddity`` reads columns cyclically, so a rotation closes
 iff it does.  Only a member off the heads, which fails its own check,
 gets a ``from_quiddity`` of its own, to decide its closure.  So a passing
 sweep runs the frieze kernel twice per cycle, in ``minimal_cycle`` and in
-``from_quiddity``.  Each member u is walked once by ``dyck._walk``, from
-its reduced profile and with no Dyck word: the rank of its path, the key
-of the path's triangulation and that triangulation's quiddity q.  The
-walk reads the rank off a table of ballot terms by position and height
-(``dyck._ballot_rows``), which each ``run_checks`` call builds once,
-before the sweep, and ORs in the two key bits of each ear as it clips it,
-with no table.
+``from_quiddity``.  Each member u is walked once by ``_walk``, from its
+reduced profile and with no Dyck word: the rank of its path, the key of
+the path's triangulation and that triangulation's quiddity q.  The walk
+composes the path maps' own steps: the profile (``dyck._profile_of``),
+its descent encoding, the one ear clipper ``dyck._clip`` and
+``degree_quiddity``; it reads the rank off a table of ballot terms by
+position and height (``dyck._ballot_rows``), which each ``run_checks``
+call builds once, before the sweep.
 ``diagonal(q, 0, n + 2)[2:] == u`` is the round trip, because
 ``path_to_vector`` is exactly that composition.  Every member t is then
 checked in member 0's frame: its quiddity rotated back by t must be the
@@ -33,9 +34,11 @@ cycles the sweep keeps only compact keys: a ``bytearray`` over the sorted
 vectors marks the cycle members seen, a ``bytearray`` over path ranks
 (``all_paths`` order) marks the image of the path map, and one class key
 per cycle decides the injectivity of the triangulation map.  A
-triangulation's key has one block of N bits per vertex, and diagonal
-(i, j) sets bit ``(j - i) % N`` of block i and bit ``(i - j) % N`` of
-block j, so adding k to every label turns the N² bits cyclically by k·N.
+triangulation's key (``_key``) has one block of D = N//2 - 1 bits per
+vertex and one bit per diagonal: the end x whose partner lies e steps on,
+2 <= e <= N/2, sets bit e - 2 of block x, and a diameter, e = N/2, sets
+it at both ends.  Each bit names one diagonal, and adding k to every label
+moves each bit k blocks on, so it turns the N·D bits cyclically by k·D.
 A cycle's class key is the least of member 0's key turned by k = 0..N-1.
 A cycle that passes the orbit check holds the whole rotation class of
 member 0, so two such cycles share a triangulation only when they share
@@ -85,9 +88,10 @@ import os
 import sys
 from bisect import bisect_left
 from collections import Counter
+from operator import getitem
 
 from .diamond import complete_diamond, cycle_heads, diagonal, minimal_cycle
-from .dyck import _ballot_rows, _walk, catalan
+from .dyck import _ballot_rows, _clip, _descents, _profile_of, catalan, degree_quiddity
 from .enumeration import ballot_count, enumerate_all
 from .errors import InputError, Record
 from .frieze import from_cycle, from_quiddity
@@ -107,10 +111,39 @@ class CheckResult(Record):
         self._fill(name, passed, detail)
 
 
+def _key(diagonals, N: int) -> int:
+    """Key of the triangulation of the N-gon with these diagonals, each
+    ``(low, high)``: one block of D = N//2 - 1 bits per vertex.  A diagonal
+    of span d = high - low sets bit e - 2 of the block of the end x whose
+    partner lies e = min(d, N - d) steps on; a diameter, d = N/2, sets it
+    at both ends."""
+    D = N // 2 - 1
+    key = 0
+    for a, b in diagonals:
+        d = b - a
+        if d + d <= N:  # b lies d steps on from a
+            key |= 1 << a * D + d - 2
+        if d + d >= N:  # a lies N - d steps on from b
+            key |= 1 << b * D + N - d - 2
+    return key
+
+
 def _turn(key: int, k: int, N: int) -> int:
     """Key of the triangulation with every label moved up by k modulo N."""
-    shift = k % N * N
-    return ((key << shift) | (key >> N * N - shift)) & ((1 << N * N) - 1)
+    D = N // 2 - 1
+    shift = k % N * D
+    return ((key << shift) | (key >> N * D - shift)) & ((1 << N * D) - 1)
+
+
+def _walk(u: tuple[int, ...], rows) -> tuple[int, int, tuple[int, ...]]:
+    """``(path_rank, key, quiddity)`` of the path of a diamond vector ``u``
+    that the caller built itself, by the path maps' own steps and with no
+    Dyck word.  ``rows`` is ``_ballot_rows(n + 1)``, so the rank is the sum
+    of ``rows[i][m_i]`` over the profile m."""
+    m = _profile_of(u)
+    N = len(u) + 3
+    diagonals = _clip(_descents(m, N - 3))
+    return sum(map(getitem, rows, m)), _key(diagonals, N), degree_quiddity(N, diagonals)
 
 
 def _period_counts(N: int) -> Counter:

@@ -282,7 +282,10 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     3d-dissection (Ovsienko, 2018), and if it also sums to 3N - 6 every
     piece is a triangle: the band is a triangulation's frieze, positive
     and closed by row N - 1 of ones, with no scan.  Any other q has each
-    member checked, its column closing and positive.
+    member checked, its column closing and positive.  The ``min(q) < 1``
+    term may be dead, but it is unproved: every q of monodromy -I with
+    entries -1..3 at N = 3..7 (a test) sums to 3N - 6 less a multiple of
+    12, and to 3N - 6 only when positive.
     Members are coupled: member t's second column is member t + 1's first,
     and member p - 1's second is column p, which is column 0 since q has
     period p.  ``p = rotation_period(q)`` divides N.  Members are distinct:

@@ -18,11 +18,12 @@ reduces every coordinate of a diamond vector in one pass, along the chain
 of previous-smaller entries, and checks the profile once, for
 ``vector_to_path``, which builds its word unchecked by
 ``DyckPath._trusted``, as ``all_paths`` does from the profiles it steps
-through, and for the invariant sweep's ``_walk``.  The walk reads the rank
-off a table of ballot terms, and the triangulation's key and quiddity
-inside its ear-clipping loop, with no word in between; the sweep builds the
-table once per call and passes it in.  A descent encoding is checked
-only where it enters, in ``triangulation.realize``.
+through, and for the invariant sweep's walk in ``checks``, which composes
+``_profile_of``, ``_descents``, ``_clip`` and ``degree_quiddity`` with no
+word in between.  ``_clip`` is the one ear clipper.  ``_ballot_rows`` lays
+out ``path_rank``'s terms as a table for the sweep, which builds it once
+per call.  A descent encoding is checked only where it enters, in
+``triangulation.realize``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from math import comb
-from operator import getitem
 
 from .diamond import as_vector, complete_diamond, diagonal
 from .errors import (
@@ -322,31 +322,6 @@ def _profile_of(u: tuple[int, ...]) -> list[int]:
             shown = f"{format_int(m)} of {format_int(u)}"
             raise InvariantViolation(f"profile {shown} encodes no Dyck path")
     return m
-
-
-def _walk(u: tuple[int, ...], rows) -> tuple[int, int, tuple[int, ...]]:
-    """``(path_rank, key, quiddity)`` of the path of a diamond vector ``u``
-    that the caller built itself, read off ``_profile_of(u)``.
-
-    ``rows`` is ``_ballot_rows(n + 1)``, so the rank is the sum of
-    ``rows[i][m_i]``.  The descent encoding is clipped as in ``_clip``, and
-    each ear (a, b), a < b, adds 1 to q_a and q_b and sets the key bits of
-    diagonal (a, b) in the N-gon: bit b - a of block a and bit N + a - b of
-    block b, blocks of N bits.  So the key is the OR over the ears.
-    """
-    m = _profile_of(u)
-    N = len(u) + 3
-    active = list(range(N))
-    q = [1] * N
-    key = 0
-    for li in _descents(m, N - 3):
-        a = active[li]
-        b = active[li + 2]
-        del active[li + 1]
-        q[a] += 1
-        q[b] += 1
-        key |= 1 << a * N + b - a | 1 << b * N + N + a - b
-    return sum(map(getitem, rows, m)), key, tuple(q)
 
 
 def path_to_vector(p: DyckPath, n: int) -> tuple[int, ...]:

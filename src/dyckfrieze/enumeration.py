@@ -76,7 +76,7 @@ def enumerate_all(n: int) -> tuple[Vector, ...]:
     cache is asked, and ``enumerate_all.cache_info`` reports that cache.
     The vector at sorted position i has the path of rank catalan(n+1) - 1 - i
     (``path_rank(vector_to_path(v))``), so this order is the reverse of
-    ``all_paths``: checked at ranks 1-10, not proved.
+    ``all_paths``: checked at ranks 1–12, not proved.
     """
     return _enumerate_all(int_in(n, "rank", 1, error=RangeError))
 

@@ -241,10 +241,16 @@ def profile_by_coordinate(u):
 
 def triangulation_key(diagonals, N):
     """The sweep's key of the triangulation of the N-gon with these
-    diagonals, summed one diagonal at a time: (i, j) sets bit (j - i) % N of
-    block i and bit (i - j) % N of block j, each block N bits wide."""
+    diagonals, summed one end at a time: end x of (i, j) whose partner y
+    lies e = (y - x) % N <= N // 2 steps on sets bit e - 2 of block x, each
+    block N // 2 - 1 bits wide.  One end of a diagonal qualifies, both of a
+    diameter; no two ends set the same bit."""
+    D = N // 2 - 1
     return sum(
-        (1 << i * N + (j - i) % N) | (1 << j * N + (i - j) % N) for i, j in diagonals
+        1 << x * D + (y - x) % N - 2
+        for i, j in diagonals
+        for x, y in ((i, j), (j, i))
+        if (y - x) % N <= N // 2
     )
 
 

@@ -3,21 +3,22 @@ rank-n invariant suite.
 
 ``run_checks`` builds each coupling cycle once, from the cycle's first
 enumerated member, and its one closed frieze once, from the cycle heads,
-walks each member's profile once (``dyck._walk``) for its path rank,
+walks each member's profile once (``checks._walk``) for its path rank,
 triangulation key and quiddity, and checks every member in member 0's
 frame.  A fault planted on another member must still fail its check.
 The sweep runs in two processes where it may, the first share of the
 cycles here and the rest in one forked child; every suite runs both split
 and in one process, which must agree name for name and detail for detail,
 with faults planted in either share, and no child may outlive the call.  The
-walk reads the rank from a table and sets the key bits of each ear it clips;
-both are compared with ``path_rank`` and with the key summed diagonal by
-diagonal, and the keys that the orbit check turns are compared with
-``rotate``.  The cycles' period histogram is compared with a count of each
+walk reads the rank from a table and keys the diagonals that ``dyck._clip``
+draws; both are compared with ``path_rank`` and with the key summed end by
+end, and the keys that the orbit check turns are compared with ``rotate``.
+The cycles' period histogram is compared with a count of each
 triangulation's stabiliser.
 """
 
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +26,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckfrieze import (
@@ -296,10 +297,16 @@ def test_walk_reads_rank_and_key_of_every_path(N):
 
 
 @given(st.integers(4, 60), st.integers(-120, 120), st.randoms(use_true_random=False))
+@example(402, 77, random.Random(9))  # this draw has a diameter
+@example(403, -119, random.Random(0))  # an odd N has none
 @settings(max_examples=200)
 def test_turned_key_is_the_key_of_the_rotation_property(N, k, rng):
+    # the key's branch on the span against the oracle's end-by-end sum; the
+    # examples go past N = 60, where the walk's own tests stop, as its
+    # ballot table alone takes seconds to build at N = 403
     t = Triangulation(N, random_triangulation_diagonals(N, rng))
     key = triangulation_key(t.diagonals, N)
+    assert checks._key(t.diagonals, N) == key
     assert checks._turn(key, k, N) == triangulation_key(rotate(t, k).diagonals, N)
 
 

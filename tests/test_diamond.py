@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -337,6 +338,30 @@ def test_minimal_cycle_checks_positivity_by_one_min_over_the_quiddity(monkeypatc
         scanned.clear()
         assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
         assert scanned == [q], N
+
+
+def test_monodromy_minus_identity_sums_to_3n_minus_6_only_when_positive():
+    # the window minimal_cycle's docstring records for its min(q) < 1 term:
+    # every q of entries -1..3 at N = 3..7 whose monodromy is -I falls
+    # short of 3(N - 2) by a multiple of 12, and by none only if positive
+    deficits = Counter()
+    for N in range(3, 8):
+        for q, _, closes, _ in small_sequences(N):
+            if closes:
+                deficit = sum(q) - 3 * (N - 2)
+                assert deficit <= 0 and deficit % 12 == 0, q
+                assert deficit < 0 or min(q) >= 1, q
+                deficits[N, deficit] += 1
+    assert deficits == {
+        (3, 0): 1,
+        (4, 0): 2,
+        (5, 0): 5,
+        (5, -12): 5,
+        (6, 0): 8,
+        (6, -12): 37,
+        (7, 0): 7,
+        (7, -12): 182,
+    }
 
 
 def _rows_by_diagonals(q):

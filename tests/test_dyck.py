@@ -29,7 +29,7 @@ from dyckfrieze import (
     vector_to_path,
     vector_to_triangulation,
 )
-from dyckfrieze import dyck
+from dyckfrieze import checks, dyck
 from dyckfrieze.diamond import diagonal
 from dyckfrieze.dyck import _ballot_rows
 from dyckfrieze.errors import (
@@ -405,7 +405,7 @@ def _tables(N):
 
 
 def _walk(v):
-    return dyck._walk(v, _tables(len(v) + 3))
+    return checks._walk(v, _tables(len(v) + 3))
 
 
 def test_walk_matches_the_public_chain_exhaustive():

@@ -44,7 +44,8 @@ from dyckfrieze import (
     verify,
     violations,
 )
-from dyckfrieze.dyck import _ballot_rows, _walk
+from dyckfrieze.checks import _walk
+from dyckfrieze.dyck import _ballot_rows
 from dyckfrieze.errors import (
     IndexOutOfRange,
     InputError,
@@ -129,17 +130,16 @@ def test_expand_preserves_completability():
 
 
 def _diagonals_of_key(key, N):
-    # diagonal (a, b), a < b, sets bit b - a of block a and bit N + a - b
-    # of block b (``triangulation_key``); block plus bit is b for the
-    # first and N + a, past the last vertex, for the second
-    diagonals = []
+    # bit e - 2 of block x, each block N // 2 - 1 bits wide, names the
+    # diagonal from x to the vertex e steps on (``triangulation_key``); a
+    # diameter sets a bit at both ends, so it is read twice
+    diagonals = set()
     while key:
         bit = key & -key
-        a, d = divmod(bit.bit_length() - 1, N)
-        if a + d < N:
-            diagonals.append((a, a + d))
+        x, r = divmod(bit.bit_length() - 1, N // 2 - 1)  # r = e - 2
+        diagonals.add(tuple(sorted((x, (x + r + 2) % N))))
         key ^= bit
-    return diagonals
+    return sorted(diagonals)
 
 
 def test_expansion_is_one_ear_move():

@@ -5,13 +5,13 @@ the standard library is imported, as ``dependencies = []`` promises, and no
 module imports ``dataclasses``, so the CLI starts without it or
 ``inspect``.  Only ``errors.Record`` defines equality, hashing and the
 unvalidated construction path, which is called only where a theorem
-guarantees the result.  The sweep's walk shares each formula with the public
-path chain but the ear clipping, which it folds together with the key and
-the quiddity; it gets its ballot table only from the sweep, which builds
-it, computes each key bit in place, and builds no Dyck word.  One predicate
-says what an integer is, one guard checks a scalar argument's range, a
-frieze's entries are typed by its constructor alone, messages show values
-through one formatter, and the one cache is the enumeration's, which
+guarantees the result.  The sweep's walk, in ``checks``, composes the public
+path chain's own steps, the one ear clipper included; it gets its ballot
+table only from the sweep, which builds it, and it builds no Dyck word.  No
+``dyck`` function takes a table, and only the walk computes a key.  One
+predicate says what an integer is, one guard checks a scalar argument's
+range, a frieze's entries are typed by its constructor alone, messages show
+values through one formatter, and the one cache is the enumeration's, which
 callers can inspect through ``enumerate_all.cache_info``.  The frieze's row
 recurrence is written once, in ``diamond._frieze_rows``, which builds
 friezes and cycles and decides the glide from its own rows, with no
@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from dyckfrieze import Diamond, dyck
+from dyckfrieze import Diamond, checks, dyck
 from dyckfrieze.checks import CheckResult
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -200,16 +200,23 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
         ("dyck", "reduce_coordinate"),
         ("dyck", "_profile_of"),
     }
-    assert _callers("_profile_of") == {("dyck", "vector_to_path"), ("dyck", "_walk")}
+    assert _callers("_profile_of") == {("dyck", "vector_to_path"), ("checks", "_walk")}
     # the boundary for a caller's profile vector: the package derives its
     # own profiles, already checked, so it never goes through it
     assert _callers("from_v_vector") == set()
     # the walk does not check its vector, so only the sweep, which built
     # the vector itself, may call it, with a table it builds once per call;
-    # the walk computes each key bit in place, from no key table
+    # the key is the sweep's format, so only the walk computes one, and no
+    # dyck function takes a table
     assert _callers("_walk") == {("checks", "_sweep")}
     assert _callers("_ballot_rows") == {("checks", "run_checks")}
-    assert list(inspect.signature(dyck._walk).parameters) == ["u", "rows"]
+    assert list(inspect.signature(checks._walk).parameters) == ["u", "rows"]
+    assert _callers("_key") == {("checks", "_walk")}
+    assert not any(
+        "rows" in inspect.signature(fn).parameters
+        for fn in vars(dyck).values()
+        if inspect.isfunction(fn) and fn.__module__ == dyck.__name__
+    )
     assert _callers("_expand") == {
         ("enumeration", "expand"),
         ("enumeration", "_enumerate_all"),
@@ -351,14 +358,14 @@ def test_walk_and_public_chain_share_each_formula():
     }
     assert _callers("_ballot_term") == {("dyck", "path_rank"), ("dyck", "_ballot_rows")}
     assert _callers("bisect_right") == {("dyck", "_descents")}
-    assert _callers("_descents") == {("dyck", "to_lambda"), ("dyck", "_walk")}
+    assert _callers("_descents") == {("dyck", "to_lambda"), ("checks", "_walk")}
     # realize checks a descent encoding from outside; the others clip one
-    # derived from a path already checked.  The walk clips in its own loop,
-    # which folds in the key and the quiddity
+    # derived from a path already checked
     assert _callers("_clip") == {
         ("dyck", "path_to_vector"),
         ("triangulation", "realize"),
         ("triangulation", "path_to_triangulation"),
+        ("checks", "_walk"),
     }
 
 
@@ -371,7 +378,8 @@ def test_sweep_builds_no_word():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert "_walk" in imported
+    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert "_walk" in defined | imported
     banned = {
         "vector_to_path",
         "path_rank",
