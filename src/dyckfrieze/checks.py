@@ -16,18 +16,20 @@ iff it does.  Only a member off the heads, which fails its own check,
 gets a ``from_quiddity`` of its own, to decide its closure.  So a passing
 sweep runs the frieze kernel twice per cycle, in ``minimal_cycle`` and in
 ``from_quiddity``.  Each member u is walked once by ``_walk``, from its
-reduced profile and with no Dyck word: the rank of its path, the key of
-the path's triangulation and that triangulation's quiddity q.  The walk
-composes the path maps' own steps: the profile (``dyck._profile_of``),
-its descent encoding, the one ear clipper ``dyck._clip`` and
-``degree_quiddity``; it reads the rank off a table of ballot terms by
-position and height (``dyck._ballot_rows``), which each ``run_checks``
-call builds once, before the sweep.
+reduced profile and with no Dyck word or table, so at any rank: the
+profile m of its path, the key of the path's triangulation and that
+triangulation's quiddity q.  The walk composes the path maps' own steps:
+the profile (``dyck._profile_of``), its descent encoding, the one ear
+clipper ``dyck._clip`` and ``degree_quiddity``.  The sweep reads the
+path's rank off m, the sum of ``rows[i][m_i]`` over a table of ballot
+terms by position and height (``dyck._ballot_rows``), which each sweep
+builds once, before its first cycle.
 ``diagonal(q, 0, n + 2)[2:] == u`` is the round trip, because
 ``path_to_vector`` is exactly that composition.  Every member t is then
 checked in member 0's frame: its quiddity rotated back by t must be the
-heads, and its triangulation's key turned by t must be member 0's, with
-member 0's returning after p turns.
+heads, and its triangulation's key must be member 0's turned back by t,
+with member 0's returning after p turns.  One list of member 0's N turns
+decides both that orbit test and the cycle's class key.
 
 Everything built for a cycle is dropped once the cycle is done.  Across
 cycles the sweep keeps only compact keys: a ``bytearray`` over the sorted
@@ -39,7 +41,11 @@ vertex and one bit per diagonal: the end x whose partner lies e steps on,
 2 <= e <= N/2, sets bit e - 2 of block x, and a diameter, e = N/2, sets
 it at both ends.  Each bit names one diagonal, and adding k to every label
 moves each bit k blocks on, so it turns the N·D bits cyclically by k·D.
-A cycle's class key is the least of member 0's key turned by k = 0..N-1.
+Turning is an action of Z/N on N·D-bit keys, and ``_key`` sets no bit at
+or above N·D, so member t's key turned by t is member 0's exactly when it
+is member 0's turned back by t, entry t of the list of member 0's key
+turned back by k = 0..N-1.  A cycle's class key is the least of member
+0's turns, the least entry of that same list.
 A cycle that passes the orbit check holds the whole rotation class of
 member 0, so two such cycles share a triangulation only when they share
 a class key, and each new class key adds its cycle's distinct keys to
@@ -78,7 +84,9 @@ sweep's, which runs below rank 6 and where there is no ``os.fork``, one
 CPU, or another live thread.  The child leaves by ``os._exit`` whatever
 happens, so it flushes no inherited buffer and never returns to the
 caller; if it fails, this process sweeps its share itself, so that an
-exception is raised as it would be in one process.
+exception is raised as it would be in one process.  If the pipe or the
+fork itself fails (EAGAIN, ENOMEM, EMFILE), this process closes what it
+opened and sweeps every cycle in one process.
 """
 
 from __future__ import annotations
@@ -135,15 +143,14 @@ def _turn(key: int, k: int, N: int) -> int:
     return ((key << shift) | (key >> N * D - shift)) & ((1 << N * D) - 1)
 
 
-def _walk(u: tuple[int, ...], rows) -> tuple[int, int, tuple[int, ...]]:
-    """``(path_rank, key, quiddity)`` of the path of a diamond vector ``u``
+def _walk(u: tuple[int, ...]) -> tuple[list[int], int, tuple[int, ...]]:
+    """``(profile, key, quiddity)`` of the path of a diamond vector ``u``
     that the caller built itself, by the path maps' own steps and with no
-    Dyck word.  ``rows`` is ``_ballot_rows(n + 1)``, so the rank is the sum
-    of ``rows[i][m_i]`` over the profile m."""
+    Dyck word or table, at any rank."""
     m = _profile_of(u)
     N = len(u) + 3
     diagonals = _clip(_descents(m, N - 3))
-    return sum(map(getitem, rows, m)), _key(diagonals, N), degree_quiddity(N, diagonals)
+    return m, _key(diagonals, N), degree_quiddity(N, diagonals)
 
 
 def _period_counts(N: int) -> Counter:
@@ -168,7 +175,7 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _sweep(vectors, rows, n: int, skip: int, stop: int | None) -> tuple:
+def _sweep(vectors, n: int, skip: int, stop: int | None) -> tuple:
     """Scan the sorted vectors, numbering the coupling cycles as they are
     met: only mark the members of cycles below ``skip``, check cycles
     ``skip`` to ``stop - 1`` and stop at cycle ``stop``.  Returns the path
@@ -182,6 +189,7 @@ def _sweep(vectors, rows, n: int, skip: int, stop: int | None) -> tuple:
     mark, so the members walked number the vectors exactly when the cycles
     partition them."""
     N = n + 3
+    rows = _ballot_rows(n + 1)  # a profile m ranks as the sum of rows[i][m_i]
     visited = bytearray(len(vectors))
     ranks = bytearray(catalan(n + 1))
     classes = {}  # class key -> distinct keys of its first cycle
@@ -212,8 +220,8 @@ def _sweep(vectors, rows, n: int, skip: int, stop: int | None) -> tuple:
         orbit = []  # the members' triangulation keys
         for offset, d in enumerate(c.diamonds):
             u = d.col1
-            rank, key, q = _walk(u, rows)
-            ranks[rank] = 1
+            m, key, q = _walk(u)
+            ranks[sum(map(getitem, rows, m))] = 1
 
             roundtrip_ok &= diagonal(q, 0, n + 2)[2:] == u
             back = q[-offset:] + q[:-offset]  # q in member 0's frame
@@ -225,12 +233,13 @@ def _sweep(vectors, rows, n: int, skip: int, stop: int | None) -> tuple:
                     closes_ok = False
             orbit.append(key)
 
-        # member t turned by t is member 0, which returns after p turns
-        orbit_ok &= len(set(orbit)) == p and all(
-            _turn(key, t, N) == orbit[0] for t, key in enumerate(orbit + orbit[:1])
-        )
+        # member 0 turned back by each k: member t is its turn back by t,
+        # and member 0 returns after p turns
+        turns = [_turn(orbit[0], -k, N) for k in range(N)]
+        orbit_ok &= len(set(orbit)) == p and orbit == turns[:p]
+        orbit_ok &= turns[p % N] == orbit[0]
         # cycles whose orbits pass hold whole rotation classes, one class each
-        least = min(_turn(orbit[0], k, N) for k in range(N))
+        least = min(turns)
         if least not in classes:
             classes[least] = len(set(orbit))
 
@@ -238,25 +247,32 @@ def _sweep(vectors, rows, n: int, skip: int, stop: int | None) -> tuple:
     return ranks, classes, dict(periods), ok
 
 
-def _split(vectors, rows, n: int, share: int) -> list[tuple]:
+def _split(vectors, n: int, share: int) -> list[tuple]:
     """The sweep of cycles below ``share`` here and of the rest in one
     forked child, which sends its result back through a pipe.  If the
     child fails, this process sweeps its share, so that any exception is
     raised here as in one process; if this process's share raises, the
-    child is killed and reaped first."""
-    read, write = os.pipe()
-    pid = os.fork()
+    child is killed and reaped first.  With no pipe or no child to be had,
+    this process sweeps every cycle itself, as the fork only saves time."""
+    fds = ()
+    try:
+        fds = read, write = os.pipe()
+        pid = os.fork()
+    except OSError:  # EAGAIN, ENOMEM, EMFILE: close what was opened
+        for fd in fds:
+            os.close(fd)
+        return [_sweep(vectors, n, 0, None)]
     if pid == 0:
         try:  # never flush inherited buffers or return to the caller
             with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps(_sweep(vectors, rows, n, share, None)))
+                pipe.write(marshal.dumps(_sweep(vectors, n, share, None)))
             os._exit(0)
         finally:
             os._exit(1)
     os.close(write)
     with open(read, "rb") as pipe:
         try:
-            mine = _sweep(vectors, rows, n, 0, share)
+            mine = _sweep(vectors, n, 0, share)
             sent = pipe.read()
         except BaseException:
             os.kill(pid, 9)  # SIGKILL
@@ -264,7 +280,7 @@ def _split(vectors, rows, n: int, share: int) -> list[tuple]:
             raise
     if os.waitpid(pid, 0)[1] == 0:  # then the child sent all its result
         return [mine, marshal.loads(sent)]
-    return [mine, _sweep(vectors, rows, n, share, None)]
+    return [mine, _sweep(vectors, n, share, None)]
 
 
 def run_checks(n: int) -> list[CheckResult]:
@@ -272,7 +288,6 @@ def run_checks(n: int) -> list[CheckResult]:
     vectors = enumerate_all(n)
     expected = catalan(n + 1)
     N = n + 3
-    rows = _ballot_rows(n + 1)
     want = _period_counts(N)
 
     cycles = sum(want.values())
@@ -281,9 +296,9 @@ def run_checks(n: int) -> list[CheckResult]:
     threading = sys.modules.get("threading")
     alone = threading is None or threading.active_count() == 1  # one thread
     if cycles >= _FORK_FROM and hasattr(os, "fork") and alone and _cpus() > 1:
-        sweeps = _split(vectors, rows, n, share)
+        sweeps = _split(vectors, n, share)
     else:
-        sweeps = [_sweep(vectors, rows, n, 0, None)]
+        sweeps = [_sweep(vectors, n, 0, None)]
 
     seen = 0
     classes = {}  # the first cycle's distinct keys for each class key

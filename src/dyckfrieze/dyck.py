@@ -22,8 +22,8 @@ through, and for the invariant sweep's walk in ``checks``, which composes
 ``_profile_of``, ``_descents``, ``_clip`` and ``degree_quiddity`` with no
 word in between.  ``_clip`` is the one ear clipper.  ``_ballot_rows`` lays
 out ``path_rank``'s terms as a table for the sweep, which builds it once
-per call.  A descent encoding is checked only where it enters, in
-``triangulation.realize``.
+per share of the cycles it checks.  A descent encoding is checked only
+where it enters, in ``triangulation.realize``.
 """
 
 from __future__ import annotations

@@ -3,26 +3,31 @@ rank-n invariant suite.
 
 ``run_checks`` builds each coupling cycle once, from the cycle's first
 enumerated member, and its one closed frieze once, from the cycle heads,
-walks each member's profile once (``checks._walk``) for its path rank,
-triangulation key and quiddity, and checks every member in member 0's
-frame.  A fault planted on another member must still fail its check.
+walks each member's reduced profile once (``checks._walk``) for its path's
+profile, triangulation key and quiddity, and checks every member in member 0's
+frame, by one list of member 0's turns that also gives the cycle's class
+key.  A fault planted on another member must still fail its check.
 The sweep runs in two processes where it may, the first share of the
 cycles here and the rest in one forked child; every suite runs both split
 and in one process, which must agree name for name and detail for detail,
-with faults planted in either share, and no child may outlive the call.  The
-walk reads the rank from a table and keys the diagonals that ``dyck._clip``
-draws; both are compared with ``path_rank`` and with the key summed end by
-end, and the keys that the orbit check turns are compared with ``rotate``.
+with faults planted in either share, and no child may outlive the call; a
+pipe or fork that cannot be had falls back to one process.  The walk
+returns the path's profile, which the sweep ranks by a table, and keys the
+diagonals that ``dyck._clip`` draws; both are compared with ``path_rank``
+and with the key summed end by end, and the keys that the orbit check
+turns are compared with ``rotate``.
 The cycles' period histogram is compared with a count of each
 triangulation's stabiliser.
 """
 
+import errno
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -36,6 +41,7 @@ from dyckfrieze import (
     all_paths,
     catalan,
     checks,
+    cli,
     complete_diamond,
     diamond,
     frieze,
@@ -135,12 +141,12 @@ def _non_representative_triangulation():
 
 def _plant_on_walk(monkeypatch, plants):
     """Make the sweep's walk of each vector u in ``plants`` report
-    ``plants[u](rank, key, q)`` in place of its path rank, triangulation key
-    and quiddity."""
+    ``plants[u](m, key, q)`` in place of its path's profile, triangulation
+    key and quiddity."""
     original = checks._walk
 
-    def planted(u, rows):
-        found = original(u, rows)
+    def planted(u):
+        found = original(u)
         return plants[u](*found) if u in plants else found
 
     monkeypatch.setattr(checks, "_walk", planted)
@@ -150,7 +156,7 @@ def _reporting(diagonals):
     # a plant reporting the triangulation with these diagonals, keyed by
     # the oracle
     N = len(diagonals) + 3
-    return lambda rank, key, q: (rank, triangulation_key(diagonals, N), q)
+    return lambda m, key, q: (m, triangulation_key(diagonals, N), q)
 
 
 def test_unplanted_suite_passes(monkeypatch):
@@ -161,7 +167,7 @@ def test_unplanted_suite_passes(monkeypatch):
 def test_corrupt_quiddity_of_one_member_fails(monkeypatch):
     target = _non_representative_vector()
     _plant_on_walk(
-        monkeypatch, {target: lambda rank, key, q: (rank, key, (q[0] + 1,) + q[1:])}
+        monkeypatch, {target: lambda m, key, q: (m, key, (q[0] + 1,) + q[1:])}
     )
     # the round trip reads the member's vector off that quiddity
     assert _failed_checks(monkeypatch) == [
@@ -190,7 +196,7 @@ def test_closing_frieze_unlike_the_cycle_frieze_is_verified(monkeypatch):
         return original(q)
 
     _plant_on_walk(
-        monkeypatch, {member: lambda rank, key, q: (rank, key, q[1:] + q[:1])}
+        monkeypatch, {member: lambda m, key, q: (m, key, q[1:] + q[:1])}
     )
     monkeypatch.setattr(checks, "from_quiddity", rejecting)
     assert _failed_checks(monkeypatch) == [
@@ -205,12 +211,11 @@ def test_closing_frieze_unlike_the_cycle_frieze_is_verified(monkeypatch):
 
 
 def test_member_reporting_another_members_path_rank_fails(monkeypatch):
-    # the non-representative member takes its cycle head's rank, so one
-    # rank is hit twice and one is never hit
-    head = enumerate_all(RANK)[0]
-    taken = path_rank(vector_to_path(head))
+    # the non-representative member takes its cycle head's profile, and so
+    # its rank, so one rank is hit twice and one is never hit
+    taken = vector_to_path(enumerate_all(RANK)[0])._m
     target = _non_representative_vector()
-    _plant_on_walk(monkeypatch, {target: lambda rank, key, q: (taken, key, q)})
+    _plant_on_walk(monkeypatch, {target: lambda m, key, q: (taken, key, q)})
     results = _results(monkeypatch)
     assert [name for name, r in results.items() if not r.passed] == [
         "path_map_injective",
@@ -223,13 +228,16 @@ def test_member_reporting_another_members_path_rank_fails(monkeypatch):
 
 
 def test_orbit_missing_one_member_fails(monkeypatch):
-    t = _non_representative_triangulation()
-    target = triangulation_key(t.diagonals, t.polygon_size)
+    # member 0's turn back by the target's offset, 1, goes one turn on, so
+    # the target is not member 0's turn; the skewed turn is still in the
+    # class, which keeps the triangulation count
+    t = vector_to_triangulation(enumerate_all(RANK)[0])
+    head = triangulation_key(t.diagonals, t.polygon_size)
     original = checks._turn
 
     def skewed(key, k, N):
         moved = original(key, k, N)
-        return original(moved, 1, N) if key == target else moved
+        return original(moved, 1, N) if key == head and k == -1 else moved
 
     monkeypatch.setattr(checks, "_turn", skewed)
     assert _failed_checks(monkeypatch) == ["cycle_orbit_consistent"]
@@ -287,12 +295,13 @@ def test_turned_key_is_the_key_of_the_rotation(N):
 
 @pytest.mark.parametrize("N", range(4, 11))
 def test_walk_reads_rank_and_key_of_every_path(N):
-    # the walk's rank lookups and key bits against path_rank and the oracle key
+    # the sweep's rank lookups over the walk's profile and its key bits
+    # against path_rank and the oracle key
     n = N - 3
     rows = _ballot_rows(n + 1)
     for p in all_paths(n + 1):
-        rank, key, _ = checks._walk(path_to_vector(p, n), rows)
-        assert rank == path_rank(p)
+        m, key, _ = checks._walk(path_to_vector(p, n))
+        assert sum(map(getitem, rows, m)) == path_rank(p)
         assert key == triangulation_key(realize(to_lambda(p)).diagonals, N)
 
 
@@ -301,9 +310,8 @@ def test_walk_reads_rank_and_key_of_every_path(N):
 @example(403, -119, random.Random(0))  # an odd N has none
 @settings(max_examples=200)
 def test_turned_key_is_the_key_of_the_rotation_property(N, k, rng):
-    # the key's branch on the span against the oracle's end-by-end sum; the
-    # examples go past N = 60, where the walk's own tests stop, as its
-    # ballot table alone takes seconds to build at N = 403
+    # the key's branch on the span against the oracle's end-by-end sum, past
+    # N = 60 in the examples
     t = Triangulation(N, random_triangulation_diagonals(N, rng))
     key = triangulation_key(t.diagonals, N)
     assert checks._key(t.diagonals, N) == key
@@ -351,7 +359,7 @@ def test_heads_failing_to_close_fail_both_frieze_checks(monkeypatch):
 def test_corrupt_quiddity_in_the_childs_share_fails(monkeypatch):
     target = _child_share_member()
     _plant_on_walk(
-        monkeypatch, {target: lambda rank, key, q: (rank, key, (q[0] + 1,) + q[1:])}
+        monkeypatch, {target: lambda m, key, q: (m, key, (q[0] + 1,) + q[1:])}
     )
     assert _failed_checks(monkeypatch) == [
         "path_map_roundtrip",
@@ -362,7 +370,7 @@ def test_corrupt_quiddity_in_the_childs_share_fails(monkeypatch):
 
 def test_flipped_key_bit_in_the_childs_share_fails(monkeypatch):
     target = _child_share_member()
-    _plant_on_walk(monkeypatch, {target: lambda rank, key, q: (rank, key ^ 2, q)})
+    _plant_on_walk(monkeypatch, {target: lambda m, key, q: (m, key ^ 2, q)})
     assert _failed_checks(monkeypatch) == ["cycle_orbit_consistent"]
 
 
@@ -384,10 +392,11 @@ def test_heads_failing_to_close_in_the_childs_share_fail(monkeypatch):
 
 
 def test_child_share_member_reporting_a_first_share_rank_fails(monkeypatch):
-    # the rank sets of the two shares overlap in one rank, and miss one
-    taken = path_rank(vector_to_path(enumerate_all(RANK)[0]))
+    # the rank sets of the two shares overlap in one rank, and miss one:
+    # the member reports the first cycle's member 0's profile
+    taken = vector_to_path(enumerate_all(RANK)[0])._m
     _plant_on_walk(
-        monkeypatch, {_child_share_member(): lambda rank, key, q: (taken, key, q)}
+        monkeypatch, {_child_share_member(): lambda m, key, q: (taken, key, q)}
     )
     results = _results(monkeypatch)
     assert [name for name, r in results.items() if not r.passed] == [
@@ -426,7 +435,7 @@ class Planted(Exception):
 
 
 def _raising_on(monkeypatch, target):
-    def raising(rank, key, q):
+    def raising(m, key, q):
         raise Planted(f"walk of {target}")
 
     _plant_on_walk(monkeypatch, {target: raising})
@@ -473,6 +482,50 @@ def test_the_sweep_forks_from_rank_6(monkeypatch, n, forks):
     assert all(r.passed for r in checks.run_checks(n))
     assert len(shares) == forks
     _no_child_left()
+
+
+def _raising(error):
+    def raising():
+        raise error
+
+    return raising
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("fork", BlockingIOError(errno.EAGAIN, "planted")),
+        ("pipe", OSError(errno.EMFILE, "planted")),
+    ],
+)
+def test_a_failed_pipe_or_fork_sweeps_in_one_process(monkeypatch, call, error):
+    # the fork only saves time, so a pipe or child that cannot be had is no
+    # error: the results are one process's, and no descriptor stays open
+    _one_process(monkeypatch)
+    alone = checks.run_checks(6)
+    opened = []
+    pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: opened.extend(pipe()) or tuple(opened))
+    monkeypatch.setattr(os, call, _raising(error))
+    _two_processes(monkeypatch)
+    shares = _splits(monkeypatch)
+    assert checks.run_checks(6) == alone
+    assert len(shares) == 1
+    assert len(opened) == (call == "fork") * 2
+    for fd in opened:
+        with pytest.raises(OSError) as info:
+            os.fstat(fd)
+        assert info.value.errno == errno.EBADF
+    _no_child_left()
+
+
+def test_verify_with_no_fork_to_be_had_prints_the_golden_report(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _raising(BlockingIOError(errno.EAGAIN, "planted")))
+    assert cli.main(["verify", "--n", "8"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (ROOT / "perfbench" / "golden" / "verify-n8.out").read_text()
 
 
 def test_verify_in_a_fresh_process_prints_its_report_once():
@@ -655,6 +708,17 @@ def test_streamed_suite_matches_global_tables(monkeypatch, n):
 
 def test_split_suite_matches_one_process_at_rank_8(monkeypatch):
     assert all(r.passed for r in _results(monkeypatch, 8).values())
+
+
+def test_one_list_of_turns_per_cycle(monkeypatch):
+    # member 0's N turns decide the orbit test and the class key, and no
+    # member is turned: 442 cycles of 11 turns at rank 8
+    turned = []
+    original = checks._turn
+    monkeypatch.setattr(checks, "_turn", lambda *a: turned.append(a) or original(*a))
+    _one_process(monkeypatch)
+    assert all(r.passed for r in checks.run_checks(8))
+    assert len(turned) == 442 * 11 == 4862
 
 
 def test_suite_keeps_only_compact_keys_across_cycles(monkeypatch):

@@ -1,9 +1,9 @@
-import functools
 import itertools
+import random
 from operator import getitem
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckfrieze import (
@@ -31,7 +31,7 @@ from dyckfrieze import (
 )
 from dyckfrieze import checks, dyck
 from dyckfrieze.diamond import diagonal
-from dyckfrieze.dyck import _ballot_rows
+from dyckfrieze.dyck import _ballot_rows, _ballot_term
 from dyckfrieze.errors import (
     BadSymbol,
     IndexOutOfRange,
@@ -398,16 +398,6 @@ def test_v_vector_roundtrip_property(p):
     assert from_v_vector(to_v_vector(p)) == p
 
 
-@functools.cache
-def _tables(N):
-    # the table the sweep builds once for the rank of the N-gon
-    return _ballot_rows(N - 2)
-
-
-def _walk(v):
-    return checks._walk(v, _tables(len(v) + 3))
-
-
 def test_walk_matches_the_public_chain_exhaustive():
     # the oracle's profile goes through from_v_vector's checks and its
     # descent encoding through realize's; the maps and the walk share
@@ -419,8 +409,8 @@ def test_walk_matches_the_public_chain_exhaustive():
             assert dyck._profile_of(v) == profile_by_coordinate(v)
             assert vector_to_path(v) == p
             assert vector_to_triangulation(v) == t
-            rank, key, q = _walk(v)
-            assert rank == path_rank(p)
+            m, key, q = checks._walk(v)
+            assert tuple(m) == p._m
             assert key == triangulation_key(t.diagonals, n + 3)
             assert q == quiddity(t)
 
@@ -434,17 +424,22 @@ def test_ballot_rows_rank_every_path():
 
 
 @given(st.integers(4, 60), st.randoms(use_true_random=False))
+@example(402, random.Random(9))  # this draw has a diameter
+@example(403, random.Random(0))  # an odd N has none
 @settings(max_examples=200)
 def test_walk_matches_word_walks_property(N, rng):
     # the column-0 frieze diagonal of t's quiddity is the vector whose path
-    # realizes t
+    # realizes t; the walk needs no table, so it runs at any N, and the
+    # profile's rank is summed from the terms the sweep's table holds
     t = Triangulation(N, random_triangulation_diagonals(N, rng))
     q = quiddity_by_faces(t)
     v = diagonal(q, 0, N - 1)[2:]
     p = vector_to_path_by_v_vector(v)
     assert vector_to_path(v) == p
     assert vector_to_triangulation(v) == realize(lambda_by_walk(p.word)) == t
-    rank, key, walked_q = _walk(v)
+    m, key, walked_q = checks._walk(v)
+    assert tuple(m) == p._m
+    rank = sum(_ballot_term(N - 2, i, mi) for i, mi in enumerate(m))
     assert rank == path_rank_by_walk(p.word)
     assert key == triangulation_key(t.diagonals, N)
     assert walked_q == q
@@ -471,4 +466,4 @@ def test_a_failed_path_map_theorem_is_an_invariant_violation(monkeypatch):
 def test_walk_refuses_a_decreasing_profile():
     # reduced coordinates 3, 1 give the profile 3, 2, 3
     with pytest.raises(InvariantViolation, match="encodes no Dyck path"):
-        _walk((3, 1))
+        checks._walk((3, 1))

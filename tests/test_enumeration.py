@@ -45,7 +45,6 @@ from dyckfrieze import (
     violations,
 )
 from dyckfrieze.checks import _walk
-from dyckfrieze.dyck import _ballot_rows
 from dyckfrieze.errors import (
     IndexOutOfRange,
     InputError,
@@ -148,17 +147,16 @@ def test_expansion_is_one_ear_move():
     # expandable v and i at ranks 1..8, against a move made by hand
     for n in range(1, 9):
         N = n + 3
-        rows = _ballot_rows(n + 1)
         for v in enumerate_all(n):
             if v[-1] != 1:
                 continue
-            _, key, q = _walk(v, rows)
+            _, key, q = _walk(v)
             diagonals = _diagonals_of_key(key, N)
             # the move carries a wrong entry of q along, so q is tied to the key
             degree = Counter(itertools.chain.from_iterable(diagonals))
             assert q == tuple(1 + degree[x] for x in range(N)), v
             for i in range(1, n):
-                _, moved_key, moved_q = _walk(expand(v, i), rows)
+                _, moved_key, moved_q = _walk(expand(v, i))
                 q_by_hand, diagonals_by_hand = ear_move(q, diagonals, i)
                 assert moved_q == q_by_hand, (v, i)
                 assert moved_key == triangulation_key(diagonals_by_hand, N), (v, i)

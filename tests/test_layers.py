@@ -6,9 +6,10 @@ module imports ``dataclasses``, so the CLI starts without it or
 ``inspect``.  Only ``errors.Record`` defines equality, hashing and the
 unvalidated construction path, which is called only where a theorem
 guarantees the result.  The sweep's walk, in ``checks``, composes the public
-path chain's own steps, the one ear clipper included; it gets its ballot
-table only from the sweep, which builds it, and it builds no Dyck word.  No
-``dyck`` function takes a table, and only the walk computes a key.  One
+path chain's own steps, the one ear clipper included; it takes no ballot
+table, which the sweep alone builds, to rank the walk's profile, and it
+builds no Dyck word.  No ``dyck`` function takes a table, and only the
+walk computes a key.  One
 predicate says what an integer is, one guard checks a scalar argument's
 range, a frieze's entries are typed by its constructor alone, messages show
 values through one formatter, and the one cache is the enumeration's, which
@@ -205,18 +206,18 @@ def test_trusted_paths_are_called_only_where_a_theorem_holds():
     # own profiles, already checked, so it never goes through it
     assert _callers("from_v_vector") == set()
     # the walk does not check its vector, so only the sweep, which built
-    # the vector itself, may call it, with a table it builds once per call;
-    # the key is the sweep's format, so only the walk computes one, and no
-    # dyck function takes a table
+    # the vector itself, may call it; the walk takes no table, and the
+    # sweep ranks its profile by a table it builds once per share; the key
+    # is the sweep's format, so only the walk computes one, and no dyck
+    # function, nor the walk, the sweep or the split, takes a table
     assert _callers("_walk") == {("checks", "_sweep")}
-    assert _callers("_ballot_rows") == {("checks", "run_checks")}
-    assert list(inspect.signature(checks._walk).parameters) == ["u", "rows"]
+    assert _callers("_ballot_rows") == {("checks", "_sweep")}
+    assert list(inspect.signature(checks._walk).parameters) == ["u"]
     assert _callers("_key") == {("checks", "_walk")}
-    assert not any(
-        "rows" in inspect.signature(fn).parameters
-        for fn in vars(dyck).values()
-        if inspect.isfunction(fn) and fn.__module__ == dyck.__name__
-    )
+    untabled = [fn for fn in vars(dyck).values() if inspect.isfunction(fn)]
+    untabled = [fn for fn in untabled if fn.__module__ == dyck.__name__]
+    untabled += [checks._walk, checks._sweep, checks._split]
+    assert not any("rows" in inspect.signature(fn).parameters for fn in untabled)
     assert _callers("_expand") == {
         ("enumeration", "expand"),
         ("enumeration", "_enumerate_all"),
