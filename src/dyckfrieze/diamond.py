@@ -20,9 +20,9 @@ off it, and the frieze check compares a pattern with the completion of its
 quiddity row.  When rows N//2 and N//2 + 1 are their own glide images, as
 in every closed frieze, it reads the rest off the glide reflection and says
 so: the Casoratian of the recurrence makes that check exact for any
-integer q.  Rows that glide have monodromy -I, so with positive entries
-summing to 3(N - 2) they are a triangulation's frieze (Ovsienko, 2018),
-and its callers scan nothing.
+integer q.  Rows that glide with q summing to 3(N - 2) are a
+triangulation's frieze, by the winding lemma in its docstring, so its
+callers scan nothing.
 ``diagonal`` computes one column, for the inverse path map and the sweep's
 round trip, and ``rotation_period`` finds the period of q.
 
@@ -41,13 +41,13 @@ second-column entry is the exact, positive quotient
 ``(1 + a[2,j-1] * a[1,j+1]) / a[1,j]``, so the unimodular rule holds by
 arithmetic.  ``minimal_cycle`` does the same once each column ``d_t`` of its
 frieze rows closes, ``d_t[N-1] == 1``, and is positive, ``min(d_t[2:N-1]) >= 1``:
-the paper's claim, which the theorem above proves for a gliding quiddity
-that is positive and sums to 3N - 6, and which is checked column by column
-for any other.  This is exact: consecutive diagonals have Casoratian 1 for
-any integer q, so with positive entries the rule can fail only at the
-border ``a[1,n+1] = 1``.  It then builds its
-``Cycle`` unchecked too: its members are coupled, distinct and of a period
-dividing N by construction, as its docstring shows.
+the paper's claim, which the winding lemma proves for a gliding quiddity
+that sums to 3N - 6, and which is checked column by column for any other.
+This is exact: consecutive diagonals have Casoratian 1 for any integer q,
+so with positive entries the rule can fail only at the border
+``a[1,n+1] = 1``.  It then builds its ``Cycle`` unchecked too: its
+members are coupled, distinct and of a period dividing N by construction,
+as its docstring shows.
 
 Both build through ``_trusted``, the one unchecked constructor, which every
 value type inherits from ``errors.Record`` (``DyckPath``'s takes a profile
@@ -245,6 +245,44 @@ def _frieze_rows(q) -> tuple[tuple[Vector, ...], bool]:
     of entry (r, c), entry (N - r, c + r), is ``-D_c(c+r-1-N)``.  For fixed c
     both sides solve the recurrence in r, so two consecutive rows that
     match their glide images make every row match.
+
+    The same vectors decide closure by the sum.  Lemma: if the rows of an
+    integer q of length N >= 3 glide, then ``sum(q) = 3N - 6k``, where the
+    odd k >= 1 counts the half-turns that the vectors ``v_j = (A(j), B(j))``
+    make over N steps, and k = 1 makes every entry of rows 1..N - 1
+    positive.  So rows that glide with q summing to 3N - 6 are a closed
+    positive frieze, a triangulation's (Conway & Coxeter, 1973), with no
+    scan.  Proof: write ``[x, y] = x_0 y_1 - x_1 y_0``.  Then entry (r, c)
+    is ``[v_{c+r-1}, v_{c-1}]``, so ``q_j = [v_{j+1}, v_{j-1}]``, and the
+    Casoratian is ``[v_{j+1}, v_j] = 1``: each step turns v_j clockwise by
+    an angle in (0, pi).  Rows N and N - 1 of the recurrence, the glide
+    images of rows 0 and 1, are zeros and ones, so ``v_{j+N}`` is a
+    multiple of v_j and then ``-v_j``: q has monodromy -I, and N steps make
+    an odd number k of half-turns.  If k = 1, the r < N steps from
+    ``v_{c-1}`` to ``v_{c+r-1}`` turn it by less than a half-turn, so entry
+    (r, c) is positive.  For the sum, take any integer q with ``v_{j+N} =
+    ±v_j``, so ± is (-1)^k, and ``s = sum(q) - 3N + 6k``.  Any list of
+    integer vectors with ``v_{j+N} = ±v_j`` and ``[v_{j+1}, v_j] = 1`` is
+    one of these, with ``q_j = [v_{j+1}, v_{j-1}]``, since ``v_{j-1} +
+    v_{j+1}`` is then a multiple of v_j, and three moves on it keep s.
+    Where q_j = 1, ``v_j = v_{j-1} + v_{j+1}`` lies inside the turn from
+    v_{j-1} to v_{j+1}: drop it, k stays, and q_{j-1} and q_{j+1} each
+    lose 1.
+    Inversely, insert ``v_j + v_{j+1}`` after v_j: a new entry 1, whose
+    neighbours each gain 1.  Where q_j = 0, ``v_{j+1} = -v_{j-1}`` is
+    exactly a half-turn on: drop v_j and v_{j+1} and negate the rest of the
+    period, so (q_{j-1}, 0, q_{j+1}) becomes q_{j-1} + q_{j+1}, the sum
+    stays, N falls by 2, k by 1, and ± flips.  At N >= 3 one of them
+    applies: an entry 1 or 0 is dropped (at N = 3, q_j = 0 would make
+    ``v_{j+2} = ±v_{j-1} = ∓v_{j+1}``, against the Casoratian); an entry
+    q_j < 0 becomes 0 after -q_j insertions after v_j, and is dropped; and
+    if every entry is >= 2, the solution ``[v_j, v_0]``, 0 and then 1 at
+    j = 0, 1, grows by at least 1 at each step, so it is not 0 at j = N,
+    against ``v_N = ±v_0``.  A dropped 1 lowers N at the same k, and a
+    dropped 0, with the insertions before it, lowers k >= 1, so the moves
+    end, at N = 2.  There ``v_2 = q_1 v_1 - v_0 = ±v_0`` forces q_1 = 0
+    and the sign -, and likewise ``v_3 = -v_1`` forces q_0 = 0: q = (0, 0),
+    with k = 1 and s = 0 - 6 + 6 = 0.  So s = 0 for every such q.
     """
     N = len(q)
     m = N // 2
@@ -277,15 +315,10 @@ def minimal_cycle(d0: Diamond) -> Cycle:
 
     Every member is a positive diamond, and the cycle is then built without
     ``Cycle``'s check, because it holds by construction.  When the kernel
-    reports that the rows glide, q has monodromy -I (see
-    ``frieze.from_quiddity``), so if q is positive it is the quiddity of a
-    3d-dissection (Ovsienko, 2018), and if it also sums to 3N - 6 every
-    piece is a triangle: the band is a triangulation's frieze, positive
-    and closed by row N - 1 of ones, with no scan.  Any other q has each
-    member checked, its column closing and positive.  The ``min(q) < 1``
-    term may be dead, but it is unproved: every q of monodromy -I with
-    entries -1..3 at N = 3..7 (a test) sums to 3N - 6 less a multiple of
-    12, and to 3N - 6 only when positive.
+    reports that the rows glide and q sums to 3N - 6, the band is positive
+    and closed by row N - 1 of ones, with no scan, by the winding lemma of
+    ``_frieze_rows``.  Any other q has each member checked, its column
+    closing and positive.
     Members are coupled: member t's second column is member t + 1's first,
     and member p - 1's second is column p, which is column 0 since q has
     period p.  ``p = rotation_period(q)`` divides N.  Members are distinct:
@@ -304,7 +337,7 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     if (cols[0], cols[1]) != (d0.col1, d0.col2):
         shown = format_int(d0.col1)
         raise InvariantViolation(f"frieze of {shown} does not reproduce it")
-    if not glided or min(q) < 1 or sum(q) != 3 * N - 6:
+    if not glided or sum(q) != 3 * N - 6:
         for t in range(p):
             if rows[N - 1][t] != 1 or min(cols[t]) < 1:
                 raise InvariantViolation(f"cycle member {t} is not a positive diamond")

@@ -32,8 +32,9 @@ of a closed positive frieze: a pattern is one exactly when it equals
 ``FriezePattern._trusted``, as it makes N + 1 tuples of N ints, and sets the
 private ``_closed``, its proof, which copies keep and equality ignores.
 Within its bounds on the entries and their sum, the glide alone decides:
-rows that glide are a triangulation's, with no scan (Ovsienko, 2018),
-and rows that do not are scanned only to report the failure.
+rows that glide are a triangulation's, with no scan, by the winding lemma
+of ``diamond._frieze_rows``, and rows that do not are scanned only to
+report the failure.
 ``from_cycle`` builds unchecked too, from the members alone, with no
 kernel: a diamond's rule is the frieze's rule on two adjacent diagonals.
 It sets no proof, so ``verify`` of what it builds runs the one test.
@@ -117,14 +118,8 @@ def from_quiddity(q) -> FriezePattern:
     K(j, j+1) = 1``, so the rule holds on R at every quadruple, for any
     integer q.  When the rows glide, every row of R does, as the kernel's
     docstring shows, and rows N - 1 and N are the glide images of rows 1
-    and 0, ones and zeros.  So every solution of the recurrence changes
-    sign over N steps: q has monodromy -I.  A sequence of positive integers
-    with monodromy -I is the quiddity of a 3d-dissection of the N-gon, into
-    pieces of 3, 6, 9, ... vertices, q_i counting the pieces at vertex i
-    (Ovsienko, 2018).  P pieces of d_j vertices have sum(d_j - 2) = N - 2,
-    so q sums to sum(d_j) = N - 2 + 2P, which is 3(N - 2) only when
-    P = N - 2 and every piece is a triangle.  So q is a triangulation's
-    quiddity and the band of R is positive.  When the rows do not glide,
+    and 0, ones and zeros; as q sums to 3(N - 2), the band of R is
+    positive by the kernel's winding lemma.  When the rows do not glide,
     rows 3..N - 1 are scanned for positivity, and if they pass, row N - 1
     is not all ones: at row N - 1 the rule would read ``1 - R[N-2][c+1]
     R[N][c] = 1`` with row N - 2 positive, so row N of R would be zeros and

@@ -617,6 +617,25 @@ def monodromy_is_minus_identity(q):
     return a == d == -1 and b == c == 0
 
 
+def winding(q):
+    """Full turns that the vectors ``v_j`` of the frieze recurrence make
+    over 2N steps, from ``v_0 = (1, 0)``, ``v_1 = (0, 1)`` by ``v_{j+1} =
+    q_j v_j - v_{j-1}``, indices into ``q`` taken modulo N; for q of
+    monodromy -I, the half-turns they make over N steps.
+
+    Each step turns v_j counterclockwise by less than a half-turn, since
+    ``det(v_j, v_{j+1}) = 1``, and ``v_{2N} = v_0`` when the monodromy is
+    -I.  Only the second coordinates b_j are run: v_j crosses the positive
+    x-axis counterclockwise, or lands on it, exactly when ``b_j < 0 <=
+    b_{j+1}``, once per full turn.
+    """
+    N = len(q)
+    b = [0, 1]
+    for j in range(1, 2 * N):
+        b.append(q[j % N] * b[j] - b[j - 1])
+    return sum(b[j] < 0 <= b[j + 1] for j in range(2 * N))
+
+
 @functools.lru_cache(maxsize=None)
 def small_sequences(N):
     """Every q of length N with entries -1..3, in ``itertools.product``

@@ -528,6 +528,17 @@ def test_verify_with_no_fork_to_be_had_prints_the_golden_report(monkeypatch, cap
     assert out == (ROOT / "perfbench" / "golden" / "verify-n8.out").read_text()
 
 
+def test_verify_below_the_fork_threshold_prints_the_n3_golden(monkeypatch, capsys):
+    # rank 3 has fewer cycles than _FORK_FROM, so even with two CPUs the
+    # report comes from one process, and it is the committed golden
+    monkeypatch.setattr(checks, "_cpus", lambda: 2)
+    shares = _splits(monkeypatch)
+    assert cli.main(["verify", "--n", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert (shares, err) == ([], "")
+    assert out == (ROOT / "perfbench" / "golden" / "verify-n3.out").read_text()
+
+
 def test_verify_in_a_fresh_process_prints_its_report_once():
     # the child never flushes the stdout buffer it inherits
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -38,6 +38,7 @@ from oracles import (
     rotation_period_by_scan,
     small_sequences,
     unimodular_holds,
+    winding,
 )
 
 
@@ -322,10 +323,10 @@ def test_minimal_cycle_matches_one_diagonal_per_member_exhaustive():
             assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
 
 
-def test_minimal_cycle_checks_positivity_by_one_min_over_the_quiddity(monkeypatch):
-    # a cycle's frieze rows glide, so a positive quiddity summing to 3N - 6
-    # is a triangulation's (Ovsienko): one min, over q, and none per row
-    # or per member
+def test_minimal_cycle_takes_no_min_on_a_gliding_quiddity(monkeypatch):
+    # a cycle's frieze rows glide, so by the winding lemma of _frieze_rows
+    # a quiddity summing to 3N - 6 makes a positive band: no min over q,
+    # per row or per member
     scanned = []
     monkeypatch.setattr(
         diamond, "min", lambda xs: scanned.append(xs) or min(xs), raising=False
@@ -337,21 +338,23 @@ def test_minimal_cycle_checks_positivity_by_one_min_over_the_quiddity(monkeypatc
         d = complete_diamond(tuple(rows[r][0] for r in range(2, N - 1)))
         scanned.clear()
         assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
-        assert scanned == [q], N
+        assert scanned == [], N
 
 
 def test_monodromy_minus_identity_sums_to_3n_minus_6_only_when_positive():
-    # the window minimal_cycle's docstring records for its min(q) < 1 term:
-    # every q of entries -1..3 at N = 3..7 whose monodromy is -I falls
-    # short of 3(N - 2) by a multiple of 12, and by none only if positive
+    # the winding lemma of _frieze_rows on every q of entries -1..3 at
+    # N = 3..7 whose monodromy is -I: it sums to 3N - 6k for k half-turns,
+    # k odd, so it falls short of 3(N - 2) by a multiple of 12, and k = 1
+    # makes q and every entry of rows 1..N - 1 positive
     deficits = Counter()
     for N in range(3, 8):
-        for q, _, closes, _ in small_sequences(N):
+        for q, _, closes, ds in small_sequences(N):
             if closes:
-                deficit = sum(q) - 3 * (N - 2)
-                assert deficit <= 0 and deficit % 12 == 0, q
-                assert deficit < 0 or min(q) >= 1, q
-                deficits[N, deficit] += 1
+                k = winding(q)
+                assert k % 2 == 1 and sum(q) == 3 * N - 6 * k, q
+                if k == 1:
+                    assert min(min(d[1:N]) for d in ds) >= 1 and min(q) >= 1, q
+                deficits[N, sum(q) - 3 * (N - 2)] += 1
     assert deficits == {
         (3, 0): 1,
         (4, 0): 2,
@@ -362,6 +365,39 @@ def test_monodromy_minus_identity_sums_to_3n_minus_6_only_when_positive():
         (7, 0): 7,
         (7, -12): 182,
     }
+
+
+@given(
+    st.integers(3, 36),
+    st.integers(0, 3),
+    st.integers(0, 12),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100)
+def test_sum_counts_the_half_turns_of_a_gliding_sequence_property(N, pairs, ones, rng):
+    # the winding lemma's moves run backwards from a triangulation's
+    # quiddity, k = 1: splitting an entry s into (a, 0, s - a) adds a
+    # half-turn and flips the monodromy's sign, so splits come in pairs;
+    # inserting a 1, whose neighbours each gain 1, keeps k
+    t = Triangulation(N, random_triangulation_diagonals(N, rng))
+    q = list(quiddity_by_faces(t))
+    moves = ["split"] * 2 * pairs + ["one"] * ones
+    rng.shuffle(moves)
+    for move in moves:
+        i = rng.randrange(len(q))
+        if move == "split":
+            a = rng.randint(-3, q[i] + 3)
+            q[i : i + 1] = [a, 0, q[i] - a]
+        else:
+            q[i] += 1
+            q.insert(i + 1, 1)
+            q[(i + 2) % len(q)] += 1
+    q, k = tuple(q), 1 + 2 * pairs
+    rows, glided = _frieze_rows(q)
+    assert glided and monodromy_is_minus_identity(q), q
+    assert winding(q) == k and sum(q) == 3 * len(q) - 6 * k, q
+    if k == 1:
+        assert min(map(min, rows[1:])) >= 1, q
 
 
 def _rows_by_diagonals(q):
@@ -456,7 +492,7 @@ def test_diagonal_matches_indexed_recurrence(args):
 )
 @example(((1,), (5,)))  # reproduces itself, but 1*5 - 1*1 != 1
 # columns 0 and 1 of the all-ones nonagon's rows: its q is positive and
-# glides, but sums to 9, not 21, a 3d-dissection with one 9-gon piece
+# glides, but its vectors make three half-turns, so it sums to 9, not 21
 @example(((1, 0, -1, -1, 0, 1), (1, 0, -1, -1, 0, 1)))
 @settings(max_examples=300)
 def test_minimal_cycle_refuses_trusted_non_diamonds_like_the_oracle(cols):

@@ -382,8 +382,9 @@ def _counted_kernel(monkeypatch):
 
 
 def test_from_quiddity_scans_no_row_of_a_gliding_quiddity(monkeypatch):
-    # within the bounds, rows that glide are a triangulation's (Ovsienko),
-    # so no row is scanned for positivity
+    # within the bounds, rows that glide are a triangulation's, by the
+    # winding lemma of diamond._frieze_rows, so no row is scanned for
+    # positivity
     scanned = []
     monkeypatch.setattr(
         frieze, "min", lambda row: scanned.append(row) or min(row), raising=False

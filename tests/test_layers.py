@@ -29,6 +29,7 @@ names the byte order of each ``int`` byte conversion, which has a default
 only from 3.11."""
 
 import ast
+import functools
 import graphlib
 import importlib
 import inspect
@@ -45,7 +46,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dyckfrieze"
 
 
+@functools.cache
 def _trees():
+    # parsed once per session: every test only reads the trees
     return {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
 
 
@@ -150,18 +153,25 @@ def test_cli_starts_without_dataclasses_or_inspect():
     assert run.stdout == "[]\n"
 
 
-def _callers(name):
-    """(module, function) pairs whose bodies call ``name`` or ``x.name``."""
-    found = set()
+@functools.cache
+def _calls():
+    """For each name called as ``name`` or ``x.name``, the (module,
+    function) pairs whose bodies call it."""
+    found = {}
     for module, tree in _trees().items():
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
                     if isinstance(node, ast.Call):
                         f = node.func
-                        if getattr(f, "attr", getattr(f, "id", None)) == name:
-                            found.add((module, fn.name))
+                        name = getattr(f, "attr", getattr(f, "id", None))
+                        found.setdefault(name, set()).add((module, fn.name))
     return found
+
+
+def _callers(name):
+    """(module, function) pairs whose bodies call ``name`` or ``x.name``."""
+    return set(_calls().get(name, ()))
 
 
 def _trusted_builders():
