@@ -7,29 +7,40 @@ and the orbit/quiddity consistency between cycles and triangulations.
 The sweep streams the rank-n vectors one coupling cycle at a time.  The
 first vector of each cycle not yet visited gives its minimal cycle and the
 cycle heads repeated N/p times, member 0's quiddity by the cycle theorem.
+Every cycle starts in the first ballot row: member 0 is the cycle's least
+member, and the heads, the members' first entries, are a period of a
+triangulation's quiddity, which holds an ear's 1 as N >= 4, so member 0
+starts with 1, among the first ``ballot_count(n, 1)`` = catalan(n) sorted
+vectors.  Each member u is walked once by ``_walk``, from its reduced
+profile and with no Dyck word or table, so at any rank: the profile m of
+its path, the key of the path's triangulation and that triangulation's
+quiddity q.  The walk composes the path maps' own steps: the profile
+(``dyck._profile_of``), its descent encoding, the one ear clipper
+``dyck._clip`` and ``degree_quiddity``.  The sweep reads the path's rank
+off m, the sum of ``rows[i][m_i]`` over a table of ballot terms by
+position and height (``dyck._ballot_rows``), which each sweep builds once,
+before its first cycle.  Every member t is then checked in member 0's
+frame: its quiddity rotated back by t must be the heads, and its
+triangulation's key must be member 0's turned back by t, with member 0's
+returning after p turns.  One list of member 0's N turns decides both that
+orbit test and the cycle's class key.
+
 One ``from_quiddity`` of the heads builds the cycle's one closed frieze,
-and decides both frieze checks: ``from_cycle``, which builds the band from
-the members unchecked, must equal it, row 2 included, and every member
-whose quiddity is the heads, turned back to member 0's frame, closes with
-it, since ``from_quiddity`` reads columns cyclically, so a rotation closes
-iff it does.  Only a member off the heads, which fails its own check,
-gets a ``from_quiddity`` of its own, to decide its closure.  So a passing
-sweep runs the frieze kernel twice per cycle, in ``minimal_cycle`` and in
-``from_quiddity``.  Each member u is walked once by ``_walk``, from its
-reduced profile and with no Dyck word or table, so at any rank: the
-profile m of its path, the key of the path's triangulation and that
-triangulation's quiddity q.  The walk composes the path maps' own steps:
-the profile (``dyck._profile_of``), its descent encoding, the one ear
-clipper ``dyck._clip`` and ``degree_quiddity``.  The sweep reads the
-path's rank off m, the sum of ``rows[i][m_i]`` over a table of ballot
-terms by position and height (``dyck._ballot_rows``), which each sweep
-builds once, before its first cycle.
-``diagonal(q, 0, n + 2)[2:] == u`` is the round trip, because
-``path_to_vector`` is exactly that composition.  Every member t is then
-checked in member 0's frame: its quiddity rotated back by t must be the
-heads, and its triangulation's key must be member 0's turned back by t,
-with member 0's returning after p turns.  One list of member 0's N turns
-decides both that orbit test and the cycle's class key.
+and ``from_cycle``, which builds the band from the members unchecked, must
+equal it, row 2 included.  When it does, the frieze decides the round
+trip, quiddity and closure checks of each member t on the heads, whose q
+rotated back by t is the heads.  Such a member closes with the frieze,
+since ``from_quiddity`` reads columns cyclically, so a rotation closes iff
+it does.  Its round trip is ``diagonal(q, 0, n + 2)[2:] == u``, as
+``path_to_vector`` is exactly that composition, and q is the heads turned
+by t, so that diagonal is ``diagonal(heads, t, n + 2)``: column t of the
+frieze, whose entry (r, c) is ``diagonal(heads, c, N)[r]``
+(``diamond._frieze_rows``), where ``from_cycle`` lays out u as rows
+2..n + 1.  Only a member off the heads, which fails its own check, or in a
+cycle whose band fails, gets its own round trip, quiddity check and
+``from_quiddity``.  So a passing sweep calls no ``diagonal``, and runs the
+frieze kernel twice per cycle, in ``minimal_cycle`` and in
+``from_quiddity``.
 
 Everything built for a cycle is dropped once the cycle is done.  Across
 cycles the sweep keeps only compact keys: a ``bytearray`` over the sorted
@@ -213,20 +224,20 @@ def _sweep(vectors, n: int, skip: int, stop: int | None) -> tuple:
         p = c.p
         periods[p] += 1
         heads = cycle_heads(c) * (N // p)  # member 0's q, by the cycle theorem
-        try:  # one frieze: the band's, and the closure of every member on heads
-            friezes_ok &= from_cycle(c) == from_quiddity(heads)
+        try:  # one frieze: the band's, and each check of a member on the heads
+            friezes_ok &= (band := from_cycle(c) == from_quiddity(heads))
         except InputError:
-            friezes_ok = closes_ok = False
+            band = friezes_ok = closes_ok = False
         orbit = []  # the members' triangulation keys
         for offset, d in enumerate(c.diamonds):
             u = d.col1
             m, key, q = _walk(u)
             ranks[sum(map(getitem, rows, m))] = 1
 
-            roundtrip_ok &= diagonal(q, 0, n + 2)[2:] == u
             back = q[-offset:] + q[:-offset]  # q in member 0's frame
-            if back != heads:  # then the heads' frieze is not this member's
-                quiddity_ok = False
+            if back != heads or not band:  # else the band decided all three
+                roundtrip_ok &= diagonal(q, 0, n + 2)[2:] == u
+                quiddity_ok &= back == heads
                 try:
                     from_quiddity(back)
                 except InputError:

@@ -26,6 +26,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from operator import getitem
 from pathlib import Path
@@ -318,9 +319,9 @@ def test_turned_key_is_the_key_of_the_rotation_property(N, k, rng):
     assert checks._turn(key, k, N) == triangulation_key(rotate(t, k).diagonals, N)
 
 
-def test_cycle_frieze_failing_to_build_fails(monkeypatch):
-    # from_cycle builds unchecked, so the sweep verifies what it returns:
-    # member 0's pattern with one band entry raised is refused
+def _tamper_first_band(monkeypatch):
+    """Make ``from_cycle`` of the first cycle met raise one band entry, and
+    return that cycle."""
     first = minimal_cycle(complete_diamond(enumerate_all(RANK)[0]))
     original = checks.from_cycle
 
@@ -333,8 +334,33 @@ def test_cycle_frieze_failing_to_build_fails(monkeypatch):
         return FriezePattern(fp.order, tuple(map(tuple, rows)))
 
     monkeypatch.setattr(checks, "from_cycle", tampered)
+    return first
+
+
+def test_cycle_frieze_failing_to_build_fails(monkeypatch):
+    # from_cycle builds unchecked, so the sweep verifies what it returns:
+    # member 0's pattern with one band entry raised is refused
+    _tamper_first_band(monkeypatch)
     # the heads' frieze still closes every member
     assert _failed_checks(monkeypatch) == ["frieze_from_cycle_valid"]
+
+
+def test_round_trips_are_read_off_the_frieze_where_the_band_holds(monkeypatch):
+    # a member on the heads of a cycle whose band is the heads' frieze has
+    # its round trip as a column of that frieze: a passing rank-8 sweep
+    # calls no diagonal, where one per member made 4,862 calls
+    calls = []
+    original = checks.diagonal
+    monkeypatch.setattr(checks, "diagonal", lambda *a: calls.append(a) or original(*a))
+    _one_process(monkeypatch)  # a child's calls are not counted here
+    assert all(r.passed for r in checks.run_checks(8))
+    assert calls == []
+    # a cycle whose band fails walks the round trip of each of its p
+    # members, which still pass
+    first = _tamper_first_band(monkeypatch)
+    failed = [r.name for r in checks.run_checks(RANK) if not r.passed]
+    assert failed == ["frieze_from_cycle_valid"]
+    assert len(calls) == first.p > 1
 
 
 def test_heads_failing_to_close_fail_both_frieze_checks(monkeypatch):
@@ -708,6 +734,18 @@ def test_closing_frieze_built_once_per_cycle(monkeypatch):
     assert all(r.passed for r in checks.run_checks(6))
     assert len(built) == len(set(built)) == len(cycles) == 49
     assert len(kernel_runs) == 2 * len(cycles) == 98
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_cycle_starts_in_the_first_ballot_row(n):
+    # member 0 is its cycle's least member, and starts with 1, so it lies
+    # among the first catalan(n) sorted vectors, those starting with 1
+    vectors = enumerate_all(n)
+    for c in _cycles(n)[0]:
+        first = c.diamonds[0].col1
+        assert first == min(d.col1 for d in c.diamonds)
+        assert first[0] == 1
+        assert bisect_left(vectors, first) < catalan(n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

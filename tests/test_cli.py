@@ -232,56 +232,76 @@ FLAGS = {
 }
 JUNK = ["--bogus", "-x", "--", "", "-h"]
 CONTRACT_MAX_N = 5
-integer_lists = st.lists(st.integers(-2, 6), max_size=9).map(
-    lambda v: ",".join(map(str, v))
-)
+
+
+def _integer_list(pick):
+    return ",".join(str(pick(range(-2, 7))) for _ in range(pick(range(10))))
+
+
 # Entries of up to 4,500 digits, on both sides of the 4,300-digit limit
 # of str <-> int conversion, so that computed values past it reach messages.
-long_integer_lists = st.lists(
-    st.builds(
-        lambda digit, length: digit * length,
-        st.sampled_from("123456789"),
-        st.sampled_from([1, 12, 2200, 4000, 4300, 4301, 4500]),
-    )
-    | st.sampled_from(["1", "2"]),
-    min_size=3,
-    max_size=5,
-).map(",".join)
+def _long_integer_list(pick):
+    def entry():
+        if pick((False, True)):
+            return pick("12")
+        return pick("123456789") * pick((1, 12, 2200, 4000, 4300, 4301, 4500))
+
+    return ",".join(entry() for _ in range(pick(range(3, 6))))
+
+
+def _word(pick):
+    return "".join(pick("UDud") for _ in range(pick(range(17))))
+
+
+def _one_of(values, *makers):
+    """A maker of values from ``pick``: one of ``values``, or what one of
+    ``makers`` makes."""
+    makers = (lambda pick: pick(values), *makers)
+    return lambda pick: pick(makers)(pick)
+
+
 # Well-formed values per flag, so that some runs succeed.  --max-n lifts the
 # rank cap by design; it stays within the patched default cap here so that
 # every run is short.
 WELL_FORMED = {
-    "--vector": st.sampled_from(["1", "2", "1,1", "1,2,3", "2,3,4,1"])
-    | integer_lists
-    | long_integer_lists,
-    "--quiddity": st.sampled_from(["1,1,1", "1,2,1,2", "2,3,1,2,3,1"])
-    | integer_lists
-    | long_integer_lists,
-    "--word": st.sampled_from(["UD", "uudd", "UDUDUUDD"])
-    | st.text("UDud", max_size=16),
-    "--render": st.sampled_from(["json", "ascii"]),
-    "--to": st.sampled_from(["path", "v", "lambda"]),
-    "--format": st.sampled_from(["json", "text"]),
-    "--n": st.integers(-3, 12).map(str),
-    "--max-n": st.integers(-3, CONTRACT_MAX_N).map(str),
+    "--vector": _one_of(
+        ["1", "2", "1,1", "1,2,3", "2,3,4,1"], _integer_list, _long_integer_list
+    ),
+    "--quiddity": _one_of(
+        ["1,1,1", "1,2,1,2", "2,3,1,2,3,1"], _integer_list, _long_integer_list
+    ),
+    "--word": _one_of(["UD", "uudd", "UDUDUUDD"], _word),
+    "--render": _one_of(["json", "ascii"]),
+    "--to": _one_of(["path", "v", "lambda"]),
+    "--format": _one_of(["json", "text"]),
+    "--n": _one_of([str(n) for n in range(-3, 13)]),
+    "--max-n": _one_of([str(n) for n in range(-3, CONTRACT_MAX_N + 1)]),
 }
-
-
-def _value(flag):
-    if flag == "--max-n":
-        return WELL_FORMED[flag]
-    return WELL_FORMED.get(flag, st.nothing()) | st.text(max_size=12)
 
 
 @st.composite
 def argument_lists(draw):
-    command = draw(st.sampled_from([*FLAGS, "nonsense", ""]))
-    flags = FLAGS.get(command, JUNK)
+    """A subcommand or junk, up to three of its flags, each with a value
+    well formed or arbitrary text, and now and then one junk token anywhere.
+    Every choice but the text reads one byte of one drawn string, as
+    ``dyck_words`` reads its steps off drawn bytes, with bytes past its end
+    read as 0: a few draws per example, not dozens."""
+    data = iter(draw(st.binary(min_size=64, max_size=64)))
+
+    def pick(seq):
+        return seq[next(data, 0) % len(seq)]
+
+    command = pick([*FLAGS, "nonsense", ""])
+    flags = list(FLAGS.get(command, JUNK))
     argv = [command]
-    for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
-        argv += [flag, draw(_value(flag))]
-    if draw(st.integers(0, 9)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    for _ in range(min(pick(range(4)), len(flags))):
+        flag = flags.pop(pick(range(len(flags))))
+        if flag == "--max-n" or flag in WELL_FORMED and pick((False, True)):
+            argv += [flag, WELL_FORMED[flag](pick)]
+        else:
+            argv += [flag, draw(st.text(max_size=12))]
+    if pick(range(10)) == 0:
+        argv.insert(pick(range(len(argv) + 1)), pick(JUNK))
     return argv
 
 

@@ -91,24 +91,33 @@ def test_direct_construction_rejects_non_integers(col1, col2):
 # Entries in -2..12, and now and then one of 4,500 digits, past the
 # 4,300-digit limit of str, so that a message printing it would raise.
 HUGE = 10**4499 + 7
-column_entries = st.integers(-2, 12) | st.sampled_from([HUGE, -HUGE])
-columns = st.lists(column_entries, min_size=1, max_size=6)
+ENTRIES = (*range(-2, 13), HUGE, -HUGE)
 DIAMOND_VECTORS = [v for n in range(1, 7) for v in enumerate_all(n)]
 
 
 @st.composite
 def column_pairs(draw):
     """Two int lists of length 1..6, arbitrary or a true diamond's columns
-    with up to two entries replaced and the second column maybe resized."""
-    if draw(st.booleans()):
-        return draw(columns), draw(columns)
-    d = complete_diamond(draw(st.sampled_from(DIAMOND_VECTORS)))
+    with up to two entries replaced and the second column maybe resized.
+    Every choice reads two bytes of one drawn string, as ``dyck_words``
+    reads its steps off drawn bytes: one draw per example, not a dozen."""
+    data = iter(draw(st.binary(min_size=32, max_size=32)))
+
+    def pick(seq):
+        return seq[(next(data) << 8 | next(data)) % len(seq)]
+
+    def column():
+        return [pick(ENTRIES) for _ in range(pick(range(1, 7)))]
+
+    if pick((False, True)):
+        return column(), column()
+    d = complete_diamond(pick(DIAMOND_VECTORS))
     cols = [list(d.col1), list(d.col2)]
-    for _ in range(draw(st.integers(0, 2))):
-        col = cols[draw(st.integers(0, 1))]
-        col[draw(st.integers(0, len(col) - 1))] = draw(column_entries)
-    cols[1] = cols[1][: draw(st.integers(1, 7))]
-    cols[1] += draw(st.lists(column_entries, max_size=1))
+    for _ in range(pick(range(3))):
+        col = pick(cols)
+        col[pick(range(len(col)))] = pick(ENTRIES)
+    cols[1] = cols[1][: pick(range(1, 8))]
+    cols[1] += [pick(ENTRIES)] * pick((0, 1))
     return cols
 
 
