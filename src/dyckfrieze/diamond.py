@@ -42,7 +42,8 @@ second-column entry is the exact, positive quotient
 arithmetic.  ``minimal_cycle`` does the same once each column ``d_t`` of its
 frieze rows closes, ``d_t[N-1] == 1``, and is positive, ``min(d_t[2:N-1]) >= 1``:
 the paper's claim, which the winding lemma proves for a gliding quiddity
-that sums to 3N - 6, and which is checked column by column for any other.
+that sums to 3N - 6, which a diamond's own columns always give: a diamond
+closes its own frieze, by the lemma in ``minimal_cycle``'s docstring.
 This is exact: consecutive diagonals have Casoratian 1 for any integer q,
 so with positive entries the rule can fail only at the border
 ``a[1,n+1] = 1``.  It then builds its ``Cycle`` unchecked too: its
@@ -313,12 +314,23 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     cycle length p, and member t pairs band columns t and t + 1 of the
     frieze rows ``_frieze_rows(q)``.
 
-    Every member is a positive diamond, and the cycle is then built without
-    ``Cycle``'s check, because it holds by construction.  When the kernel
-    reports that the rows glide and q sums to 3N - 6, the band is positive
-    and closed by row N - 1 of ones, with no scan, by the winding lemma of
-    ``_frieze_rows``.  Any other q has each member checked, its column
-    closing and positive.
+    One guard stands for every check: the rows glide, q sums to 3N - 6,
+    and columns 0 and 1 are ``d0``'s.  Then the rows are a closed positive
+    frieze, by the winding lemma of ``_frieze_rows``, with ``d0`` as two
+    adjacent diagonals, so every member is a positive diamond and the cycle
+    is built without ``Cycle``'s check, because it holds by construction.
+    A ``Diamond`` never trips the guard.  Lemma: let ``u_k = (m_k, w_k)``
+    and ``[x, y] = x_0 y_1 - x_1 y_0``.  The rule at j = 1..n and the
+    framing give ``[u_k, u_{k+1}] = 1`` for k = 0..N, so ``u_k + u_{k+2}``
+    is a multiple of u_{k+1}, namely ``u_{k+2} = q_k u_{k+1} - u_k``.  So
+    ``m_r`` and ``w_{r+1}`` are entries (r, 0) and (r, 1) of the rows of q.
+    Then ``u_N = -u_0`` and ``u_{N+1} = -u_1``: the monodromy is -I, and
+    the rows glide.  Column 0 is positive on rows 1..N - 1, so
+    ``u_1..u_{N-1}`` lie strictly on one side of the line through ``u_0``
+    and ``u_N``, and the vectors turn through exactly one half-turn; by the
+    winding lemma, q then sums to 3N - 6.  Any ``Diamond._trusted`` whose
+    columns break the rule trips the guard, since passing it makes them two
+    adjacent diagonals of a closed positive frieze.
     Members are coupled: member t's second column is member t + 1's first,
     and member p - 1's second is column p, which is column 0 since q has
     period p.  ``p = rotation_period(q)`` divides N.  Members are distinct:
@@ -334,13 +346,9 @@ def minimal_cycle(d0: Diamond) -> Cycle:
     p = rotation_period(q)
     rows, glided = _frieze_rows(q)
     cols = list(zip(*rows[2 : N - 1]))
-    if (cols[0], cols[1]) != (d0.col1, d0.col2):
+    if not glided or sum(q) != 3 * N - 6 or cols[:2] != [d0.col1, d0.col2]:
         shown = format_int(d0.col1)
-        raise InvariantViolation(f"frieze of {shown} does not reproduce it")
-    if not glided or sum(q) != 3 * N - 6:
-        for t in range(p):
-            if rows[N - 1][t] != 1 or min(cols[t]) < 1:
-                raise InvariantViolation(f"cycle member {t} is not a positive diamond")
+        raise InvariantViolation(f"frieze of {shown} does not close through it")
     members = tuple(Diamond._trusted(cols[t], cols[(t + 1) % p]) for t in range(p))
     return Cycle._trusted(members)
 

@@ -200,8 +200,11 @@ def unitary_shift(p: DyckPath, i: int) -> DyckPath:
 
 
 def to_v_vector(p: DyckPath) -> tuple[int, ...]:
-    """Profile encoding: for i = 1..k-1, (Us before the i-th D) - i + 1."""
+    """Profile encoding: for i = 1..k-1, (Us before the i-th D) - i + 1.
+    Raises ``TooShort`` on the empty path: ``from_v_vector`` builds half
+    lengths of 1 or more, so the empty vector is ``UD``'s."""
     m = _as_path(p)._m
+    int_in(len(m), "half length of a profile encoding", 1, error=TooShort)
     return tuple(m[i] - i for i in range(len(m) - 1))
 
 

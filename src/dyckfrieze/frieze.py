@@ -166,7 +166,8 @@ def from_cycle(c: Cycle) -> FriezePattern:
     column 0, member 0's first, as p divides N.  So on columns t and t + 1
     the rule at rows 2..N - 2 is member t's diamond rule at j = r - 1,
     whose boundary ones are rows 1 and N - 1, and at rows 1 and N - 1 it
-    holds by the borders.  The band is positive, as every member is.  The
+    holds by the borders.  The band is positive, as every member is: a
+    diamond closes its own frieze, by the lemma in ``minimal_cycle``.  The
     rule fixes each row from the two above it, dividing by positive
     entries, so the pattern is the recurrence rows of its row 2, and these
     glide, as ``from_quiddity`` shows.

@@ -498,7 +498,7 @@ def minimal_cycle_validated(d0):
 def minimal_cycle_by_diagonals(d0):
     """The coupling cycle through ``d0`` with one ``diagonal`` per member,
     t = 0..p, each member checked to close and be positive, then built
-    unchecked, with the same messages as ``minimal_cycle``."""
+    unchecked, with the same message as ``minimal_cycle``."""
     N = d0.n + 3
     m = (0, 1, *d0.col1, 1, 0, -1)
     w = (-1, 0, 1, *d0.col2, 1, 0)
@@ -506,12 +506,12 @@ def minimal_cycle_by_diagonals(d0):
     p = rotation_period(q)
     diags = [diagonal(q, t, N) for t in range(p + 1)]
     cols = [d[2 : N - 1] for d in diags]
-    if (cols[0], cols[1]) != (d0.col1, d0.col2):
+    closes = (cols[0], cols[1]) == (d0.col1, d0.col2) and all(
+        diags[t][N - 1] == 1 and min(cols[t]) >= 1 for t in range(p)
+    )
+    if not closes:
         shown = format_int(d0.col1)
-        raise InvariantViolation(f"frieze of {shown} does not reproduce it")
-    for t in range(p):
-        if diags[t][N - 1] != 1 or min(cols[t]) < 1:
-            raise InvariantViolation(f"cycle member {t} is not a positive diamond")
+        raise InvariantViolation(f"frieze of {shown} does not close through it")
     members = tuple(Diamond._trusted(cols[t], cols[t + 1]) for t in range(p))
     return Cycle._trusted(members)
 

@@ -566,10 +566,12 @@ def test_verify_below_the_fork_threshold_prints_the_n3_golden(monkeypatch, capsy
 
 
 def test_verify_in_a_fresh_process_prints_its_report_once():
-    # the child never flushes the stdout buffer it inherits
+    # the child never flushes the stdout buffer it inherits, and under
+    # -X dev -W error a warning on the fork path fails the run
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["-X", "dev", "-W", "error", "-m", "dyckfrieze.cli", "verify", "--n", "8"]
     done = subprocess.run(
-        [sys.executable, "-m", "dyckfrieze.cli", "verify", "--n", "8"],
+        [sys.executable, *argv],
         capture_output=True,
         env=env,
         timeout=60,

@@ -95,6 +95,10 @@ def test_dyck_rejects_bad_word(capsys):
     code, _, err = run(capsys, "dyck", "--word", "UDDU", "--to", "path")
     assert code == 1
     assert "PrefixViolation" in err
+    # the empty vector is UD's profile encoding, not the empty path's
+    code, out, err = run(capsys, "dyck", "--word", "", "--to", "v")
+    assert (code, out) == (1, "")
+    assert "TooShort" in err
 
 
 def test_dyck_rejects_non_diamond_vector(capsys):

@@ -151,7 +151,14 @@ def test_rule_holds_exactly_on_all_enumerated():
             assert_same_as_validated(complete_diamond(v))
 
 
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+# Lengths 1..8 and entries 1..12, read off one drawn byte string as
+# dyck_words reads its steps: one draw per example, not one per entry.
+SHORT_VECTORS = st.binary(min_size=9, max_size=9).map(
+    lambda b: [1 + x % 12 for x in b[1 : 2 + b[0] % 8]]
+)
+
+
+@given(SHORT_VECTORS)
 @settings(max_examples=500)
 def test_complete_diamond_output_valid_or_rejected(v):
     try:
@@ -332,22 +339,37 @@ def test_minimal_cycle_matches_one_diagonal_per_member_exhaustive():
             assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
 
 
-def test_minimal_cycle_takes_no_min_on_a_gliding_quiddity(monkeypatch):
-    # a cycle's frieze rows glide, so by the winding lemma of _frieze_rows
-    # a quiddity summing to 3N - 6 makes a positive band: no min over q,
-    # per row or per member
-    scanned = []
-    monkeypatch.setattr(
-        diamond, "min", lambda xs: scanned.append(xs) or min(xs), raising=False
-    )
-    rng = random.Random(24)
-    for N in range(4, 61):
-        q = quiddity_by_faces(Triangulation(N, random_triangulation_diagonals(N, rng)))
-        rows = frieze_rows_by_division(q)
-        d = complete_diamond(tuple(rows[r][0] for r in range(2, N - 1)))
-        scanned.clear()
-        assert minimal_cycle(d) == minimal_cycle_by_diagonals(d)
-        assert scanned == [], N
+def test_a_diamond_closes_its_own_frieze(monkeypatch):
+    # the lemma of minimal_cycle: a diamond's columns make its frieze rows
+    # glide, and q sum to 3N - 6, so the guard never trips on a Diamond.
+    # Coupling is a function, so the oracle's cycle through member t is its
+    # cycle through member 0 turned by t, and it runs once per cycle.
+    seen = []
+
+    def recorded(q):
+        rows, glided = _frieze_rows(q)
+        seen.append((q, glided))
+        return rows, glided
+
+    monkeypatch.setattr(diamond, "_frieze_rows", recorded)
+    vectors = [v for n in range(1, 9) for v in enumerate_all(n)]
+    rng = random.Random(35)
+    for N in range(403, 12, -70):
+        q = [1] * N  # a vertex meets one more triangle than diagonals
+        for a, b in random_triangulation_diagonals(N, rng):
+            q[a] += 1
+            q[b] += 1
+        vectors.append(diagonal_by_index(q, 0, N - 1)[2:])
+    want = {}
+    for v in vectors:
+        d0 = complete_diamond(v)
+        if v not in want:
+            ds = minimal_cycle_by_diagonals(d0).diamonds
+            want.update((d.col1, ds[t:] + ds[:t]) for t, d in enumerate(ds))
+        seen.clear()
+        assert minimal_cycle(d0).diamonds == want[v]
+        [(q, glided)] = seen
+        assert glided and sum(q) == 3 * len(q) - 6, v
 
 
 def test_monodromy_minus_identity_sums_to_3n_minus_6_only_when_positive():
@@ -500,6 +522,10 @@ def test_diagonal_matches_indexed_recurrence(args):
     )
 )
 @example(((1,), (5,)))  # reproduces itself, but 1*5 - 1*1 != 1
+@example(((-1,), (4,)))  # sums to 3N - 6 and reproduces itself, but never glides
+# q = (1, 4, 1, 2, 3, 1, 3) is a heptagon's quiddity, but its frieze has
+# columns (1, 3, 2, 1) and (4, 3, 2, 3), not these
+@example(((1, 2, 2, 1), (4, 3, 3, 3)))
 # columns 0 and 1 of the all-ones nonagon's rows: its q is positive and
 # glides, but its vectors make three half-turns, so it sums to 9, not 21
 @example(((1, 0, -1, -1, 0, 1), (1, 0, -1, -1, 0, 1)))
@@ -525,7 +551,8 @@ def test_minimal_cycle_refuses_trusted_non_diamonds_like_the_oracle(cols):
 def test_minimal_cycle_rejects_a_later_member(monkeypatch, row, value):
     # A valid d0 cannot give a bad member, so column 2 of the frieze rows is
     # corrupted in place: an entry of its band set to 0, or its closing
-    # entry, in row N - 1, to 2.
+    # entry, in row N - 1, to 2.  Such rows do not glide, and the one guard
+    # refuses them.
     def corrupted(q):
         rows = [list(r) for r in _frieze_rows(q)[0]]
         rows[row][2] = value
@@ -533,7 +560,7 @@ def test_minimal_cycle_rejects_a_later_member(monkeypatch, row, value):
 
     d0 = complete_diamond((1, 2, 3))  # a cycle of three members
     monkeypatch.setattr(diamond, "_frieze_rows", corrupted)
-    with pytest.raises(InvariantViolation, match="member 2"):
+    with pytest.raises(InvariantViolation, match=r"of \(1, 2, 3\) does not close"):
         minimal_cycle(d0)
 
 

@@ -146,7 +146,11 @@ def test_path_rank_is_all_paths_order():
 
 
 def _assert_profile_reads_match_walks(p):
-    assert to_v_vector(p) == v_vector_by_walk(p.word)
+    if p.half_length == 0:
+        with pytest.raises(TooShort):
+            to_v_vector(p)
+    else:
+        assert to_v_vector(p) == v_vector_by_walk(p.word)
     assert path_rank(p) == path_rank_by_walk(p.word)
     if p.half_length >= 2:
         assert to_lambda(p) == lambda_by_walk(p.word)
@@ -225,6 +229,10 @@ def test_v_vector_known():
 
 
 def test_v_vector_roundtrip_exhaustive():
+    # the empty vector is UD's, so the empty path has no profile encoding
+    for p in all_paths(0):
+        with pytest.raises(TooShort, match="half length of a profile encoding is 0"):
+            to_v_vector(p)
     for k in range(1, 7):
         for p in all_paths(k):
             assert from_v_vector(to_v_vector(p)) == p

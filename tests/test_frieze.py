@@ -114,7 +114,14 @@ def test_from_quiddity_rejects_non_quiddities():
         from_quiddity((1, 2, "x", 2))
 
 
-@given(st.lists(st.integers(1, 6), min_size=3, max_size=9))
+# Lengths 3..9 and entries 1..6, read off one drawn byte string as
+# dyck_words reads its steps: one draw per example, not one per entry.
+SHORT_SEQUENCES = st.binary(min_size=10, max_size=10).map(
+    lambda b: [1 + x % 6 for x in b[1 : 4 + b[0] % 7]]
+)
+
+
+@given(SHORT_SEQUENCES)
 @settings(max_examples=500)
 def test_from_quiddity_matches_division_oracle(q):
     # the same rows, or the same error with the same message; a sequence
@@ -490,27 +497,35 @@ def tampered_friezes(draw):
     edits: an entry set or shifted (band entries and borders alike, breaking
     the rule and the glide), an entry set together with its glide image (the
     rule breaks, the glide holds), a whole row rotated, a non-int entry, or
-    an entry set to +-10**4500, past the 4,300-digit limit of ``str``."""
-    N = draw(st.integers(3, 40))
-    rng = draw(st.randoms(use_true_random=False))
+    an entry set to +-10**4500, past the 4,300-digit limit of ``str``.
+    Every choice reads two bytes of one drawn string, and the triangulation
+    a Random seeded from eight, as ``dyck_words`` reads its steps off drawn
+    bytes: one draw per example, not dozens."""
+    data = iter(draw(st.binary(min_size=48, max_size=48)))
+
+    def pick(seq):
+        return seq[(next(data) << 8 | next(data)) % len(seq)]
+
+    N = pick(range(3, 41))
+    rng = random.Random(bytes(next(data) for _ in range(8)))
     t = Triangulation(N, random_triangulation_diagonals(N, rng))
     rows = [list(row) for row in from_quiddity(quiddity_by_faces(t)).rows]
-    for _ in range(draw(st.integers(0, 4))):
-        r, c = draw(st.integers(0, N)), draw(st.integers(0, N - 1))
+    for _ in range(pick(range(5))):
+        r, c = pick(range(N + 1)), pick(range(N))
         edits = ["set", "shift", "mirrored", "rotate", "type", "huge"]
-        edit = draw(st.sampled_from(edits))
+        edit = pick(edits)
         if edit == "set":
-            rows[r][c] = draw(st.integers(-3, 9))
+            rows[r][c] = pick(range(-3, 10))
         elif edit == "shift" and type(rows[r][c]) is int:
-            rows[r][c] += draw(st.sampled_from([-2, -1, 1, 2]))
+            rows[r][c] += pick([-2, -1, 1, 2])
         elif edit == "mirrored":
-            rows[r][c] = rows[N - r][(c + r) % N] = draw(st.integers(-3, 9))
+            rows[r][c] = rows[N - r][(c + r) % N] = pick(range(-3, 10))
         elif edit == "rotate":
             rows[r] = rows[r][1:] + rows[r][:1]
         elif edit == "type":
-            rows[r][c] = draw(st.sampled_from(["5", 2.0, None, True]))
+            rows[r][c] = pick(["5", 2.0, None, True])
         elif edit == "huge":
-            rows[r][c] = draw(st.sampled_from([10**4500, -(10**4500)]))
+            rows[r][c] = pick([10**4500, -(10**4500)])
     return N, rows
 
 
